@@ -75,13 +75,8 @@ struct Phase1Outcome {
   /// Sharded runs: sum of the per-shard tracker peaks (the shards
   /// coexisted with each other, and briefly with the merged tree).
   size_t shard_peak_bytes = 0;
-  uint64_t disk_pages_written = 0;
-  uint64_t disk_pages_read = 0;
-  uint64_t disk_raw_bytes = 0;
-  uint64_t disk_stored_bytes = 0;
-  uint64_t disk_hot_hits = 0;
-  uint64_t disk_hot_misses = 0;
-  uint64_t disk_hot_demotions = 0;
+  /// Outlier-disk traffic, summed over the shards on the sharded path.
+  IoStats disk;
   double seconds = 0.0;
 };
 
@@ -196,13 +191,13 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
   result.peak_memory_bytes =
       p1.shard_peak_bytes + (p1.mem != nullptr ? p1.mem->peak() : 0);
   result.tree_nodes = tree->node_count();
-  result.disk_pages_written = p1.disk_pages_written;
-  result.disk_pages_read = p1.disk_pages_read;
-  result.disk_raw_bytes = p1.disk_raw_bytes;
-  result.disk_stored_bytes = p1.disk_stored_bytes;
-  result.disk_hot_hits = p1.disk_hot_hits;
-  result.disk_hot_misses = p1.disk_hot_misses;
-  result.disk_hot_demotions = p1.disk_hot_demotions;
+  result.disk_pages_written = p1.disk.pages_written;
+  result.disk_pages_read = p1.disk.pages_read;
+  result.disk_raw_bytes = p1.disk.raw_bytes_written;
+  result.disk_stored_bytes = p1.disk.stored_bytes_written;
+  result.disk_hot_hits = p1.disk.hot_hits;
+  result.disk_hot_misses = p1.disk.hot_misses;
+  result.disk_hot_demotions = p1.disk.hot_demotions;
   result.final_threshold = tree->threshold();
   // Accumulate in integers: CF point counts are integral (weights are
   // summed exactly for unit-weight streams), and a double accumulator
@@ -489,15 +484,7 @@ Status BirchClusterer::SaveCheckpoint(const std::string& path) {
   }
   auto freeze_or = phase1_->Freeze();
   if (!freeze_or.ok()) return freeze_or.status();
-  CheckpointImage img;
-  img.dim = options_.dim;
-  img.page_size = options_.resources.page_size;
-  img.metric = static_cast<uint32_t>(options_.tree.metric);
-  img.threshold_kind = static_cast<uint32_t>(options_.tree.threshold_kind);
-  img.cf_representation = static_cast<uint32_t>(options_.tree.cf);
-  img.scalar_width = options_.tree.cf_storage == CfStorage::kF32 ? 32 : 64;
-  img.page_codec = static_cast<uint32_t>(options_.resources.page_codec);
-  img.shard_count = 0;
+  CheckpointImage img = CheckpointImage::For(options_);
   img.points_ingested = phase1_->stats().points_added;
   img.freezes.push_back(std::move(freeze_or).ValueOrDie());
   return WriteCheckpointFile(path, img);
@@ -512,50 +499,7 @@ StatusOr<std::unique_ptr<BirchClusterer>> BirchClusterer::Restore(
 
   // Fingerprint: options that shape the CF tree and its serialized form
   // must match the checkpointed run exactly.
-  if (img.dim != options.dim) {
-    return Status::InvalidArgument(
-        "checkpoint was written with dim " + std::to_string(img.dim) +
-        ", options say " + std::to_string(options.dim));
-  }
-  if (img.page_size != options.resources.page_size) {
-    return Status::InvalidArgument(
-        "checkpoint was written with page_size " +
-        std::to_string(img.page_size) + ", options say " +
-        std::to_string(options.resources.page_size));
-  }
-  if (img.metric != static_cast<uint32_t>(options.tree.metric)) {
-    return Status::InvalidArgument(
-        "checkpoint distance metric does not match options");
-  }
-  if (img.threshold_kind !=
-      static_cast<uint32_t>(options.tree.threshold_kind)) {
-    return Status::InvalidArgument(
-        "checkpoint threshold kind does not match options");
-  }
-  if (img.cf_representation != static_cast<uint32_t>(options.tree.cf)) {
-    return Status::InvalidArgument(
-        std::string("checkpoint was written with the ") +
-        CfRepresentationName(
-            static_cast<CfRepresentation>(img.cf_representation)) +
-        " CF representation, options say " +
-        CfRepresentationName(options.tree.cf));
-  }
-  const uint32_t opt_width =
-      options.tree.cf_storage == CfStorage::kF32 ? 32u : 64u;
-  if (img.scalar_width != opt_width) {
-    return Status::InvalidArgument(
-        "checkpoint was written with " + std::to_string(img.scalar_width) +
-        "-bit CF storage, options say " + std::to_string(opt_width) +
-        "-bit");
-  }
-  if (img.page_codec !=
-      static_cast<uint32_t>(options.resources.page_codec)) {
-    return Status::InvalidArgument(
-        std::string("checkpoint was written with page_codec ") +
-        PageCodecName(static_cast<PageCodecKind>(img.page_codec)) +
-        ", options say " + PageCodecName(options.resources.page_codec) +
-        " (set resources.page_codec to match the checkpointed run)");
-  }
+  BIRCH_RETURN_IF_ERROR(img.MatchesOptions(options));
 
   std::unique_ptr<BirchClusterer> c(new BirchClusterer(options));
   c->resume_skip_points_ = img.points_ingested;
@@ -673,13 +617,7 @@ StatusOr<BirchResult> BirchClusterer::Finish(const Dataset* for_refinement) {
   p1.robustness = phase1_->robustness();
   p1.final_outliers = &phase1_->final_outliers();
   p1.mem = &phase1_->memory();
-  p1.disk_pages_written = phase1_->disk().io_stats().pages_written;
-  p1.disk_pages_read = phase1_->disk().io_stats().pages_read;
-  p1.disk_raw_bytes = phase1_->disk().io_stats().raw_bytes_written;
-  p1.disk_stored_bytes = phase1_->disk().io_stats().stored_bytes_written;
-  p1.disk_hot_hits = phase1_->disk().io_stats().hot_hits;
-  p1.disk_hot_misses = phase1_->disk().io_stats().hot_misses;
-  p1.disk_hot_demotions = phase1_->disk().io_stats().hot_demotions;
+  p1.disk = phase1_->disk().io_stats();
 
   // One final epoch covering the whole stream (the Phase-1 tail may
   // have settled delayed points since the last cadence publish).
@@ -751,14 +689,7 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
     sp.on_checkpoint =
         [&o](uint64_t points_dealt,
              std::vector<std::unique_ptr<Phase1Builder>>* builders) -> Status {
-      CheckpointImage img;
-      img.dim = o.dim;
-      img.page_size = o.resources.page_size;
-      img.metric = static_cast<uint32_t>(o.tree.metric);
-      img.threshold_kind = static_cast<uint32_t>(o.tree.threshold_kind);
-      img.cf_representation = static_cast<uint32_t>(o.tree.cf);
-      img.scalar_width = o.tree.cf_storage == CfStorage::kF32 ? 32 : 64;
-      img.page_codec = static_cast<uint32_t>(o.resources.page_codec);
+      CheckpointImage img = CheckpointImage::For(o);
       img.shard_count = static_cast<uint32_t>(builders->size());
       img.points_ingested = points_dealt;
       img.freezes.reserve(builders->size());
@@ -811,13 +742,7 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
   p1.final_outliers = &sharded_->final_outliers;
   p1.mem = sharded_->mem.get();
   p1.shard_peak_bytes = sharded_->peak_memory_bytes;
-  p1.disk_pages_written = sharded_->disk_pages_written;
-  p1.disk_pages_read = sharded_->disk_pages_read;
-  p1.disk_raw_bytes = sharded_->disk_raw_bytes;
-  p1.disk_stored_bytes = sharded_->disk_stored_bytes;
-  p1.disk_hot_hits = sharded_->disk_hot_hits;
-  p1.disk_hot_misses = sharded_->disk_hot_misses;
-  p1.disk_hot_demotions = sharded_->disk_hot_demotions;
+  p1.disk = sharded_->disk;
   p1.seconds = phase1_timer_.Seconds();
   phase1_span_.End();
   // Final epoch from the merged tree (the per-epoch publishes saw the

@@ -63,36 +63,24 @@ struct CfLayout {
   }
 };
 
-/// A CF tree node. Nonleaf nodes keep `children[i]` beneath summary
-/// `entries[i]`; leaf nodes keep only entries and live on a doubly
-/// linked chain for cheap full scans (Phase 2/3 input, rebuilding).
+/// A CF tree node: one column block of capacity + 1 rows (the extra
+/// row holds the overflow entry between an insert and its split) plus,
+/// for nonleaf nodes, `children[i]` beneath row i. The block is the
+/// node's only copy of its CFs — what descent scans read, what TreeIO
+/// serializes and what the memory budget charges one page for. Leaf
+/// nodes live on a doubly linked chain for cheap full scans (Phase 2/3
+/// input, rebuilding).
 struct CfNode {
   explicit CfNode(bool leaf) : is_leaf(leaf) {}
 
   bool is_leaf;
-  std::vector<CfVector> entries;
-  std::vector<CfNode*> children;  // nonleaf only; parallel to entries
+  kernel::CfBatch rows;
+  std::vector<CfNode*> children;  // nonleaf only; parallel to rows
 
   CfNode* prev = nullptr;  // leaf chain
   CfNode* next = nullptr;  // leaf chain
 
-  /// SoA mirror of `entries` for the batch distance kernel, rebuilt
-  /// lazily by CfTree (kernel = kBatch only; see kernel/kernel.h).
-  /// `scratch_valid` is the invalidation flag: any structural entry
-  /// change clears it; the in-place absorb path updates one row
-  /// instead. The scratch is bookkeeping, not data — it is not charged
-  /// against the memory budget and is never serialized.
-  mutable kernel::CfBatch scratch;
-  mutable bool scratch_valid = false;
-
-  size_t size() const { return entries.size(); }
-
-  /// Sum of all entry CFs = CF of everything beneath this node.
-  CfVector Summary() const {
-    CfVector cf;
-    for (const auto& e : entries) cf.Add(e);
-    return cf;
-  }
+  size_t size() const { return rows.size(); }
 };
 
 }  // namespace birch

@@ -38,8 +38,12 @@
 
 namespace birch {
 
-/// Which CF algebra a CfVector (and everything built from it: kernel
-/// scratch, tree pages, checkpoints) uses. A runtime policy like
+namespace kernel {
+class CfBatch;
+}  // namespace kernel
+
+/// Which CF algebra a CfVector (and everything built from it: node
+/// column blocks, tree pages, checkpoints) uses. A runtime policy like
 /// KernelKind: the two variants never mix within one pipeline.
 enum class CfRepresentation { kClassic = 0, kBetula };
 
@@ -102,7 +106,7 @@ class CfVector {
     return vec_;
   }
 
-  /// Representation-neutral raw state, for serialization, scratch
+  /// Representation-neutral raw state, for serialization, column
   /// layouts and structural comparison. Meaning depends on rep():
   /// LS / SS for kClassic, mean / sum-of-squared-deviations for
   /// kBetula.
@@ -173,6 +177,9 @@ class CfVector {
   bool operator==(const CfVector& other) const = default;
 
  private:
+  /// Node column blocks store and load rows of raw state directly.
+  friend class kernel::CfBatch;
+
   /// kF32 storage: round the stored components through float after a
   /// mutation, as if the backing arrays were 4-byte floats. N is
   /// exempt (counts stay exact).

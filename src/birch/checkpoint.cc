@@ -270,6 +270,50 @@ void AppendSection(uint32_t tag, const ByteWriter& payload,
 
 }  // namespace
 
+CheckpointImage CheckpointImage::For(const BirchOptions& options) {
+  CheckpointImage img;
+  img.dim = options.dim;
+  img.page_size = options.resources.page_size;
+  img.metric = static_cast<uint32_t>(options.tree.metric);
+  img.threshold_kind = static_cast<uint32_t>(options.tree.threshold_kind);
+  img.cf_representation = static_cast<uint32_t>(options.tree.cf);
+  img.scalar_width = options.tree.cf_storage == CfStorage::kF32 ? 32 : 64;
+  img.page_codec = static_cast<uint32_t>(options.resources.page_codec);
+  return img;
+}
+
+Status CheckpointImage::MatchesOptions(const BirchOptions& options) const {
+  const CheckpointImage want = For(options);
+  const struct {
+    const char* name;
+    uint64_t written;
+    uint64_t configured;
+  } fields[] = {
+      {"dim", dim, want.dim},
+      {"page_size", page_size, want.page_size},
+      {"distance metric", metric, want.metric},
+      {"threshold kind", threshold_kind, want.threshold_kind},
+      {"CF representation", cf_representation, want.cf_representation},
+      {"CF storage width (bits)", scalar_width, want.scalar_width},
+  };
+  for (const auto& f : fields) {
+    if (f.written != f.configured) {
+      return Status::InvalidArgument(
+          std::string("checkpoint was written with ") + f.name + " " +
+          std::to_string(f.written) + ", options say " +
+          std::to_string(f.configured));
+    }
+  }
+  if (page_codec != want.page_codec) {
+    return Status::InvalidArgument(
+        std::string("checkpoint was written with page_codec ") +
+        PageCodecName(static_cast<PageCodecKind>(page_codec)) +
+        ", options say " + PageCodecName(options.resources.page_codec) +
+        " (set resources.page_codec to match the checkpointed run)");
+  }
+  return Status::OK();
+}
+
 Status WriteCheckpointFile(const std::string& path,
                            const CheckpointImage& image) {
   TRACE_SPAN("checkpoint/save");

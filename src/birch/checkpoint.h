@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "birch/options.h"
 #include "birch/phase1.h"
 #include "util/status.h"
 
@@ -64,8 +65,8 @@ struct CheckpointImage {
   /// run's outlier disk was uncompressed); != 0 means the freeze
   /// sections are stored as compressed page envelopes under this
   /// codec. Part of the fingerprint — restoring under a different
-  /// codec configuration is rejected, since it changes the resumed
-  /// run's effective disk budget.
+  /// codec configuration is rejected, since the freeze sections are
+  /// encoded under it.
   uint32_t page_codec = 0;
   /// 0 = serial image (exactly one freeze); N >= 1 = sharded image
   /// written by an N-shard run (exactly N freezes, shard order).
@@ -74,6 +75,15 @@ struct CheckpointImage {
   /// the original stream.
   uint64_t points_ingested = 0;
   std::vector<Phase1Freeze> freezes;
+
+  /// The fingerprint of `options` (every field above shard_count), with
+  /// no freezes: what SaveCheckpoint and the sharded checkpoint hook
+  /// write, and what Restore holds a file to.
+  static CheckpointImage For(const BirchOptions& options);
+
+  /// OK when this image's fingerprint equals For(options); otherwise
+  /// InvalidArgument naming the first field that differs.
+  Status MatchesOptions(const BirchOptions& options) const;
 };
 
 /// Serializes `image` and atomically replaces `path` with it. IOError

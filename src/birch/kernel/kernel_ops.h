@@ -58,20 +58,9 @@ struct Ops {
 /// and supported by this CPU, portable otherwise. Resolved once.
 const Ops& GetOps();
 
-/// The fast-but-not-bitwise table for KernelKind::kBatchFast: the
-/// FMA/AVX-512 lane (kernel_fma.cc, 8-wide, fused multiply-adds) when
-/// compiled in (BIRCH_KERNEL_FMA) and supported by this CPU; falls
-/// back to GetOps() — i.e. exactly the correctly-rounded dispatch —
-/// otherwise. Resolved once. Never use for paths under the bitwise
-/// determinism contract.
-const Ops& GetFastOps();
-
 extern const Ops kPortableOps;
 #if defined(BIRCH_KERNEL_AVX2)
 extern const Ops kAvx2Ops;  // defined in kernel_avx2.cc
-#endif
-#if defined(BIRCH_KERNEL_FMA)
-extern const Ops kFmaOps;  // defined in kernel_fma.cc
 #endif
 
 }  // namespace detail

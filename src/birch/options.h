@@ -74,11 +74,11 @@ struct BirchOptions {
     size_t disk_bytes = 16 * 1024;  // paper: R = 20% of M
     size_t page_size = 1024;
     /// Transparent per-page compression for the outlier disk and
-    /// checkpoint files (pagestore/page_codec.h). With a codec, pages
-    /// are charged against disk_bytes at their compressed size, so the
-    /// effective budget is R x ratio; checkpoint section payloads are
-    /// stored compressed too. kNone (the default) keeps the v1 raw
-    /// format everywhere.
+    /// checkpoint files (pagestore/page_codec.h). Outlier pages are
+    /// still charged their full page size against disk_bytes, so a run
+    /// clusters identically with or without it; checkpoint section
+    /// payloads are stored compressed too. kNone (the default) keeps
+    /// the v1 raw format everywhere.
     PageCodecKind page_codec = PageCodecKind::kNone;
     /// DRAM budget for the outlier disk's hot tier of decompressed
     /// pages (LRU-evicted; see PageStoreOptions::hot_tier_bytes).
@@ -174,12 +174,8 @@ struct BirchOptions {
     size_t affinity_centers = 0;
     /// Distance-scan implementation for the hot paths (tree descent,
     /// Phase-3 sweeps, Phase-4 assignment). kScalar and kBatch are
-    /// bitwise identical; kBatch is the SoA one-pass scan
-    /// (kernel/kernel.h). kBatchFast additionally routes the CF-tree
-    /// descent scans through the FMA/AVX-512 lane where the CPU has
-    /// one — faster but NOT bitwise against the oracle (last-ulp
-    /// rounding differs), so it is opt-in and excluded from the
-    /// determinism contract above.
+    /// bitwise identical; kBatch is the one-pass column scan
+    /// (kernel/kernel.h), kScalar the per-entry oracle.
     KernelKind kernel = KernelKind::kBatch;
   };
 

@@ -39,9 +39,9 @@ struct Phase1Options {
   FaultOptions fault;
   /// Retry policy for transient outlier-disk errors.
   RetryPolicy retry;
-  /// Per-page compression for the outlier disk (effective budget
-  /// R x ratio) and DRAM budget for its decompressed hot tier. See
-  /// PageStoreOptions.
+  /// Per-page compression for the outlier disk (transparent: pages are
+  /// charged their raw size) and DRAM budget for its decompressed hot
+  /// tier. See PageStoreOptions.
   PageCodecKind page_codec = PageCodecKind::kNone;
   size_t hot_tier_bytes = 0;
 };

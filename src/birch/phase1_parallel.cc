@@ -428,13 +428,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
     const Phase1Builder& b = *builders[static_cast<size_t>(s)];
     MergeStats(b.stats(), &result.stats);
     MergeRobustness(b.robustness(), &result.robustness);
-    result.disk_pages_written += b.disk().io_stats().pages_written;
-    result.disk_pages_read += b.disk().io_stats().pages_read;
-    result.disk_raw_bytes += b.disk().io_stats().raw_bytes_written;
-    result.disk_stored_bytes += b.disk().io_stats().stored_bytes_written;
-    result.disk_hot_hits += b.disk().io_stats().hot_hits;
-    result.disk_hot_misses += b.disk().io_stats().hot_misses;
-    result.disk_hot_demotions += b.disk().io_stats().hot_demotions;
+    result.disk += b.disk().io_stats();
     result.peak_memory_bytes += b.memory().peak();
     if (obs::Enabled()) {
       obs::Registry::Default()

@@ -121,14 +121,8 @@ struct ShardedPhase1Result {
   RobustnessStats robustness;
   /// Entries no shard could place that the merged tree rejected too.
   std::vector<CfVector> final_outliers;
-  uint64_t disk_pages_written = 0;
-  uint64_t disk_pages_read = 0;
-  /// Summed per-shard compression/tier accounting (see IoStats).
-  uint64_t disk_raw_bytes = 0;
-  uint64_t disk_stored_bytes = 0;
-  uint64_t disk_hot_hits = 0;
-  uint64_t disk_hot_misses = 0;
-  uint64_t disk_hot_demotions = 0;
+  /// Summed per-shard outlier-disk traffic.
+  IoStats disk;
   /// Sum of the per-shard tracker peaks only. The merged tree's own
   /// high-water mark lives in `mem` and keeps moving through Phases
   /// 2-4, so the caller reads `mem->peak()` at the end of the run and

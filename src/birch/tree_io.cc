@@ -94,6 +94,7 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
   Status failure = Status::OK();
   std::vector<PageId> allocated;  // every page we own, for error cleanup
   std::unordered_map<const CfNode*, PageId> page_of;  // leaf-chain lookup
+  CfVector row(dim, tree.options().cf, tree.options().cf_storage);
   std::function<PageId(const CfNode*)> write_node =
       [&](const CfNode* node) -> PageId {
     if (!failure.ok()) return kInvalidPageId;
@@ -102,7 +103,8 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
     buf.push_back(node->is_leaf ? 1.0 : 0.0);
     buf.push_back(static_cast<double>(node->size()));
     for (size_t i = 0; i < node->size(); ++i) {
-      SerializeEntry(node->entries[i], tree.options().cf_storage, &buf);
+      node->rows.Load(i, &row);
+      SerializeEntry(row, tree.options().cf_storage, &buf);
       if (!node->is_leaf) {
         PageId child = write_node(node->children[i]);
         if (!failure.ok()) return kInvalidPageId;
@@ -230,8 +232,9 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
     const size_t per_entry = cf_doubles + (is_leaf ? 0 : 1);
     // Validate the entry count before casting: a corrupt double here
     // must not become an out-of-range size_t (UB) or an overflowing
-    // multiply below.
-    const size_t max_count = (buf.size() - 3) / per_entry;
+    // multiply below, nor overrun the node's column block.
+    const size_t max_count =
+        std::min((buf.size() - 3) / per_entry, tree->Capacity(is_leaf));
     if (!std::isfinite(buf[2]) || buf[2] < 0.0 ||
         buf[2] != std::floor(buf[2]) ||
         buf[2] > static_cast<double>(max_count)) {
@@ -246,8 +249,8 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
     allocated.push_back(node);
     size_t off = 3;
     for (size_t i = 0; i < count; ++i) {
-      node->entries.push_back(DeserializeEntry(buf.data() + off, image.dim,
-                                               image.cf, image.cf_storage));
+      node->rows.Append(DeserializeEntry(buf.data() + off, image.dim,
+                                         image.cf, image.cf_storage));
       off += cf_doubles;
       if (!is_leaf) {
         PageId child;

@@ -21,10 +21,6 @@ struct Page {
   explicit Page(size_t size) : bytes(size, 0) {}
   std::vector<uint8_t> bytes;
   uint32_t crc = 0;
-  /// Bytes this page is charged against the store's capacity
-  /// (bytes.size() — tracked separately so the store can re-charge
-  /// atomically on rewrite).
-  size_t charge = 0;
   /// Set by the fault injector: the write was silently dropped and the
   /// contents are unrecoverable (reads return DataLoss).
   bool lost = false;

@@ -28,6 +28,25 @@ PageStore::PageStore(size_t page_size, size_t capacity_bytes,
     : PageStore(PageStoreOptions{page_size, capacity_bytes, faults,
                                  PageCodecKind::kNone, 0}) {}
 
+IoStats& IoStats::operator+=(const IoStats& other) {
+  pages_written += other.pages_written;
+  pages_read += other.pages_read;
+  pages_freed += other.pages_freed;
+  checksum_failures += other.checksum_failures;
+  lost_page_reads += other.lost_page_reads;
+  transient_read_errors += other.transient_read_errors;
+  transient_write_errors += other.transient_write_errors;
+  raw_bytes_written += other.raw_bytes_written;
+  stored_bytes_written += other.stored_bytes_written;
+  compressed_writes += other.compressed_writes;
+  raw_fallback_writes += other.raw_fallback_writes;
+  envelope_decode_failures += other.envelope_decode_failures;
+  hot_hits += other.hot_hits;
+  hot_misses += other.hot_misses;
+  hot_demotions += other.hot_demotions;
+  return *this;
+}
+
 size_t PageStore::stored_bytes(PageId id) const {
   auto it = pages_.find(id);
   return it == pages_.end() ? 0 : it->second.bytes.size();
@@ -72,9 +91,12 @@ void PageStore::HotErase(PageId id) {
 }
 
 StatusOr<PageId> PageStore::Allocate() {
+  if (capacity_bytes_ != 0 && used_bytes() + page_size_ > capacity_bytes_) {
+    return Status::OutOfDisk("page store at capacity (" +
+                             std::to_string(capacity_bytes_) + " bytes)");
+  }
   // A fresh page holds zeroes; with a codec that image is stored
-  // compressed, so allocation only commits the encoded size and the
-  // effective page count scales with the compression ratio.
+  // compressed.
   Page page(0);
   if (codec_ == PageCodecKind::kNone) {
     page.bytes.assign(page_size_, 0);
@@ -83,18 +105,11 @@ StatusOr<PageId> PageStore::Allocate() {
     page.bytes = EncodeStored(std::vector<uint8_t>(page_size_, 0),
                               &fallback);
   }
-  page.charge = page.bytes.size();
-  if (capacity_bytes_ != 0 &&
-      used_bytes_ + page.charge > capacity_bytes_) {
-    return Status::OutOfDisk("page store at capacity (" +
-                             std::to_string(capacity_bytes_) + " bytes)");
-  }
   page.crc = Crc32c(page.bytes);
   PageId id = next_id_++;
-  used_bytes_ += page.charge;
   pages_.emplace(id, std::move(page));
   OBS_COUNTER_INC("pagestore/pages_allocated");
-  OBS_GAUGE_SET("pagestore/used_bytes", used_bytes_);
+  OBS_GAUGE_SET("pagestore/used_bytes", used_bytes());
   return id;
 }
 
@@ -127,18 +142,7 @@ Status PageStore::Write(PageId id, std::span<const uint8_t> data) {
     std::copy(data.begin(), data.end(), raw.begin());
     stored = EncodeStored(raw, &fallback);
   }
-  // Re-charge the page at its new stored size before committing: a
-  // page that compressed well yesterday may not fit once rewritten
-  // with less compressible data.
-  if (capacity_bytes_ != 0 &&
-      used_bytes_ - page.charge + stored.size() > capacity_bytes_) {
-    return Status::OutOfDisk("page store at capacity (" +
-                             std::to_string(capacity_bytes_) +
-                             " bytes, compressed)");
-  }
-  used_bytes_ = used_bytes_ - page.charge + stored.size();
   page.bytes = std::move(stored);
-  page.charge = page.bytes.size();
   page.crc = Crc32c(page.bytes);
   page.lost = false;
   // A rewritten page's hot copy is stale; the next read re-decodes.
@@ -156,10 +160,10 @@ Status PageStore::Write(PageId id, std::span<const uint8_t> data) {
     }
   }
   ++io_.pages_written;
-  io_.raw_bytes_written += page_size_;
-  io_.stored_bytes_written += page.bytes.size();
   OBS_COUNTER_INC("pagestore/pages_written");
   if (codec_ != PageCodecKind::kNone) {
+    io_.raw_bytes_written += page_size_;
+    io_.stored_bytes_written += page.bytes.size();
     if (fallback) {
       ++io_.raw_fallback_writes;
       OBS_COUNTER_INC("pagestore/raw_fallback_writes");
@@ -172,7 +176,6 @@ Status PageStore::Write(PageId id, std::span<const uint8_t> data) {
                   static_cast<double>(io_.raw_bytes_written) /
                       static_cast<double>(io_.stored_bytes_written));
   }
-  OBS_GAUGE_SET("pagestore/used_bytes", used_bytes_);
   OBS_HISTOGRAM_RECORD("pagestore/write_us", timer.Seconds() * 1e6);
   return Status::OK();
 }
@@ -244,11 +247,10 @@ Status PageStore::Free(PageId id) {
     return Status::NotFound("page " + std::to_string(id));
   }
   HotErase(id);
-  used_bytes_ -= it->second.charge;
   pages_.erase(it);
   ++io_.pages_freed;
   OBS_COUNTER_INC("pagestore/pages_freed");
-  OBS_GAUGE_SET("pagestore/used_bytes", used_bytes_);
+  OBS_GAUGE_SET("pagestore/used_bytes", used_bytes());
   return Status::OK();
 }
 

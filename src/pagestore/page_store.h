@@ -11,13 +11,13 @@
 // Lost or corrupt pages surface as kDataLoss, which is not retryable;
 // transient faults surface as kIOError, which is.
 //
-// With a PageCodec configured the store is compressed and tiered
-// (ROADMAP item 2): pages live compressed in the capacity-charged cold
-// store (each page charged at its stored envelope size, so the
-// effective budget is M x ratio), CRC32C covers the compressed image,
-// and an LRU hot tier of up to `hot_tier_bytes` decompressed pages
-// absorbs repeat reads. Callers are unaffected: Write still takes raw
-// bytes, Read still returns the raw page_size image.
+// With a PageCodec configured the store is compressed and tiered: pages
+// live compressed in the cold store, CRC32C covers the compressed
+// image, and an LRU hot tier of up to `hot_tier_bytes` decompressed
+// pages absorbs repeat reads. The codec is transparent by construction:
+// Write still takes raw bytes, Read still returns the raw page_size
+// image, and capacity charges every page its raw page_size, so exactly
+// the same allocations succeed or fail with or without compression.
 #ifndef BIRCH_PAGESTORE_PAGE_STORE_H_
 #define BIRCH_PAGESTORE_PAGE_STORE_H_
 
@@ -63,15 +63,18 @@ struct IoStats {
   uint64_t hot_hits = 0;
   uint64_t hot_misses = 0;
   uint64_t hot_demotions = 0;
+
+  /// Field-wise sum: the traffic of several stores (one per shard) as
+  /// one run's.
+  IoStats& operator+=(const IoStats& other);
 };
 
 /// Construction-time configuration for a PageStore.
 struct PageStoreOptions {
   /// Logical page size in bytes; must be > 0.
   size_t page_size = 1024;
-  /// Cold-store budget; 0 means unlimited. With a codec, pages are
-  /// charged at their compressed size, so the store holds ~ratio times
-  /// more logical pages than capacity_bytes / page_size.
+  /// Cold-store budget; 0 means unlimited. Every page is charged its
+  /// raw page_size, with or without a codec.
   size_t capacity_bytes = 0;
   /// Fault model; defaults to the fault-free device.
   FaultOptions faults;
@@ -97,10 +100,8 @@ class PageStore {
 
   size_t page_size() const { return page_size_; }
   size_t capacity_bytes() const { return capacity_bytes_; }
-  /// Bytes charged against capacity: stored (compressed) sizes, not
-  /// logical page sizes. Equal to num_pages() * page_size() when no
-  /// codec is configured.
-  size_t used_bytes() const { return used_bytes_; }
+  /// Bytes charged against capacity: num_pages() * page_size().
+  size_t used_bytes() const { return pages_.size() * page_size_; }
   size_t num_pages() const { return pages_.size(); }
   PageCodecKind codec() const { return codec_; }
   size_t hot_tier_bytes() const { return hot_tier_bytes_; }
@@ -120,10 +121,8 @@ class PageStore {
   /// zero-padded to the full page) and refreshes the checksum, which
   /// covers the stored image — the compressed envelope when a codec is
   /// configured. May fail with kIOError (transient, page untouched —
-  /// retry), with OutOfDisk when the re-encoded page no longer fits the
-  /// compressed capacity (page untouched), or "succeed" while the
-  /// injector drops or corrupts the stored image (discovered on the
-  /// next Read).
+  /// retry), or "succeed" while the injector drops or corrupts the
+  /// stored image (discovered on the next Read).
   Status Write(PageId id, std::span<const uint8_t> data);
 
   /// Reads the full raw page into `out` (resized to page_size). Cold
@@ -163,7 +162,6 @@ class PageStore {
   PageCodecKind codec_;
   size_t hot_tier_bytes_;
   PageId next_id_ = 0;
-  size_t used_bytes_ = 0;
   std::unordered_map<PageId, Page> pages_;
 
   /// Hot tier: decompressed page images, most-recently-used first.

@@ -25,38 +25,27 @@ ServingSnapshot::~ServingSnapshot() {
   OBS_GAUGE_ADD("serving/snapshots_live", -1);
 }
 
-size_t ServingSnapshot::Flatten(const CfNode& node) {
+size_t ServingSnapshot::Flatten(const CfNode& node, CfVector* row) {
   const size_t index = nodes_.size();
   nodes_.emplace_back();
-  {
-    Node& n = nodes_.back();
-    n.is_leaf = node.is_leaf;
-    n.rows = node.entries.size();
-    n.centers.reserve(n.rows * dim_);
-  }
-  std::vector<std::vector<double>> centers;
-  centers.reserve(node.entries.size());
-  for (const CfVector& e : node.entries) {
-    centers.push_back(e.Centroid());
-    // nodes_ may reallocate inside the recursive calls below, so touch
-    // it only through the index.
-    Node& n = nodes_[index];
-    n.centers.insert(n.centers.end(), centers.back().begin(),
-                     centers.back().end());
-  }
-  nodes_[index].batch.Assign(centers);
-  if (node.is_leaf) {
-    Node& n = nodes_[index];
-    n.first_entry = leaf_radius_.size();
-    for (const CfVector& e : node.entries) {
-      leaf_radius_.push_back(e.Radius());
-      leaf_n_.push_back(e.n());
-      e.SerializeTo(&leaf_cfs_);
+  nodes_[index].is_leaf = node.is_leaf;
+  std::vector<std::vector<double>> centers(node.size());
+  if (node.is_leaf) nodes_[index].first_entry = leaf_radius_.size();
+  for (size_t i = 0; i < node.size(); ++i) {
+    node.rows.Load(i, row);
+    row->CentroidInto(&centers[i]);
+    if (node.is_leaf) {
+      leaf_radius_.push_back(row->Radius());
+      row->SerializeTo(&leaf_cfs_);
     }
-  } else {
+  }
+  // nodes_ may reallocate inside the recursive calls below, so touch it
+  // only through the index.
+  nodes_[index].centers.Assign(centers);
+  if (!node.is_leaf) {
     nodes_[index].children.reserve(node.children.size());
     for (const CfNode* child : node.children) {
-      const size_t c = Flatten(*child);
+      const size_t c = Flatten(*child, row);
       nodes_[index].children.push_back(static_cast<uint32_t>(c));
     }
   }
@@ -78,7 +67,8 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
   snap->cf_rep_ = tree.options().cf;
   snap->cf_storage_ = tree.options().cf_storage;
   snap->points_ingested_ = options.points_ingested;
-  snap->Flatten(*tree.root());
+  CfVector row(snap->dim_, snap->cf_rep_, snap->cf_storage_);
+  snap->Flatten(*tree.root(), &row);
 
   // Publish-time cluster table over the leaf entries (descent order —
   // the order Flatten visited them, so entry_cluster_ lines up with
@@ -119,15 +109,14 @@ size_t ServingSnapshot::NearestRow(const Node& node,
                                    KernelKind kernel, kernel::Workspace* ws,
                                    double* best_sq) const {
   if (IsBatchKernel(kernel)) {
-    kernel::ScanResult r = node.batch.NearestSq(point, ws);
+    kernel::ScanResult r = node.centers.NearestSq(point, ws);
     *best_sq = r.distance;
     return r.index == static_cast<size_t>(-1) ? 0 : r.index;
   }
   size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
-  for (size_t r = 0; r < node.rows; ++r) {
-    const double d = SquaredDistance(
-        point, std::span<const double>(node.centers.data() + r * dim_, dim_));
+  for (size_t r = 0; r < node.centers.size(); ++r) {
+    const double d = node.centers.SquaredDistanceTo(point, r);
     if (d < best_d) {
       best_d = d;
       best = r;
@@ -204,14 +193,10 @@ size_t ServingSnapshot::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const Node& n : nodes_) {
     bytes += sizeof(Node) + n.children.capacity() * sizeof(uint32_t) +
-             n.centers.capacity() * sizeof(double) +
-             // The SoA mirror holds one dim-major copy of the centers.
-             n.rows * dim_ * sizeof(double);
+             n.centers.size() * dim_ * sizeof(double);
   }
   bytes += entry_cluster_.capacity() * sizeof(int) +
-           (leaf_radius_.capacity() + leaf_n_.capacity() +
-            leaf_cfs_.capacity()) *
-               sizeof(double);
+           (leaf_radius_.capacity() + leaf_cfs_.capacity()) * sizeof(double);
   for (const CfVector& c : clusters_) {
     bytes += sizeof(CfVector) + c.dim() * sizeof(double);
   }

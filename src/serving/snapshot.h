@@ -3,13 +3,13 @@
 //
 // A ServingSnapshot is built once (from a quiesced CfTree) and never
 // mutated afterwards: the tree structure is flattened into contiguous
-// node records, each carrying its entry centroids both row-major (the
-// scalar oracle path) and as a kernel::CenterBatch SoA block (the
-// batch path), so point->cluster descent is a cache-friendly argmin
-// per level with zero pointer chasing into live tree pages. Leaf
-// entries additionally keep their exact serialized CFs, which lets a
-// mid-stream Snapshot(k) re-cluster the published state at any k
-// without touching the live tree.
+// node records, each carrying its entry centroids once, as a
+// kernel::CenterBatch column block that both the batch scan and the
+// scalar oracle read, so point->cluster descent is a cache-friendly
+// argmin per level with zero pointer chasing into live tree pages.
+// Leaf entries additionally keep their exact serialized CFs, which
+// lets a mid-stream Snapshot(k) re-cluster the published state at any
+// k without touching the live tree.
 //
 // Sharing model: snapshots travel as std::shared_ptr<const
 // ServingSnapshot> "epochs". Readers pin an epoch with one refcount
@@ -142,20 +142,19 @@ class ServingSnapshot {
  private:
   ServingSnapshot();
 
-  /// One flattened tree node: entry centroids row-major (the scalar
-  /// path) plus the SoA mirror (the batch path). Non-leaf:
-  /// children[i] is the node index under centroid row i. Leaf:
+  /// One flattened tree node: its entry centroids as one column block.
+  /// Non-leaf: children[i] is the node index under centroid i. Leaf:
   /// first_entry indexes the snapshot-global leaf arrays.
   struct Node {
     bool is_leaf = false;
-    size_t rows = 0;                 // entry count
     size_t first_entry = 0;          // leaf only
-    std::vector<uint32_t> children;  // non-leaf only, parallel to rows
-    std::vector<double> centers;     // row-major, rows * dim
-    kernel::CenterBatch batch;
+    std::vector<uint32_t> children;  // non-leaf only, parallel to centers
+    kernel::CenterBatch centers;
   };
 
-  size_t Flatten(const CfNode& node);
+  /// Appends `node` (and its subtree) to nodes_; `row` is a load buffer
+  /// under the tree's CF policies.
+  size_t Flatten(const CfNode& node, CfVector* row);
   /// Argmin over `node`'s entry centroids under the chosen kernel.
   /// First-wins ties; fills *best_sq with the winning squared distance.
   size_t NearestRow(const Node& node, std::span<const double> point,
@@ -176,7 +175,6 @@ class ServingSnapshot {
   // Snapshot-global per-leaf-entry arrays (descent order).
   std::vector<int> entry_cluster_;
   std::vector<double> leaf_radius_;
-  std::vector<double> leaf_n_;
   /// Exact serialized CFs, (dim+2) doubles per entry.
   std::vector<double> leaf_cfs_;
 

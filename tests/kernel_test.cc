@@ -588,73 +588,11 @@ TEST(RefineKernelEquivalenceTest, ScalarVsBatch) {
 TEST(KernelInfoTest, NamesAndDispatchAreSane) {
   EXPECT_STREQ(KernelName(KernelKind::kScalar), "scalar");
   EXPECT_STREQ(KernelName(KernelKind::kBatch), "batch");
-  EXPECT_STREQ(KernelName(KernelKind::kBatchFast), "batch-fast");
   EXPECT_FALSE(IsBatchKernel(KernelKind::kScalar));
   EXPECT_TRUE(IsBatchKernel(KernelKind::kBatch));
-  EXPECT_TRUE(IsBatchKernel(KernelKind::kBatchFast));
   // Whichever implementation the runtime dispatch picked, it must have
-  // produced oracle-identical results above; just record the lanes.
+  // produced oracle-identical results above; just record the lane.
   (void)Avx2Active();
-  (void)FmaActive();
-}
-
-// kBatchFast routes only the CF-tree descent scans through the
-// FMA/AVX-512 leg, so near-tie descent choices may differ from the
-// correctly-rounded kBatch oracle. The A/B contract is therefore mass
-// conservation, tree invariants, and identical absorb decisions'
-// arithmetic — not bitwise tree equality. When no FMA leg is active
-// (unsupported CPU or build), kBatchFast must decay to kBatch exactly.
-TEST(TreeKernelEquivalenceTest, BatchFastConservesMassVsBatch) {
-  CfTreeOptions base;
-  base.dim = 2;
-  base.page_size = 256;
-  base.threshold = 0.4;
-
-  CfTreeOptions batch = base;
-  batch.kernel = KernelKind::kBatch;
-  CfTreeOptions fast = base;
-  fast.kernel = KernelKind::kBatchFast;
-
-  MemoryTracker mem_b, mem_f;
-  CfTree tree_b(batch, &mem_b);
-  CfTree tree_f(fast, &mem_f);
-
-  Rng rng(47);
-  std::vector<double> p(2);
-  for (int i = 0; i < 600; ++i) {
-    double cx = static_cast<double>(rng.UniformInt(5)) * 4.0;
-    p[0] = cx + rng.Uniform(-0.5, 0.5);
-    p[1] = rng.Uniform(-0.5, 0.5);
-    if (i % 97 == 0) p[0] += 100.0;
-    (void)tree_b.InsertPoint(p);
-    (void)tree_f.InsertPoint(p);
-  }
-
-  CfVector sum_b = tree_b.TreeSummary();
-  CfVector sum_f = tree_f.TreeSummary();
-  // Every point lands exactly once regardless of descent choices.
-  EXPECT_EQ(sum_f.n(), sum_b.n());
-  for (size_t t = 0; t < 2; ++t) {
-    EXPECT_NEAR(sum_f.ls()[t], sum_b.ls()[t],
-                1e-9 * (1.0 + std::fabs(sum_b.ls()[t])));
-  }
-  EXPECT_NEAR(sum_f.ss(), sum_b.ss(), 1e-9 * (1.0 + sum_b.ss()));
-  std::string why;
-  EXPECT_TRUE(tree_f.CheckInvariants(&why)) << why;
-
-  if (!FmaActive()) {
-    // No FMA leg: the fast dispatch is the same Ops table, so the
-    // trees must be bitwise identical.
-    EXPECT_EQ(tree_b.leaf_entry_count(), tree_f.leaf_entry_count());
-    EXPECT_EQ(tree_b.node_count(), tree_f.node_count());
-    std::vector<CfVector> leaves_b, leaves_f;
-    tree_b.CollectLeafEntries(&leaves_b);
-    tree_f.CollectLeafEntries(&leaves_f);
-    ASSERT_EQ(leaves_b.size(), leaves_f.size());
-    for (size_t i = 0; i < leaves_b.size(); ++i) {
-      EXPECT_EQ(leaves_b[i], leaves_f[i]) << "leaf " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -563,40 +563,31 @@ TEST(CompressedPageStoreTest, RoundTripIsTransparent) {
             store.io_stats().stored_bytes_written);
 }
 
-TEST(CompressedPageStoreTest, CapacityChargesCompressedSizes) {
-  // A 2-page raw budget holds many more compressible pages when each
-  // is charged at its envelope size — the M x ratio effect.
+TEST(CompressedPageStoreTest, CapacityChargesRawPageSize) {
+  // Zeroed pages compress to a few bytes each, yet a 2-page budget
+  // still holds exactly 2 of them: the codec never changes what fits.
   PageStoreOptions opt;
   opt.page_size = 256;
   opt.capacity_bytes = 512;
   opt.codec = PageCodecKind::kDeltaRle;
   PageStore store(opt);
-  std::vector<PageId> ids;
-  // Zeroed pages compress to a few bytes each: far more than 2 fit.
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 2; ++i) {
     auto id = store.Allocate();
     ASSERT_TRUE(id.ok()) << "allocation " << i;
-    ids.push_back(id.value());
+    EXPECT_LT(store.stored_bytes(id.value()), opt.page_size);
   }
-  EXPECT_GT(store.num_pages() * opt.page_size, opt.capacity_bytes);
-  EXPECT_LE(store.used_bytes(), opt.capacity_bytes);
+  EXPECT_EQ(store.used_bytes(), 2 * opt.page_size);
+  EXPECT_EQ(store.Allocate().status().code(), StatusCode::kOutOfDisk);
 }
 
 TEST(CompressedPageStoreTest, ExactCapacityBoundaryUnderCompression) {
-  // Pin the boundary arithmetic: capacity exactly equal to the used
-  // bytes plus one more zeroed-page envelope admits that page; one
-  // byte less refuses it.
-  PageStoreOptions probe_opt;
-  probe_opt.page_size = 256;
-  probe_opt.codec = PageCodecKind::kDeltaRle;
-  PageStore probe(probe_opt);
-  auto p = probe.Allocate();
-  ASSERT_TRUE(p.ok());
-  const size_t env = probe.stored_bytes(p.value());
-  ASSERT_GT(env, 0u);
-
-  PageStoreOptions opt = probe_opt;
-  opt.capacity_bytes = env * 2;
+  // Pin the boundary arithmetic with a codec on: a capacity of exactly
+  // two raw pages admits two pages and refuses a third; one byte less
+  // refuses the second, however small its envelope.
+  PageStoreOptions opt;
+  opt.page_size = 256;
+  opt.codec = PageCodecKind::kDeltaRle;
+  opt.capacity_bytes = 2 * opt.page_size;
   PageStore store(opt);
   ASSERT_TRUE(store.Allocate().ok());
   ASSERT_TRUE(store.Allocate().ok());  // lands exactly on capacity
@@ -605,37 +596,34 @@ TEST(CompressedPageStoreTest, ExactCapacityBoundaryUnderCompression) {
   EXPECT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kOutOfDisk);
 
-  PageStoreOptions tight = probe_opt;
-  tight.capacity_bytes = env * 2 - 1;
+  PageStoreOptions tight = opt;
+  tight.capacity_bytes = 2 * opt.page_size - 1;
   PageStore small(tight);
   ASSERT_TRUE(small.Allocate().ok());
   EXPECT_EQ(small.Allocate().status().code(), StatusCode::kOutOfDisk);
 }
 
-TEST(CompressedPageStoreTest, RewriteThatStopsCompressingCanHitCapacity) {
+TEST(CompressedPageStoreTest, RewriteThatStopsCompressingKeepsItsCharge) {
+  // A store filled to capacity with well-compressing pages accepts a
+  // rewrite with incompressible noise: the page was charged its raw
+  // size from the start, so nothing is re-charged.
   PageStoreOptions opt;
   opt.page_size = 256;
   opt.codec = PageCodecKind::kDeltaRle;
-  PageStore probe(opt);
-  auto p = probe.Allocate();
-  ASSERT_TRUE(p.ok());
-  const size_t env = probe.stored_bytes(p.value());
-
-  opt.capacity_bytes = env + 64;  // room for one zeroed page, not noise
+  opt.capacity_bytes = opt.page_size;
   PageStore store(opt);
   auto id = store.Allocate();
   ASSERT_TRUE(id.ok());
-  // Rewrite with incompressible noise: the raw-fallback envelope is
-  // page_size + header, which no longer fits — OutOfDisk, page intact.
+  const size_t zeroed = store.stored_bytes(id.value());
   Rng rng(41);
   std::vector<uint8_t> noise(opt.page_size);
   for (auto& b : noise) b = static_cast<uint8_t>(rng.Next() & 0xffu);
-  Status st = store.Write(id.value(), noise);
-  EXPECT_EQ(st.code(), StatusCode::kOutOfDisk);
-  // The page still reads as its pre-write (zeroed) image.
+  ASSERT_TRUE(store.Write(id.value(), noise).ok());
+  EXPECT_GT(store.stored_bytes(id.value()), zeroed);
+  EXPECT_EQ(store.used_bytes(), opt.capacity_bytes);
   std::vector<uint8_t> out;
   ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  for (uint8_t b : out) ASSERT_EQ(b, 0);
+  EXPECT_EQ(out, noise);
 }
 
 TEST(CompressedPageStoreTest, ChecksumCatchesEveryBitOfTheEnvelope) {

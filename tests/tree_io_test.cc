@@ -108,8 +108,8 @@ TEST(TreeIoTest, BetulaRoundTripPreservesEverything) {
 
 TEST(TreeIoTest, RoundTripOverCompressedTieredStore) {
   // TreeIO never sees envelopes: a codec + hot-tier store underneath is
-  // fully transparent, and the CF-page content should compress well —
-  // the device holds the tree in far fewer stored bytes than raw.
+  // fully transparent. Capacity still charges raw pages; the CF-page
+  // content should compress well, which the write stats report.
   MemoryTracker mem;
   auto tree = BuildTree(&mem, 3000, 201);
   std::vector<CfVector> entries_before;
@@ -122,7 +122,9 @@ TEST(TreeIoTest, RoundTripOverCompressedTieredStore) {
   PageStore store(opt);
   auto image_or = TreeIO::Write(*tree, &store);
   ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
-  EXPECT_LT(store.used_bytes(), store.num_pages() * opt.page_size)
+  EXPECT_EQ(store.used_bytes(), store.num_pages() * opt.page_size);
+  EXPECT_LT(store.io_stats().stored_bytes_written,
+            store.io_stats().raw_bytes_written)
       << "CF pages failed to compress at all";
 
   MemoryTracker mem2;

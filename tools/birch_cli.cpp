@@ -86,12 +86,11 @@ StatusOr<DealingMode> ParseDealing(const std::string& name) {
 }
 
 StatusOr<KernelKind> ParseKernel(const std::string& name) {
-  for (auto k : {KernelKind::kScalar, KernelKind::kBatch,
-                 KernelKind::kBatchFast}) {
+  for (auto k : {KernelKind::kScalar, KernelKind::kBatch}) {
     if (name == KernelName(k)) return k;
   }
   return Status::InvalidArgument("unknown kernel '" + name +
-                                 "' (want scalar|batch|batch-fast)");
+                                 "' (want scalar|batch)");
 }
 
 int Run(int argc, char** argv) {
@@ -120,7 +119,7 @@ int Run(int argc, char** argv) {
                  "[--refine-passes N] [--discard-distance D] "
                  "[--no-outliers] [--no-delay-split] [--stream] "
                  "[--seed S] [--threads N] [--dealing affinity|round-robin] "
-                 "[--splitter-seed S] [--kernel scalar|batch|batch-fast]\n"
+                 "[--splitter-seed S] [--kernel scalar|batch]\n"
                  "       [--disk-kb R] [--page-codec none|delta-rle] "
                  "[--hot-tier-kb N] [--fault-read P] [--fault-write P] "
                  "[--fault-lose P] [--fault-flip P] [--fault-seed S] "
@@ -140,18 +139,19 @@ int Run(int argc, char** argv) {
                  "points to shards by spatial\n"
                  "  region via a sampled splitter seeded by "
                  "--splitter-seed; round-robin deals i %% N.\n"
-                 "  --kernel batch-fast opts the CF-tree descent into the "
-                 "FMA/AVX-512 leg when the\n"
-                 "  CPU has one (faster, last-bit different); scalar|batch "
-                 "stay bitwise deterministic.\n"
+                 "  --kernel batch (default) scans each CF node's column "
+                 "block in one pass; scalar\n"
+                 "  is the per-entry oracle — the two are bitwise "
+                 "identical.\n"
                  "  --disk-kb 0 disables the outlier disk (in-tree "
                  "fallback); --page-codec delta-rle\n"
-                 "  compresses outlier pages (effective disk budget = "
-                 "disk-kb x ratio) with an\n"
-                 "  optional --hot-tier-kb DRAM cache of decompressed "
-                 "pages; --fault-* inject seeded\n"
-                 "  disk faults (probabilities in [0,1]) retried up to "
-                 "--io-attempts times.\n"
+                 "  compresses outlier pages transparently (each page is "
+                 "still charged its full\n"
+                 "  size against disk-kb) with an optional --hot-tier-kb "
+                 "DRAM cache of\n"
+                 "  decompressed pages; --fault-* inject seeded disk "
+                 "faults (probabilities in\n"
+                 "  [0,1]) retried up to --io-attempts times.\n"
                  "  --metrics prints the instrumentation summary; "
                  "--metrics-csv FILE writes it as CSV;\n"
                  "  --trace-out FILE records a Chrome trace_event JSON "
