@@ -1,9 +1,9 @@
 // Transparent per-page compression for the PageStore (ROADMAP item 2,
 // ZipCache-style). CF pages are highly compressible — runs of sorted,
 // similar-magnitude doubles plus a zero tail — so every page can be
-// stored as a compact "envelope" instead of page_size raw bytes,
-// multiplying the effective disk/memory budget by the compression
-// ratio.
+// stored as a compact "envelope" instead of page_size raw bytes. The
+// store still charges each page its raw size, so compression shrinks
+// the device image without changing what fits.
 //
 // Pipeline (applied inside PageStore::Write, undone in Read):
 //
