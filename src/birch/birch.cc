@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "birch/checkpoint.h"
 #include "birch/phase1_parallel.h"
@@ -16,6 +17,24 @@
 #include "util/timer.h"
 
 namespace birch {
+
+/// What Phases 2-4 need from a finished Phase 1, whether it ran
+/// serially (one Phase1Builder) or sharded (RunShardedPhase1).
+struct Phase1Outcome {
+  CfTree* tree = nullptr;
+  Phase1Stats stats;
+  RobustnessStats robustness;
+  const std::vector<CfVector>* final_outliers = nullptr;
+  /// Tracker backing `tree`; its peak is read after Phase 4 (Phase-2
+  /// condensation can still raise the high-water mark).
+  const MemoryTracker* mem = nullptr;
+  /// Sharded runs: sum of the per-shard tracker peaks (the shards
+  /// coexisted with each other, and briefly with the merged tree).
+  size_t shard_peak_bytes = 0;
+  /// Outlier-disk traffic, summed over the shards on the sharded path.
+  IoStats disk;
+  double seconds = 0.0;
+};
 
 namespace {
 
@@ -62,23 +81,10 @@ Phase1Options Phase1OptionsFrom(const BirchOptions& o) {
   return p;
 }
 
-/// What Phases 2-4 need from a finished Phase 1, whether it ran
-/// serially (one Phase1Builder) or sharded (RunShardedPhase1).
-struct Phase1Outcome {
-  CfTree* tree = nullptr;
-  Phase1Stats stats;
-  RobustnessStats robustness;
-  const std::vector<CfVector>* final_outliers = nullptr;
-  /// Tracker backing `tree`; its peak is read after Phase 4 (Phase-2
-  /// condensation can still raise the high-water mark).
-  const MemoryTracker* mem = nullptr;
-  /// Sharded runs: sum of the per-shard tracker peaks (the shards
-  /// coexisted with each other, and briefly with the merged tree).
-  size_t shard_peak_bytes = 0;
-  /// Outlier-disk traffic, summed over the shards on the sharded path.
-  IoStats disk;
-  double seconds = 0.0;
-};
+IngestCadence CadenceFrom(const BirchOptions& o, uint64_t position) {
+  return IngestCadence(o.resources.checkpoint_every_n,
+                       o.serving.publish_every_n, position);
+}
 
 /// Phases 2-4 plus result bookkeeping, shared by the serial and the
 /// sharded pipelines. `pool` is nullptr for the serial path, which
@@ -288,6 +294,7 @@ Status StreamingRefine(PointSource* source, const BirchOptions& opts,
 BirchClusterer::BirchClusterer(const BirchOptions& options)
     : options_(options),
       phase1_(std::make_unique<Phase1Builder>(Phase1OptionsFrom(options))),
+      cadence_(CadenceFrom(options, 0)),
       metrics_baseline_(obs::CaptureSnapshot()) {
   if (options_.serving.publish_every_n > 0) {
     server_ = std::make_unique<serving::BirchServer>(options_.dim);
@@ -331,28 +338,44 @@ const Phase1Stats& BirchClusterer::phase1_stats() const {
   return sharded_ != nullptr ? sharded_->stats : phase1_->stats();
 }
 
-Status BirchClusterer::NoteIngested(uint64_t added) {
-  // Both cadences count POINTS from the absolute start of the stream,
-  // batch boundaries notwithstanding; AddBatch() never hands this more
-  // points than reach the next boundary, so == is exact.
-  const uint64_t ckpt_n = options_.resources.checkpoint_every_n;
-  if (ckpt_n > 0) {
-    points_since_checkpoint_ += added;
-    if (points_since_checkpoint_ == ckpt_n) {
-      points_since_checkpoint_ = 0;
-      BIRCH_RETURN_IF_ERROR(
-          SaveCheckpoint(options_.resources.checkpoint_path));
+Status BirchClusterer::RunBoundary(
+    CadenceDue due, uint64_t position, const std::string& checkpoint_path,
+    std::span<const std::unique_ptr<Phase1Builder>> shards) {
+  if (due.checkpoint) {
+    CheckpointImage img = CheckpointImage::For(options_);
+    img.shard_count = static_cast<uint32_t>(shards.size());
+    img.points_ingested = position;
+    const auto builders =
+        shards.empty()
+            ? std::span<const std::unique_ptr<Phase1Builder>>(&phase1_, 1)
+            : shards;
+    for (const auto& b : builders) {
+      auto f_or = b->Freeze();
+      if (!f_or.ok()) return f_or.status();
+      img.freezes.push_back(std::move(f_or).ValueOrDie());
     }
+    BIRCH_RETURN_IF_ERROR(WriteCheckpointFile(checkpoint_path, img));
   }
-  const uint64_t pub_n = options_.serving.publish_every_n;
-  if (pub_n > 0) {
-    points_since_publish_ += added;
-    if (points_since_publish_ == pub_n) {
-      points_since_publish_ = 0;
-      BIRCH_RETURN_IF_ERROR(PublishSnapshot());
+  if (!due.publish) return Status::OK();
+  // Quiesced shards are merged into a transient union (CF additivity;
+  // unlimited transient tracker — the copy lives only for this call),
+  // snapshotted, and let die. The snapshot itself is the compact
+  // long-lived form.
+  MemoryTracker mem(0);
+  std::optional<CfTree> merged;
+  if (!shards.empty()) {
+    CfTreeOptions merged_opts = TreeOptionsFrom(options_);
+    for (const auto& b : shards) {
+      merged_opts.threshold =
+          std::max(merged_opts.threshold, b->tree().threshold());
     }
+    merged.emplace(merged_opts, &mem);
+    for (const auto& b : shards) merged->AbsorbTree(b->tree());
   }
-  return Status::OK();
+  auto snap_or = serving::ServingSnapshot::Build(
+      merged ? *merged : tree(), SnapshotOptionsFrom(options_, position));
+  if (!snap_or.ok()) return snap_or.status();
+  return server_->Publish(std::move(snap_or).ValueOrDie());
 }
 
 Status BirchClusterer::PublishSnapshot() {
@@ -360,10 +383,8 @@ Status BirchClusterer::PublishSnapshot() {
     return Status::FailedPrecondition(
         "serving is disabled: set serving.publish_every_n > 0");
   }
-  auto snap_or = serving::ServingSnapshot::Build(
-      tree(), SnapshotOptionsFrom(options_, phase1_stats().points_added));
-  if (!snap_or.ok()) return snap_or.status();
-  return server_->Publish(std::move(snap_or).ValueOrDie());
+  return RunBoundary({.publish = true}, phase1_stats().points_added,
+                     /*checkpoint_path=*/"");
 }
 
 Status BirchClusterer::AddBatch(std::span<const double> xs, size_t n,
@@ -392,26 +413,23 @@ Status BirchClusterer::AddBatch(std::span<const double> xs, size_t n,
         " weights for " + std::to_string(n) +
         " points; pass one weight per point or an empty span for all-1");
   }
-  const uint64_t ckpt_n = options_.resources.checkpoint_every_n;
-  const uint64_t pub_n = options_.serving.publish_every_n;
   size_t off = 0;
   while (off < n) {
     // Split the batch at the next checkpoint/publish boundary so both
     // cadences fire at the exact absolute point counts a point-by-
     // point ingest would produce.
-    size_t take = n - off;
-    if (ckpt_n > 0) {
-      take = std::min<uint64_t>(take, ckpt_n - points_since_checkpoint_);
-    }
-    if (pub_n > 0) {
-      take = std::min<uint64_t>(take, pub_n - points_since_publish_);
-    }
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(n - off, cadence_.Room()));
     BIRCH_RETURN_IF_ERROR(phase1_->AddBatch(
         xs.subspan(off * dim, take * dim), take,
         weights.empty() ? std::span<const double>()
                         : weights.subspan(off, take)));
     off += take;
-    BIRCH_RETURN_IF_ERROR(NoteIngested(take));
+    const CadenceDue due = cadence_.Advance(take);
+    if (due.any()) {
+      BIRCH_RETURN_IF_ERROR(RunBoundary(
+          due, cadence_.position(), options_.resources.checkpoint_path));
+    }
   }
   return Status::OK();
 }
@@ -480,14 +498,10 @@ Status BirchClusterer::SaveCheckpoint(const std::string& path) {
   if (!resume_freezes_.empty()) {
     return Status::FailedPrecondition(
         "restored from a sharded checkpoint: sharded images are written "
-        "by the auto-checkpoint hook inside Cluster()");
+        "by the checkpoint cadence inside Cluster()");
   }
-  auto freeze_or = phase1_->Freeze();
-  if (!freeze_or.ok()) return freeze_or.status();
-  CheckpointImage img = CheckpointImage::For(options_);
-  img.points_ingested = phase1_->stats().points_added;
-  img.freezes.push_back(std::move(freeze_or).ValueOrDie());
-  return WriteCheckpointFile(path, img);
+  return RunBoundary({.checkpoint = true}, phase1_->stats().points_added,
+                     path);
 }
 
 StatusOr<std::unique_ptr<BirchClusterer>> BirchClusterer::Restore(
@@ -503,12 +517,9 @@ StatusOr<std::unique_ptr<BirchClusterer>> BirchClusterer::Restore(
 
   std::unique_ptr<BirchClusterer> c(new BirchClusterer(options));
   c->resume_skip_points_ = img.points_ingested;
-  if (options.resources.checkpoint_every_n > 0) {
-    // Keep the auto-checkpoint cadence aligned with absolute stream
-    // position, matching what the uninterrupted run would do.
-    c->points_since_checkpoint_ =
-        img.points_ingested % options.resources.checkpoint_every_n;
-  }
+  // Both cadences continue from the absolute stream position, exactly
+  // where the uninterrupted run's would.
+  c->cadence_ = CadenceFrom(options, img.points_ingested);
   if (img.shard_count == 0) {
     if (options.exec.num_threads != 0) {
       return Status::InvalidArgument(
@@ -609,30 +620,37 @@ StatusOr<BirchResult> BirchClusterer::Finish(const Dataset* for_refinement) {
   BIRCH_RETURN_IF_ERROR(phase1_->Finish());
   Phase1Outcome p1;
   p1.tree = phase1_->mutable_tree();
-  // Phase 1 started when the clusterer was built: the Add() stream is
-  // the phase, not just this tail.
-  p1.seconds = phase1_timer_.Seconds();
-  phase1_span_.End();
   p1.stats = phase1_->stats();
   p1.robustness = phase1_->robustness();
   p1.final_outliers = &phase1_->final_outliers();
   p1.mem = &phase1_->memory();
   p1.disk = phase1_->disk().io_stats();
-
-  // One final epoch covering the whole stream (the Phase-1 tail may
-  // have settled delayed points since the last cadence publish).
-  if (server_ != nullptr && tree().leaf_entry_count() > 0) {
-    BIRCH_RETURN_IF_ERROR(PublishSnapshot());
-  }
-
   // The streaming API ingests serially (points arrive one Add() at a
   // time), but Phases 3/4 still parallelize when asked.
   std::unique_ptr<exec::ThreadPool> pool;
   if (options_.exec.num_threads > 0) {
     pool = std::make_unique<exec::ThreadPool>(options_.exec.num_threads);
   }
-  auto result_or = RunPhases234(options_, p1, for_refinement, pool.get(),
-                                metrics_baseline_);
+  return FinishRun(p1, for_refinement, pool.get());
+}
+
+StatusOr<BirchResult> BirchClusterer::FinishRun(Phase1Outcome p1,
+                                                const Dataset* for_refinement,
+                                                exec::ThreadPool* pool) {
+  // Phase 1 started when the clusterer was built: the ingest stream is
+  // the phase, not just its tail.
+  p1.seconds = phase1_timer_.Seconds();
+  phase1_span_.End();
+
+  // One final epoch covering the whole stream: the serial Phase-1 tail
+  // may have settled delayed points since the last cadence publish,
+  // and a sharded run's epochs saw the pre-merge shard union, not the
+  // re-homed, reabsorbed tree Phases 2-4 start from.
+  if (server_ != nullptr && tree().leaf_entry_count() > 0) {
+    BIRCH_RETURN_IF_ERROR(PublishSnapshot());
+  }
+  auto result_or =
+      RunPhases234(options_, p1, for_refinement, pool, metrics_baseline_);
   if (sampler_ != nullptr) {
     sampler_->Stop();  // final sample covers the finished run
     if (result_or.ok()) result_or.value().timeseries = sampler_->Snapshot();
@@ -677,57 +695,18 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
   ShardedPhase1Options sp;
   sp.phase1 = Phase1OptionsFrom(options_);
   sp.num_shards = options_.exec.num_threads;
-  sp.dealing = options_.exec.dealing;
   sp.splitter_seed = options_.exec.splitter_seed;
-  sp.affinity_sample = options_.exec.affinity_sample;
-  sp.affinity_centers = options_.exec.affinity_centers;
+  // The dealer's stream starts at the resume offset; its boundaries
+  // run through the same routine as the serial cadence's.
+  sp.cadence = CadenceFrom(options_, resume_skip_points_);
+  sp.on_boundary =
+      [this](CadenceDue due, uint64_t points_dealt,
+             std::span<const std::unique_ptr<Phase1Builder>> builders) {
+        return RunBoundary(due, points_dealt,
+                           options_.resources.checkpoint_path, builders);
+      };
   sp.resume = resume_freezes_.empty() ? nullptr : &resume_freezes_;
   sp.resume_skip_points = resume_skip_points_;
-  if (options_.resources.checkpoint_every_n > 0) {
-    sp.checkpoint_every_n = options_.resources.checkpoint_every_n;
-    const BirchOptions& o = options_;
-    sp.on_checkpoint =
-        [&o](uint64_t points_dealt,
-             std::vector<std::unique_ptr<Phase1Builder>>* builders) -> Status {
-      CheckpointImage img = CheckpointImage::For(o);
-      img.shard_count = static_cast<uint32_t>(builders->size());
-      img.points_ingested = points_dealt;
-      img.freezes.reserve(builders->size());
-      for (auto& b : *builders) {
-        auto f_or = b->Freeze();
-        if (!f_or.ok()) return f_or.status();
-        img.freezes.push_back(std::move(f_or).ValueOrDie());
-      }
-      return WriteCheckpointFile(o.resources.checkpoint_path, img);
-    };
-  }
-  if (server_ != nullptr) {
-    sp.publish_every_n = options_.serving.publish_every_n;
-    const BirchOptions& o = options_;
-    serving::BirchServer* srv = server_.get();
-    sp.on_publish =
-        [&o, srv](uint64_t points_dealt,
-                  std::vector<std::unique_ptr<Phase1Builder>>* builders)
-        -> Status {
-      // The shards are quiesced: merge their trees into a transient
-      // union (CF additivity; unlimited transient tracker — the copy
-      // lives only for the duration of this callback), snapshot it,
-      // and let it die. The snapshot itself is the compact long-lived
-      // form.
-      MemoryTracker mem(0);
-      CfTreeOptions merged_opts = TreeOptionsFrom(o);
-      for (const auto& b : *builders) {
-        merged_opts.threshold =
-            std::max(merged_opts.threshold, b->tree().threshold());
-      }
-      CfTree merged(merged_opts, &mem);
-      for (const auto& b : *builders) merged.AbsorbTree(b->tree());
-      auto snap_or = serving::ServingSnapshot::Build(
-          merged, SnapshotOptionsFrom(o, points_dealt));
-      if (!snap_or.ok()) return snap_or.status();
-      return srv->Publish(std::move(snap_or).ValueOrDie());
-    };
-  }
   auto sharded_or = RunShardedPhase1(source, sp, &pool);
   if (!sharded_or.ok()) return sharded_or.status();
   resume_freezes_.clear();
@@ -743,21 +722,7 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
   p1.mem = sharded_->mem.get();
   p1.shard_peak_bytes = sharded_->peak_memory_bytes;
   p1.disk = sharded_->disk;
-  p1.seconds = phase1_timer_.Seconds();
-  phase1_span_.End();
-  // Final epoch from the merged tree (the per-epoch publishes saw the
-  // pre-merge shard union; this one sees the re-homed, reabsorbed
-  // result Phases 2-4 start from).
-  if (server_ != nullptr && tree().leaf_entry_count() > 0) {
-    BIRCH_RETURN_IF_ERROR(PublishSnapshot());
-  }
-  auto result_or =
-      RunPhases234(options_, p1, for_refinement, &pool, metrics_baseline_);
-  if (sampler_ != nullptr) {
-    sampler_->Stop();
-    if (result_or.ok()) result_or.value().timeseries = sampler_->Snapshot();
-  }
-  return result_or;
+  return FinishRun(p1, for_refinement, &pool);
 }
 
 StatusOr<BirchResult> ClusterSource(PointSource* source,

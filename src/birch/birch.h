@@ -11,10 +11,13 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "birch/dataset.h"
 #include "birch/global_cluster.h"
+#include "birch/ingest_cadence.h"
 #include "birch/options.h"
 #include "birch/phase1.h"
 #include "birch/phase2.h"
@@ -28,6 +31,9 @@
 
 namespace birch {
 
+namespace exec {
+class ThreadPool;
+}  // namespace exec
 namespace serving {
 class BirchServer;
 }  // namespace serving
@@ -89,6 +95,7 @@ struct BirchResult {
 };
 
 struct ShardedPhase1Result;
+struct Phase1Outcome;
 
 /// Incremental clustering: feed points as they arrive; Finish() runs
 /// Phases 2-4 and returns the result. Snapshot() clusters the current
@@ -143,10 +150,11 @@ class BirchClusterer {
   /// modifying the tree. Cheap relative to the stream. The result has
   /// no labels (no raw data is revisited); clusters, centroids,
   /// Phase-1/tree stats and the metrics delta are filled in.
-  /// With options.exec.num_threads > 0 a mid-stream snapshot would read
-  /// per-shard state that is only merged at Cluster()'s end, so it
-  /// returns FailedPrecondition until the run finishes (afterwards it
-  /// snapshots the merged tree).
+  /// With options.exec.num_threads > 0 the per-shard trees merge only
+  /// at Cluster()'s end, so until then a snapshot re-clusters the last
+  /// published serving epoch (phase1.points_added is that epoch's
+  /// stream position) and returns FailedPrecondition while no epoch
+  /// exists; afterwards it snapshots the merged tree.
   StatusOr<BirchResult> Snapshot(int k) const;
 
   /// Writes a durable checkpoint of the live Phase-1 state to `path`
@@ -154,7 +162,7 @@ class BirchClusterer {
   /// the stream — Add() more points and checkpoint again at will.
   /// FailedPrecondition after Finish()/Cluster(), and on a clusterer
   /// restored from a *sharded* checkpoint before its Cluster() call
-  /// (sharded images are written by the auto-checkpoint hook inside
+  /// (sharded images are written by the checkpoint cadence inside
   /// Cluster(), where the shards exist).
   Status SaveCheckpoint(const std::string& path);
 
@@ -196,11 +204,22 @@ class BirchClusterer {
  private:
   explicit BirchClusterer(const BirchOptions& options);
 
-  /// Cadence bookkeeping for the serial ingest paths: advances the
-  /// point counters by `added` and runs the auto-checkpoint / auto-
-  /// publish hooks when they land exactly on their cadences (AddBatch
-  /// splits batches so they always do).
-  Status NoteIngested(uint64_t added);
+  /// Runs the boundaries in `due` over the live Phase-1 state at
+  /// stream `position`, checkpoint before publish: the image goes to
+  /// `checkpoint_path`, the epoch to server_. `shards` are a sharded
+  /// run's quiesced builders; empty means the serial builder (and, for
+  /// the epoch, tree()). Backs both cadences, SaveCheckpoint() and
+  /// PublishSnapshot().
+  Status RunBoundary(
+      CadenceDue due, uint64_t position, const std::string& checkpoint_path,
+      std::span<const std::unique_ptr<Phase1Builder>> shards = {});
+
+  /// The tail Finish() and a sharded Cluster() share: closes Phase 1,
+  /// publishes the final epoch, runs Phases 2-4 on `pool` (null =
+  /// serial) and stops the sampler.
+  StatusOr<BirchResult> FinishRun(Phase1Outcome p1,
+                                  const Dataset* for_refinement,
+                                  exec::ThreadPool* pool);
 
   BirchOptions options_;
   std::unique_ptr<Phase1Builder> phase1_;
@@ -220,8 +239,6 @@ class BirchClusterer {
   /// sampler_ so the sampler (whose probes read the server) joins its
   /// thread first on destruction.
   std::unique_ptr<serving::BirchServer> server_;
-  /// Serial auto-publish counter (points since the last epoch).
-  uint64_t points_since_publish_ = 0;
 
   // --- Checkpoint / resume state ---
   /// Points the checkpoint's run had consumed; Cluster() skips this
@@ -231,8 +248,11 @@ class BirchClusterer {
   /// consumed by Cluster(). Non-empty blocks Add()/AddDataset()/
   /// AddSource()/SaveCheckpoint().
   std::vector<Phase1Freeze> resume_freezes_;
-  /// Serial auto-checkpoint counter (points since the last save).
-  uint64_t points_since_checkpoint_ = 0;
+  /// Auto-checkpoint / auto-publish cadence of the serial ingest path,
+  /// positioned at the absolute stream position (a restored clusterer
+  /// starts at the checkpoint's). Cluster()'s sharded dealer runs its
+  /// own copy from the resume offset.
+  IngestCadence cadence_;
 
   /// Registry state at construction; Finish() reports the delta so
   /// BirchResult::metrics covers exactly this run.

@@ -26,22 +26,6 @@
 
 namespace birch {
 
-/// How the sharded Phase-1 dealer routes points to shards.
-enum class DealingMode {
-  /// Space-partitioned (the default): a shallow k-means splitter,
-  /// fitted over the first points of the stream, routes each point to
-  /// the shard that owns its spatial region. Shard trees end up mostly
-  /// disjoint, so the final AbsorbTree merge is near-trivial.
-  kAffinity = 0,
-  /// Point i goes to shard i mod S (the pre-affinity behavior). Kept
-  /// as the A/B baseline and for workloads with no spatial structure.
-  kRoundRobin,
-};
-
-inline const char* DealingModeName(DealingMode m) {
-  return m == DealingMode::kAffinity ? "affinity" : "round-robin";
-}
-
 struct BirchOptions {
   // --- Problem ---
   size_t dim = 2;
@@ -152,26 +136,17 @@ struct BirchOptions {
     /// Worker threads for the parallel paths. 0 (the default) runs
     /// the fully serial pipeline — bit-for-bit identical to the
     /// pre-parallel implementation. N >= 1 shards Phase 1 across N
-    /// private CF trees (dealt per `dealing`, merged by CF additivity)
-    /// and runs the Phase-3 / Phase-4 loops through a ThreadPool of N
-    /// workers. Results are deterministic for a fixed (seed,
-    /// num_threads, splitter_seed) triple; different thread counts may
-    /// differ in the last float bits (chunked summation order).
+    /// private CF trees (dealt by spatial affinity, merged by CF
+    /// additivity) and runs the Phase-3 / Phase-4 loops through a
+    /// ThreadPool of N workers. Results are deterministic for a fixed
+    /// (seed, num_threads, splitter_seed) triple; different thread
+    /// counts may differ in the last float bits (chunked summation
+    /// order).
     int num_threads = 0;
-    /// Shard routing policy (see DealingMode). Only consulted when
-    /// num_threads > 0.
-    DealingMode dealing = DealingMode::kAffinity;
     /// Seed for the affinity splitter's shallow k-means. Part of the
     /// determinism contract: fixed (seed, num_threads, splitter_seed)
     /// implies a bitwise-reproducible run.
     uint64_t splitter_seed = 0xb1c5;
-    /// Points sampled from the head of the stream to fit the affinity
-    /// splitter (dealt round-robin while the sample accumulates).
-    /// 0 = auto: max(1024, 256 * shards).
-    size_t affinity_sample = 0;
-    /// Splitter centers; each shard owns one or more. 0 = auto:
-    /// 4 * shards, capped at 64.
-    size_t affinity_centers = 0;
     /// Distance-scan implementation for the hot paths (tree descent,
     /// Phase-3 sweeps, Phase-4 assignment). kScalar and kBatch are
     /// bitwise identical; kBatch is the one-pass column scan
@@ -196,10 +171,11 @@ struct BirchOptions {
   struct Serving {
     /// > 0: Phase 1 publishes an immutable ServingSnapshot epoch to
     /// BirchClusterer::server() every `publish_every_n` ingested
-    /// points (serial paths count Add()s; the sharded Cluster() path
-    /// quiesces its shards at the same stream positions, so the epoch
-    /// is one coherent image). 0 (the default) publishes nothing and
-    /// creates no server.
+    /// points, counted from the start of the stream like
+    /// checkpoint_every_n (the sharded Cluster() path quiesces its
+    /// shards at the same stream positions, so the epoch is one
+    /// coherent image). 0 (the default) publishes nothing and creates
+    /// no server.
     uint64_t publish_every_n = 0;
     /// Cluster count for each snapshot's publish-time cluster table
     /// (what Assign's cluster_id and KNearestCentroids index into).
@@ -357,10 +333,7 @@ class BirchOptions::Builder {
 
   // --- Execution ---
   Builder& NumThreads(int v) { o_.exec.num_threads = v; return *this; }
-  Builder& Dealing(DealingMode v) { o_.exec.dealing = v; return *this; }
   Builder& SplitterSeed(uint64_t v) { o_.exec.splitter_seed = v; return *this; }
-  Builder& AffinitySample(size_t v) { o_.exec.affinity_sample = v; return *this; }
-  Builder& AffinityCenters(size_t v) { o_.exec.affinity_centers = v; return *this; }
   Builder& Kernel(KernelKind v) { o_.exec.kernel = v; return *this; }
 
   // --- Observability ---

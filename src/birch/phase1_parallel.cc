@@ -21,7 +21,12 @@ namespace birch {
 
 namespace {
 
-/// Quiesce barrier for checkpointing: each worker arrives (after
+/// Points per hand-off batch (amortizes channel locking).
+constexpr size_t kBatchPoints = 256;
+/// Batches buffered per shard channel before the reader blocks.
+constexpr size_t kChannelCapacity = 4;
+
+/// Quiesce barrier for a cadence boundary: each worker arrives (after
 /// consuming every batch dealt before the sync marker) and parks until
 /// released; the dealer waits for all arrivals, snapshots the builders
 /// while nothing touches them, then releases. The mutex hand-off also
@@ -118,25 +123,25 @@ uint64_t SplitMix64(uint64_t* s) {
   return z ^ (z >> 31);
 }
 
-/// The affinity dealer's top-level splitter: a shallow k-means over
-/// the first `sample_target` stream points. Until the sample is full
-/// the splitter is unarmed (callers deal round-robin and Observe());
-/// arming fits the centers with a seeded init + 4 Lloyd rounds, packs
-/// them onto shards greedily by sample mass (heaviest center to the
-/// least-loaded shard), and from then on Route() sends each point to
-/// the shard owning its nearest center. Everything here is a pure
-/// function of (observed prefix, seed): same stream, same seed, same
-/// shard count => identical routing, on a fresh run or a resume.
+/// The dealer's top-level splitter: a shallow k-means over the first
+/// max(1024, 256 * S) stream points. Until the sample is full the
+/// splitter is unarmed (callers deal i mod S and Observe()); arming
+/// fits min(4 * S, 64) centers (at least one per shard) with a seeded
+/// init + 4 Lloyd rounds, packs them onto shards greedily by sample
+/// mass (heaviest center to the least-loaded shard), and from then on
+/// Route() sends each point to the shard owning its nearest center.
+/// Everything here is a pure function of (observed prefix, seed): same
+/// stream, same seed, same shard count => identical routing, on a
+/// fresh run or a resume.
 class AffinitySplitter {
  public:
-  AffinitySplitter(size_t dim, int shards, uint64_t seed,
-                   size_t sample_target, size_t centers_target)
+  AffinitySplitter(size_t dim, int shards, uint64_t seed)
       : dim_(dim),
         shards_(static_cast<size_t>(shards)),
         seed_(seed),
-        sample_target_(std::max<size_t>(1, sample_target)),
+        sample_target_(std::max<size_t>(1024, 256 * shards_)),
         centers_target_(
-            std::max(std::max<size_t>(1, centers_target), shards_)) {
+            std::max(std::min<size_t>(4 * shards_, 64), shards_)) {
     sample_.reserve(sample_target_ * dim_);
   }
 
@@ -256,11 +261,10 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
   }
   const int shards =
       std::clamp(options.num_shards, 1, std::max(1, pool->size()));
-  const size_t batch_points = std::max<size_t>(1, options.batch_points);
 
   OBS_GAUGE_SET("exec/shards", shards);
 
-  // --- 1. Scan: deal points round-robin to one builder per shard. ---
+  // --- 1. Scan: deal points to one builder per shard. ---
   std::vector<std::unique_ptr<Phase1Builder>> builders;
   std::vector<std::unique_ptr<exec::Channel<PointBatch>>> channels;
   std::vector<Status> shard_status(static_cast<size_t>(shards));
@@ -283,7 +287,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
       builders.push_back(std::make_unique<Phase1Builder>(shard_opts));
     }
     channels.push_back(
-        std::make_unique<exec::Channel<PointBatch>>(options.channel_capacity));
+        std::make_unique<exec::Channel<PointBatch>>(kChannelCapacity));
   }
 
   ShardLatch latch(shards);
@@ -298,7 +302,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
       // the reader on a full channel.
       while (ch->Pop(&batch)) {
         if (batch.sync != nullptr) {
-          // Checkpoint barrier. Arrive even after a failure — the
+          // Boundary barrier. Arrive even after a failure — the
           // dealer is waiting on every shard.
           batch.sync->Arrive();
           continue;
@@ -313,21 +317,12 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
     });
   }
 
-  // Affinity dealing: the splitter routes once armed; during warmup
-  // (and under kRoundRobin, or with one shard where routing is moot)
-  // point i goes to shard i mod S.
+  // The splitter routes once armed; during warmup (and with one shard,
+  // where routing is moot) point i goes to shard i mod S.
   std::unique_ptr<AffinitySplitter> splitter;
-  if (options.dealing == DealingMode::kAffinity && shards > 1) {
-    const size_t sample_target =
-        options.affinity_sample > 0
-            ? options.affinity_sample
-            : std::max<size_t>(1024, 256 * static_cast<size_t>(shards));
-    const size_t centers_target =
-        options.affinity_centers > 0
-            ? options.affinity_centers
-            : std::min<size_t>(4 * static_cast<size_t>(shards), 64);
-    splitter = std::make_unique<AffinitySplitter>(
-        dim, shards, options.splitter_seed, sample_target, centers_target);
+  if (shards > 1) {
+    splitter =
+        std::make_unique<AffinitySplitter>(dim, shards, options.splitter_seed);
   }
 
   Status deal_status;
@@ -335,6 +330,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
     TRACE_SPAN("phase1/scan");
     std::vector<PointBatch> pending(static_cast<size_t>(shards));
     kernel::Workspace route_ws;
+    IngestCadence cadence = options.cadence;
     std::vector<double> p(dim);
     double w = 1.0;
     uint64_t i = 0;
@@ -359,25 +355,20 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
         s = splitter->Route(p, &route_ws);
       } else {
         s = static_cast<size_t>(i % static_cast<uint64_t>(shards));
-        // The point that completes the sample is still dealt round-
-        // robin; affinity routing starts at the next one.
+        // The point that completes the sample is still dealt i mod S;
+        // affinity routing starts at the next one.
         if (splitter != nullptr) splitter->Observe(p);
       }
       PointBatch& b = pending[s];
       b.xs.insert(b.xs.end(), p.begin(), p.end());
       b.ws.push_back(w);
-      if (b.ws.size() >= batch_points) {
+      if (b.ws.size() >= kBatchPoints) {
         channels[s]->Push(std::move(b));
         b = PointBatch{};
       }
       ++i;
-      const bool do_checkpoint = options.checkpoint_every_n > 0 &&
-                                 options.on_checkpoint &&
-                                 i % options.checkpoint_every_n == 0;
-      const bool do_publish = options.publish_every_n > 0 &&
-                              options.on_publish &&
-                              i % options.publish_every_n == 0;
-      if (do_checkpoint || do_publish) {
+      const CadenceDue due = cadence.Advance(1);
+      if (due.any()) {
         // Quiesce: flush partial batches so every dealt point is in its
         // shard's channel, then park all workers at a barrier. FIFO
         // channels guarantee each worker consumed everything before the
@@ -402,11 +393,8 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
         for (const Status& st : shard_status) {
           if (!st.ok()) deal_status = st;
         }
-        if (deal_status.ok() && do_checkpoint) {
-          deal_status = options.on_checkpoint(i, &builders);
-        }
-        if (deal_status.ok() && do_publish) {
-          deal_status = options.on_publish(i, &builders);
+        if (deal_status.ok()) {
+          deal_status = options.on_boundary(due, i, builders);
         }
         sync->Release();
       }

@@ -5,16 +5,14 @@
 //   1. The calling thread scans the PointSource once and deals each
 //      point to a shard, handing whole batches to each shard worker
 //      through a bounded exec::Channel (backpressure, O(S * batch)
-//      transient memory). Under DealingMode::kAffinity (the default)
-//      the head of the stream is dealt round-robin while it
-//      accumulates into a sample; a shallow seeded k-means fitted on
-//      that sample then owns the routing — each point goes to the
-//      shard holding its nearest splitter center (centers are packed
-//      onto shards greedily by sample mass, heaviest first), so shard
-//      trees cover mostly disjoint regions and the final merge is
-//      near-trivial. kRoundRobin keeps the plain i mod S deal. Both
-//      are deterministic functions of the stream prefix (plus
-//      splitter_seed), never of thread timing.
+//      transient memory). The head of the stream is dealt i mod S
+//      while it accumulates into a sample; a shallow seeded k-means
+//      fitted on that sample then owns the routing — each point goes
+//      to the shard holding its nearest splitter center (centers are
+//      packed onto shards greedily by sample mass, heaviest first), so
+//      shard trees cover mostly disjoint regions and the final merge
+//      is near-trivial. Routing is a deterministic function of the
+//      stream prefix (plus splitter_seed), never of thread timing.
 //   2. Each of the S pool workers runs a private, fully serial
 //      Phase1Builder (its own CF tree, memory tracker, outlier disk)
 //      over its shard of the stream, ingesting via the batch path
@@ -39,9 +37,10 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "birch/options.h"
+#include "birch/ingest_cadence.h"
 #include "birch/phase1.h"
 #include "birch/point_source.h"
 #include "exec/thread_pool.h"
@@ -56,55 +55,32 @@ struct ShardedPhase1Options {
   /// Number of shards; clamped to [1, pool->size()] (each shard
   /// occupies one pool worker for the duration of the scan).
   int num_shards = 1;
-  /// Points per hand-off batch (amortizes channel locking).
-  size_t batch_points = 256;
-  /// Batches buffered per shard channel before the reader blocks.
-  size_t channel_capacity = 4;
-  /// Shard routing policy (see DealingMode in birch/options.h).
-  DealingMode dealing = DealingMode::kAffinity;
   /// Seed of the affinity splitter's shallow k-means; part of the
   /// determinism contract (routing is a pure function of the stream
   /// prefix and this seed).
   uint64_t splitter_seed = 0xb1c5;
-  /// Points sampled from the stream head to fit the splitter (dealt
-  /// round-robin while accumulating). 0 = auto: max(1024, 256 * S).
-  size_t affinity_sample = 0;
-  /// Splitter centers to fit. 0 = auto: 4 * S capped at 64; always at
-  /// least one per shard.
-  size_t affinity_centers = 0;
 
-  // --- Checkpoint / resume (see birch/checkpoint.h) ---
-  /// When > 0 and `on_checkpoint` is set, the dealer pauses the stream
-  /// every `checkpoint_every_n` points (counted from the start of the
-  /// original stream, resume included): every shard quiesces at a
-  /// barrier after consuming everything dealt so far, then
-  /// `on_checkpoint(points_dealt, &builders)` runs with all builders
-  /// idle — one coherent image. A non-OK return aborts the run.
-  uint64_t checkpoint_every_n = 0;
-  std::function<Status(uint64_t points_dealt,
-                       std::vector<std::unique_ptr<Phase1Builder>>* builders)>
-      on_checkpoint;
-  // --- Serving-snapshot publication (see src/serving) ---
-  /// When > 0 and `on_publish` is set, the dealer quiesces the shards
-  /// every `publish_every_n` points exactly like the checkpoint hook
-  /// (the two cadences are independent; a stream position hitting both
-  /// quiesces once and runs both callbacks, checkpoint first) and
-  /// calls `on_publish(points_dealt, &builders)` with every builder
-  /// idle — the callback may read all shard trees as one coherent
-  /// image. A non-OK return aborts the run.
-  uint64_t publish_every_n = 0;
-  std::function<Status(uint64_t points_dealt,
-                       std::vector<std::unique_ptr<Phase1Builder>>* builders)>
-      on_publish;
+  // --- Checkpoint / publish boundaries ---
+  /// Advanced once per dealt point; positioned at `resume_skip_points`.
+  /// When a point lands on a boundary the dealer quiesces the stream:
+  /// every shard parks at a barrier after consuming everything dealt so
+  /// far, then `on_boundary(due, points_dealt, builders)` runs with all
+  /// builders idle — one coherent image across the shards. A non-OK
+  /// return aborts the run. Required when the cadence has boundaries.
+  IngestCadence cadence;
+  std::function<Status(CadenceDue due, uint64_t points_dealt,
+                       std::span<const std::unique_ptr<Phase1Builder>>
+                           builders)>
+      on_boundary;
   /// Resume: per-shard freezes from a sharded checkpoint (size must
   /// equal the effective shard count). Each shard thaws its freeze
   /// instead of starting empty.
   const std::vector<Phase1Freeze>* resume = nullptr;
   /// Points the checkpointed run already consumed: the dealer skips
   /// this many source points, and dealing continues from this index so
-  /// shard assignment matches the uninterrupted run (under kAffinity
-  /// the splitter is re-fitted from the skipped prefix, reproducing
-  /// the original routing exactly).
+  /// shard assignment matches the uninterrupted run (the splitter is
+  /// re-fitted from the skipped prefix, reproducing the original
+  /// routing exactly).
   uint64_t resume_skip_points = 0;
 };
 

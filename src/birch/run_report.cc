@@ -77,6 +77,7 @@ void WriteOptions(JsonWriter* w, const BirchOptions& o) {
   w->EndObject();
   w->Key("exec").BeginObject();
   w->KV("num_threads", static_cast<int64_t>(o.exec.num_threads));
+  w->KV("splitter_seed", o.exec.splitter_seed);
   w->KV("kernel", static_cast<int64_t>(o.exec.kernel));
   w->EndObject();
   w->Key("serving").BeginObject();
@@ -186,6 +187,7 @@ uint64_t OptionsFingerprint(const BirchOptions& o) {
   f.Mix(static_cast<int64_t>(o.refine.passes));
   f.Mix(o.refine.outlier_distance);
   f.Mix(static_cast<int64_t>(o.exec.num_threads));
+  f.Mix(o.exec.splitter_seed);
   f.Mix(static_cast<int64_t>(o.exec.kernel));
   f.Mix(o.serving.publish_every_n);
   f.Mix(static_cast<int64_t>(o.serving.publish_k));

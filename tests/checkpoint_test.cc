@@ -2,11 +2,14 @@
 // bitwise identical to the uninterrupted one (labels, centroids,
 // threshold), resume works both by re-feeding the tail and by handing
 // Cluster() the full stream, the options fingerprint is enforced, the
-// sharded auto-checkpoint round-trips, and every injected file
-// corruption (torn header, truncation, bit flip) is detected as
-// kCorruption — never silently decoded into a different clustering.
+// sharded auto-checkpoint round-trips, the checkpoint / publish
+// cadence keeps absolute stream positions (resume included), and every
+// injected file corruption (torn header, truncation, bit flip) is
+// detected as kCorruption — never silently decoded into a different
+// clustering.
 #include "birch/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "birch/birch.h"
+#include "birch/ingest_cadence.h"
 #include "datagen/generator.h"
 #include "pagestore/crc32c.h"
 #include "serving/server.h"
@@ -249,6 +253,112 @@ TEST(CheckpointTest, AddBatchKeepsAbsolutePointCadences) {
   std::remove(path.c_str());
 }
 
+TEST(IngestCadenceTest, ZeroCadencesLeaveUnlimitedRoom) {
+  IngestCadence none;
+  EXPECT_EQ(none.Room(), IngestCadence::kUnlimited);
+  EXPECT_FALSE(none.Advance(1'000'000).any());
+  EXPECT_EQ(none.Room(), IngestCadence::kUnlimited);
+  EXPECT_EQ(none.position(), 1'000'000u);
+
+  IngestCadence zeros(0, 0, 77);
+  EXPECT_EQ(zeros.Room(), IngestCadence::kUnlimited);
+  EXPECT_FALSE(zeros.Advance(500).any());
+  EXPECT_EQ(zeros.position(), 577u);
+}
+
+// The ragged slicing of AddBatchKeepsAbsolutePointCadences: each batch
+// is cut at the next boundary, and the cuts land exactly on the
+// checkpoint (50, 100) and publish (60, 120) positions.
+TEST(IngestCadenceTest, RaggedBatchesStopExactlyAtBoundaries) {
+  IngestCadence cadence(50, 60);
+  struct Stop {
+    uint64_t position;
+    bool checkpoint;
+    bool publish;
+  };
+  std::vector<Stop> stops;
+  for (uint64_t batch : {37u, 9u, 54u, 30u}) {
+    while (batch > 0) {
+      const uint64_t take = std::min(batch, cadence.Room());
+      const CadenceDue due = cadence.Advance(take);
+      batch -= take;
+      if (due.any()) {
+        stops.push_back({cadence.position(), due.checkpoint, due.publish});
+      }
+    }
+  }
+  ASSERT_EQ(stops.size(), 4u);
+  const Stop want[] = {
+      {50, true, false}, {60, false, true}, {100, true, false},
+      {120, false, true}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(stops[i].position, want[i].position) << i;
+    EXPECT_EQ(stops[i].checkpoint, want[i].checkpoint) << i;
+    EXPECT_EQ(stops[i].publish, want[i].publish) << i;
+  }
+  EXPECT_EQ(cadence.position(), 130u);
+  EXPECT_EQ(cadence.Room(), 20u);  // next checkpoint at 150
+}
+
+TEST(IngestCadenceTest, SharedPositionReportsBothBoundaries) {
+  // 150 is the third checkpoint (every 50) and the second publish
+  // (every 75): that one stop reports both.
+  IngestCadence cadence(50, 75);
+  std::vector<uint64_t> stops;
+  CadenceDue due;
+  while (cadence.position() < 150) {
+    due = cadence.Advance(cadence.Room());
+    stops.push_back(cadence.position());
+  }
+  EXPECT_EQ(stops, (std::vector<uint64_t>{50, 75, 100, 150}));
+  EXPECT_TRUE(due.checkpoint);
+  EXPECT_TRUE(due.publish);
+  EXPECT_EQ(cadence.Room(), 50u);  // checkpoint at 200, publish at 225
+}
+
+TEST(IngestCadenceTest, SeededCadenceKeepsAbsolutePositions) {
+  IngestCadence cadence(50, 60, /*position=*/100);
+  EXPECT_EQ(cadence.position(), 100u);
+  EXPECT_EQ(cadence.Room(), 20u);
+  const CadenceDue publish = cadence.Advance(20);
+  EXPECT_TRUE(publish.publish);
+  EXPECT_FALSE(publish.checkpoint);
+  EXPECT_EQ(cadence.Room(), 30u);
+  const CadenceDue checkpoint = cadence.Advance(30);
+  EXPECT_TRUE(checkpoint.checkpoint);
+  EXPECT_FALSE(checkpoint.publish);
+  EXPECT_EQ(cadence.position(), 150u);
+}
+
+// A restored serial run publishes on the absolute cadence: restored
+// from the point-100 checkpoint, the next epoch lands at point 120,
+// exactly where the uninterrupted run published its second one.
+TEST(CheckpointTest, RestoredRunPublishesOnAbsoluteCadence) {
+  Dataset data = MakeData(4, 100, 706);
+  ASSERT_GE(data.size(), 120u);
+  std::string path = TempPath("ckpt_restore_publish.birch");
+  BirchOptions o = SmallOpts(data.dim(), 4);
+  o.resources.checkpoint_every_n = 50;
+  o.resources.checkpoint_path = path;
+  o.serving.publish_every_n = 60;
+  {
+    auto c_or = BirchClusterer::Create(o);
+    ASSERT_TRUE(c_or.ok());
+    for (size_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(c_or.value()->Add(data.Row(i)).ok());
+    }
+    EXPECT_EQ(c_or.value()->server()->epoch(), 1u);  // at point 60
+  }
+  auto c_or = BirchClusterer::Restore(path, o);
+  ASSERT_TRUE(c_or.ok()) << c_or.status().ToString();
+  for (size_t i = 100; i < 120; ++i) {
+    ASSERT_TRUE(c_or.value()->Add(data.Row(i)).ok());
+  }
+  EXPECT_EQ(c_or.value()->phase1_stats().points_added, 120u);
+  EXPECT_EQ(c_or.value()->server()->epoch(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, ShardedAutoCheckpointRoundTrips) {
   Dataset data = MakeData(6, 200, 707);
   std::string path = TempPath("ckpt_sharded.birch");
@@ -271,8 +381,9 @@ TEST(CheckpointTest, ShardedAutoCheckpointRoundTrips) {
   EXPECT_EQ(img.value().points_ingested % 400, 0u);
 
   // Resume from the mid-stream image with the SAME full stream: the
-  // dealer skips the ingested prefix and continues the round-robin at
-  // the same index, so the result matches the uninterrupted run.
+  // dealer skips the ingested prefix, re-fits its splitter from it and
+  // continues at the same index, so the result matches the
+  // uninterrupted run.
   auto c_or = BirchClusterer::Restore(path, o);
   ASSERT_TRUE(c_or.ok()) << c_or.status().ToString();
   DatasetSource src(&data);

@@ -52,35 +52,30 @@ TEST(ParallelBirchTest, ShardMergeConservesCfTotals) {
   ASSERT_EQ(want.n(), static_cast<double>(data.size()));
 
   exec::ThreadPool pool(16);
-  for (DealingMode dealing :
-       {DealingMode::kAffinity, DealingMode::kRoundRobin}) {
-    for (int shards : {1, 2, 4, 8, 16}) {
-      ShardedPhase1Options opts;
-      opts.phase1 = UnboundedPhase1(data.dim(), 0.7);
-      opts.num_shards = shards;
-      opts.dealing = dealing;
-      DatasetSource source(&data);
-      auto result_or = RunShardedPhase1(&source, opts, &pool);
-      ASSERT_TRUE(result_or.ok()) << result_or.status().message();
-      const auto& r = result_or.value();
+  for (int shards : {1, 2, 4, 8, 16}) {
+    ShardedPhase1Options opts;
+    opts.phase1 = UnboundedPhase1(data.dim(), 0.7);
+    opts.num_shards = shards;
+    DatasetSource source(&data);
+    auto result_or = RunShardedPhase1(&source, opts, &pool);
+    ASSERT_TRUE(result_or.ok()) << result_or.status().message();
+    const auto& r = result_or.value();
 
-      CfVector got = r.tree->TreeSummary();
-      for (const auto& e : r.final_outliers) got.Add(e);
-      const char* mode = DealingModeName(dealing);
-      // N is a sum of unit weights: exact in either insertion order.
-      EXPECT_EQ(got.n(), want.n()) << mode << " shards=" << shards;
-      // LS/SS differ only by float summation order across shards.
-      for (size_t t = 0; t < data.dim(); ++t) {
-        EXPECT_NEAR(got.ls()[t], want.ls()[t],
-                    1e-9 * (1.0 + std::fabs(want.ls()[t])))
-            << mode << " shards=" << shards;
-      }
-      EXPECT_NEAR(got.ss(), want.ss(), 1e-9 * (1.0 + want.ss()))
-          << mode << " shards=" << shards;
-      EXPECT_EQ(r.stats.points_added, data.size());
-      std::string why;
-      EXPECT_TRUE(r.tree->CheckInvariants(&why)) << why;
+    CfVector got = r.tree->TreeSummary();
+    for (const auto& e : r.final_outliers) got.Add(e);
+    // N is a sum of unit weights: exact in either insertion order.
+    EXPECT_EQ(got.n(), want.n()) << "shards=" << shards;
+    // LS/SS differ only by float summation order across shards.
+    for (size_t t = 0; t < data.dim(); ++t) {
+      EXPECT_NEAR(got.ls()[t], want.ls()[t],
+                  1e-9 * (1.0 + std::fabs(want.ls()[t])))
+          << "shards=" << shards;
     }
+    EXPECT_NEAR(got.ss(), want.ss(), 1e-9 * (1.0 + want.ss()))
+        << "shards=" << shards;
+    EXPECT_EQ(r.stats.points_added, data.size());
+    std::string why;
+    EXPECT_TRUE(r.tree->CheckInvariants(&why)) << why;
   }
 }
 
@@ -115,11 +110,11 @@ TEST(ParallelBirchTest, ParallelRunMeetsReproductionQualityBars) {
   EXPECT_EQ(r.value().labels.size(), g.data.size());
 }
 
-// Affinity dealing must clear the same quality bars as round-robin at
-// every shard count: space partitioning changes which shard ingests a
-// point, never the mass that reaches the merged tree, and the final
+// Affinity dealing must clear the reproduction quality bars at every
+// shard count: space partitioning changes which shard ingests a point,
+// never the mass that reaches the merged tree, and the final
 // clustering quality must hold regardless of how Phase 1 was dealt.
-TEST(ParallelBirchTest, QualityBarsHoldForBothDealingsAcrossThreadCounts) {
+TEST(ParallelBirchTest, QualityBarsHoldAcrossThreadCounts) {
   auto gen = GeneratePaperDataset(PaperDataset::kDS1, 25, 200);
   ASSERT_TRUE(gen.ok());
   const auto& g = gen.value();
@@ -127,27 +122,20 @@ TEST(ParallelBirchTest, QualityBarsHoldForBothDealingsAcrossThreadCounts) {
   for (const auto& a : g.actual) actual_cfs.push_back(a.cf);
   const double d_actual = WeightedAverageDiameter(actual_cfs);
 
-  for (DealingMode dealing :
-       {DealingMode::kAffinity, DealingMode::kRoundRobin}) {
-    for (int threads : {1, 2, 4, 8, 16}) {
-      BirchOptions o = PaperOpts(25, threads);
-      o.exec.dealing = dealing;
-      auto r = ClusterDataset(g.data, o);
-      ASSERT_TRUE(r.ok()) << DealingModeName(dealing) << " threads="
-                          << threads << ": " << r.status().message();
-      MatchReport m = MatchClusters(g.actual, r.value().clusters);
-      EXPECT_EQ(m.matched, 25)
-          << DealingModeName(dealing) << " threads=" << threads;
-      double d_birch = WeightedAverageDiameter(r.value().clusters);
-      EXPECT_LT(d_birch, 1.30 * d_actual)
-          << DealingModeName(dealing) << " threads=" << threads;
-      EXPECT_EQ(r.value().labels.size(), g.data.size());
-    }
+  for (int threads : {1, 2, 4, 8, 16}) {
+    auto r = ClusterDataset(g.data, PaperOpts(25, threads));
+    ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
+                        << r.status().message();
+    MatchReport m = MatchClusters(g.actual, r.value().clusters);
+    EXPECT_EQ(m.matched, 25) << "threads=" << threads;
+    double d_birch = WeightedAverageDiameter(r.value().clusters);
+    EXPECT_LT(d_birch, 1.30 * d_actual) << "threads=" << threads;
+    EXPECT_EQ(r.value().labels.size(), g.data.size());
   }
 }
 
-// Fixed (seed, num_threads) must reproduce bitwise: round-robin
-// sharding, fixed fold pairing, and chunk-ordered reductions leave no
+// Fixed (seed, num_threads) must reproduce bitwise: prefix-determined
+// dealing, fixed fold pairing, and chunk-ordered reductions leave no
 // timing dependence in the output.
 TEST(ParallelBirchTest, DeterministicForFixedThreadCount) {
   auto gen = GeneratePaperDataset(PaperDataset::kDS2, 25, 200);

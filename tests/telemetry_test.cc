@@ -329,6 +329,10 @@ TEST_F(TelemetryTest, OptionsFingerprintTracksBehaviorNotTelemetry) {
   b = SmallOptions(8);
   b.resources.memory_bytes += 1024;
   EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
+  // The splitter seed routes sharded points, so it changes labels.
+  b = SmallOptions(8);
+  b.exec.splitter_seed += 1;
+  EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
 }
 
 TEST_F(TelemetryTest, ValidateRejectsZeroSeriesCapacity) {

@@ -77,14 +77,6 @@ StatusOr<GlobalAlgorithm> ParseAlgorithm(const std::string& name) {
                                  "' (want hc|kmeans|medoids)");
 }
 
-StatusOr<DealingMode> ParseDealing(const std::string& name) {
-  for (auto d : {DealingMode::kAffinity, DealingMode::kRoundRobin}) {
-    if (name == DealingModeName(d)) return d;
-  }
-  return Status::InvalidArgument("unknown dealing mode '" + name +
-                                 "' (want affinity|round-robin)");
-}
-
 StatusOr<KernelKind> ParseKernel(const std::string& name) {
   for (auto k : {KernelKind::kScalar, KernelKind::kBatch}) {
     if (name == KernelName(k)) return k;
@@ -101,7 +93,7 @@ int Run(int argc, char** argv) {
        "threshold", "algorithm",
        "refine-passes",
        "discard-distance", "no-outliers", "no-delay-split", "stream",
-       "seed", "threads", "dealing", "splitter-seed", "kernel",
+       "seed", "threads", "splitter-seed", "kernel",
        "fault-read", "fault-write", "fault-lose",
        "fault-flip", "fault-seed", "io-attempts", "metrics", "metrics-csv",
        "trace-out", "report", "sample-every-ms", "checkpoint",
@@ -118,7 +110,7 @@ int Run(int argc, char** argv) {
                  "[--threshold T0] [--algorithm hc|kmeans|medoids] "
                  "[--refine-passes N] [--discard-distance D] "
                  "[--no-outliers] [--no-delay-split] [--stream] "
-                 "[--seed S] [--threads N] [--dealing affinity|round-robin] "
+                 "[--seed S] [--threads N] "
                  "[--splitter-seed S] [--kernel scalar|batch]\n"
                  "       [--disk-kb R] [--page-codec none|delta-rle] "
                  "[--hot-tier-kb N] [--fault-read P] [--fault-write P] "
@@ -135,10 +127,9 @@ int Run(int argc, char** argv) {
                  "parallelizes Phases 3/4\n"
                  "  (0 = serial, the default; deterministic for a fixed "
                  "seed, thread count, and\n"
-                 "  splitter seed). --dealing affinity (default) routes "
-                 "points to shards by spatial\n"
-                 "  region via a sampled splitter seeded by "
-                 "--splitter-seed; round-robin deals i %% N.\n"
+                 "  splitter seed); points route to shards by spatial "
+                 "region via a sampled\n"
+                 "  splitter seeded by --splitter-seed.\n"
                  "  --kernel batch (default) scans each CF node's column "
                  "block in one pass; scalar\n"
                  "  is the per-entry oracle — the two are bitwise "
@@ -228,12 +219,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
   o.exec.num_threads = static_cast<int>(threads);
-  auto dealing_or = ParseDealing(flags.GetString("dealing", "affinity"));
-  if (!dealing_or.ok()) {
-    std::fprintf(stderr, "%s\n", dealing_or.status().ToString().c_str());
-    return 2;
-  }
-  o.exec.dealing = dealing_or.value();
   o.exec.splitter_seed = static_cast<uint64_t>(flags.GetInt(
       "splitter-seed", static_cast<int64_t>(o.exec.splitter_seed)));
   auto kernel_or = ParseKernel(flags.GetString("kernel", "batch"));
