@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot primitives: CF point
 // accumulation, the D0-D4 distances, CF-tree point insertion across
-// page sizes and metrics, and tree rebuilding. These back the design
-// decisions called out in DESIGN.md (entry layout, descent metric).
+// page sizes and metrics, the point->center argmin, and tree
+// rebuilding. These back the design decisions called out in DESIGN.md
+// (entry layout, descent metric).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -151,6 +152,41 @@ void BM_TreeInsertKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeInsertKernel)
     ->ArgsProduct({{0, 1}, {2, 16, 64}});
+
+// The fused point->center argmin (CenterBatch::NearestSqRows) over k
+// centers at dim d, called with one row (serving descent, the Phase-3
+// k-means sweep, the sharded splitter) or four (one Phase-4 tile).
+// k = 12 is the splitter's center count at 3 shards; k = 100 is Phase
+// 4's seed count in the end-to-end workloads. Items are points.
+void BM_CenterNearest(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const size_t rows = static_cast<size_t>(state.range(2));
+  Rng rng(5);
+  std::vector<std::vector<double>> centers(k, std::vector<double>(dim));
+  for (auto& c : centers) {
+    for (auto& v : c) v = rng.Uniform(0, 100);
+  }
+  kernel::CenterBatch batch;
+  batch.Assign(centers);
+  constexpr size_t kPoints = 1024;  // a multiple of every row count
+  std::vector<double> points(kPoints * dim);
+  for (auto& v : points) v = rng.Uniform(0, 100);
+  std::array<kernel::ScanResult, 4> out;
+  size_t i = 0;
+  for (auto _ : state) {
+    batch.NearestSqRows(
+        std::span<const double>(points).subspan(i * dim, rows * dim), rows,
+        out.data());
+    benchmark::DoNotOptimize(out);
+    i = (i + rows) % kPoints;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+  state.SetLabel("k=" + std::to_string(k) + "/dim=" + std::to_string(dim) +
+                 "/rows=" + std::to_string(rows) +
+                 (kernel::Avx2Active() ? "/avx2" : ""));
+}
+BENCHMARK(BM_CenterNearest)->ArgsProduct({{12, 100}, {2, 16, 64}, {1, 4}});
 
 // Instrumentation overhead on the insert path, obs enabled vs
 // disabled. The tree is warmed to steady state on a fixed point set

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "birch/checkpoint.h"
@@ -231,39 +230,30 @@ Status StreamingRefine(PointSource* source, const BirchOptions& opts,
   TRACE_SPAN("birch/phase4");
   Timer timer;
   std::vector<std::vector<double>> centers = result->centroids;
-  std::vector<double> p(opts.dim);
-  double w = 1.0;
-  const double limit_sq =
-      opts.refine.outlier_distance > 0.0
-          ? opts.refine.outlier_distance * opts.refine.outlier_distance
-          : std::numeric_limits<double>::infinity();
-  const bool use_batch = IsBatchKernel(opts.exec.kernel);
-  kernel::CenterBatch cbatch;
-  kernel::Workspace ws;
+  // One buffered tile of source rows per Assign call.
+  const size_t tile = SeedAssigner::kBlockRows;
+  std::vector<double> rows(tile * opts.dim);
+  std::vector<double> weights(tile);
+  std::vector<int> labels(tile);
   for (int pass = 0; pass < opts.refine.passes; ++pass) {
     if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
-    // Centers move between passes; refresh the SoA mirror per pass.
-    if (use_batch) cbatch.Assign(centers);
+    const SeedAssigner assigner(centers, opts.refine.outlier_distance,
+                                opts.exec.kernel);
     std::vector<CfVector> sums(
         centers.size(),
         CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
-    while (source->Next(p, &w)) {
-      size_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      if (use_batch) {
-        kernel::ScanResult r = cbatch.NearestSq(p, &ws);
-        best_d = r.distance;
-        if (r.index != static_cast<size_t>(-1)) best = r.index;
-      } else {
-        for (size_t c = 0; c < centers.size(); ++c) {
-          double d = SquaredDistance(p, centers[c]);
-          if (d < best_d) {
-            best_d = d;
-            best = c;
-          }
-        }
+    size_t n = tile;
+    while (n == tile) {
+      n = 0;
+      while (n < tile &&
+             source->Next(std::span<double>(rows).subspan(n * opts.dim,
+                                                          opts.dim),
+                          &weights[n])) {
+        ++n;
       }
-      if (best_d <= limit_sq) sums[best].AddPoint(p, w);
+      assigner.Assign(std::span<const double>(rows).first(n * opts.dim), n,
+                      std::span<const double>(weights).first(n),
+                      labels.data(), &sums);
     }
     double moved = 0.0;
     for (size_t c = 0; c < centers.size(); ++c) {

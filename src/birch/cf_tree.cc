@@ -169,7 +169,9 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
   path.clear();
   CfNode* node = root_;
   while (!node->is_leaf) {
+    // Child 0 when no row compares below +inf (CF sums that overflow).
     size_t ci = ClosestIndex(*node, entry, q);
+    if (ci == kNone) ci = 0;
     path.push_back({node, ci});
     node = node->children[ci];
   }
@@ -376,8 +378,10 @@ void CfTree::MergingRefinement(CfNode* parent, size_t split_a,
     }
   }
   // If the closest pair is exactly the pair the split produced, the
-  // split was "natural" and no refinement applies.
-  if ((a == split_a && b == split_b) || (a == split_b && b == split_a)) {
+  // split was "natural" and no refinement applies; neither does it when
+  // no pair compares below +inf (CF sums that overflow).
+  if (a == kNone || (a == split_a && b == split_b) ||
+      (a == split_b && b == split_a)) {
     return;
   }
 

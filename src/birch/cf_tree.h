@@ -191,7 +191,8 @@ class CfTree {
   CfVector Summary(const CfNode& node) const;
 
   /// Index of the entry of `node` closest to `cf` (metric distance).
-  /// Returns SIZE_MAX if the node is empty. `query` (batch kernels
+  /// Returns SIZE_MAX if the node is empty or no distance compares
+  /// below +inf. `query` (batch kernels
   /// only) carries the query-side precomputations, prepared once per
   /// insert and reused down the whole descent; nullptr prepares a
   /// fresh one for this node.

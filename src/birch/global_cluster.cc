@@ -240,7 +240,6 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
         options.pool, m,
         [&](size_t begin, size_t end, size_t chunk) {
           bool local_changed = false;
-          kernel::Workspace ws;
           std::vector<double> centroid(dim);
           for (size_t i = begin; i < end; ++i) {
             int best = 0;
@@ -248,7 +247,7 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
               // Bitwise identical to CentroidSqDist's centroid for
               // either representation.
               entries[i].CentroidInto(&centroid);
-              kernel::ScanResult r = cbatch.NearestSq(centroid, &ws);
+              kernel::ScanResult r = cbatch.NearestSq(centroid);
               if (r.index != static_cast<size_t>(-1)) {
                 best = static_cast<int>(r.index);
               }

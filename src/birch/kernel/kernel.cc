@@ -87,12 +87,82 @@ void FinishD2StablePortable(double* acc, const double* msq, double qmsq,
   }
 }
 
+// Centers j .. j + L - 1 against the whole tile, folded into the
+// running argmins in center order. N and L are constants per instance,
+// so every point-center sum is a register across the dimension loop.
+template <size_t N, size_t L>
+void NearestSqBlockPortable(const double* rows, const double* cols,
+                            size_t stride, size_t dims, size_t j,
+                            size_t* index, double* dist) {
+  double s[N][L] = {};
+  for (size_t k = 0; k < dims; ++k) {
+    const double* col = cols + k * stride + j;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < N; ++r) {
+      const double q = rows[r * dims + k];
+#pragma GCC unroll 4
+      for (size_t l = 0; l < L; ++l) {
+        const double d = q - col[l];
+        s[r][l] += d * d;
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < N; ++r) {
+#pragma GCC unroll 4
+    for (size_t l = 0; l < L; ++l) {
+      if (s[r][l] < dist[r]) {
+        dist[r] = s[r][l];
+        index[r] = j + l;
+      }
+    }
+  }
+}
+
+// Blocks of four centers, as the AVX2 lane takes them, then the tail
+// one center at a time.
+template <size_t N>
+void NearestSqTilePortable(const double* rows, const double* cols,
+                           size_t stride, size_t dims, size_t m,
+                           size_t* index, double* dist) {
+  for (size_t r = 0; r < N; ++r) {
+    index[r] = static_cast<size_t>(-1);
+    dist[r] = std::numeric_limits<double>::infinity();
+  }
+  size_t j = 0;
+  for (; j + 4 <= m; j += 4) {
+    NearestSqBlockPortable<N, 4>(rows, cols, stride, dims, j, index, dist);
+  }
+  for (; j < m; ++j) {
+    NearestSqBlockPortable<N, 1>(rows, cols, stride, dims, j, index, dist);
+  }
+}
+
+void NearestSqPortable(const double* rows, size_t n, const double* cols,
+                       size_t stride, size_t dims, size_t m, size_t* index,
+                       double* dist) {
+  switch (n) {
+    case 1:
+      NearestSqTilePortable<1>(rows, cols, stride, dims, m, index, dist);
+      break;
+    case 2:
+      NearestSqTilePortable<2>(rows, cols, stride, dims, m, index, dist);
+      break;
+    case 3:
+      NearestSqTilePortable<3>(rows, cols, stride, dims, m, index, dist);
+      break;
+    case 4:
+      NearestSqTilePortable<4>(rows, cols, stride, dims, m, index, dist);
+      break;
+  }
+}
+
 }  // namespace
 
 const Ops kPortableOps = {&SqDiffPortable,    &AbsDiffPortable,
                           &DotPortable,       &MergedNormPortable,
                           &SqrtArrPortable,   &FinishD2Portable,
-                          &FinishD2StablePortable};
+                          &FinishD2StablePortable, &NearestSqPortable};
 
 const Ops& GetOps() {
 #if defined(BIRCH_KERNEL_AVX2)
@@ -447,23 +517,18 @@ void CenterBatch::Assign(const std::vector<std::vector<double>>& centers) {
   }
 }
 
-ScanResult CenterBatch::NearestSq(std::span<const double> point,
-                                  Workspace* ws) const {
-  assert(point.size() == dim_);
-  const size_t m = size_;
-  ws->dist.assign(m, 0.0);
-  double* acc = ws->dist.data();
+void CenterBatch::NearestSqRows(std::span<const double> rows, size_t n,
+                                ScanResult* out) const {
+  assert(rows.size() == n * dim_);
   const detail::Ops& ops = detail::GetOps();
-  ops.sq_diff(acc, comps_.data(), capacity_, point.data(), dim_, m);
-  ScanResult r;
-  r.distance = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < m; ++j) {
-    if (acc[j] < r.distance) {
-      r.distance = acc[j];
-      r.index = j;
-    }
+  size_t index[detail::kTileRows] = {};
+  double dist[detail::kTileRows] = {};
+  for (size_t r = 0; r < n; r += detail::kTileRows) {
+    const size_t tile = std::min(detail::kTileRows, n - r);
+    ops.nearest_sq(rows.data() + r * dim_, tile, comps_.data(), capacity_,
+                   dim_, size_, index, dist);
+    for (size_t t = 0; t < tile; ++t) out[r + t] = {index[t], dist[t]};
   }
-  return r;
 }
 
 double CenterBatch::SquaredDistanceTo(std::span<const double> point,

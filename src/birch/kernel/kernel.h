@@ -3,21 +3,25 @@
 // Phase 1's cost is dominated by per-entry distance computations down
 // the CF tree; Phase 3 runs O(m^2) pairwise CF distances; Phase 4 is a
 // point->centroid argmin over the raw data. All three reduce to the
-// same shape: one query against a batch of candidates. This layer
+// same shape: queries against a batch of candidates. This layer
 // keeps the candidates in dimension-major columns (per-row N, scalar,
 // vector components and the derived terms a metric reads, each
 // contiguous) so the scan is a flat auto-vectorizable loop with no
 // per-entry pointer chasing — and, when built with BIRCH_KERNEL_AVX2 on
 // an AVX2 machine, an explicit 4-wide SIMD pass. A CF-tree node stores
 // its entries in exactly this block (cf_node.h), so a descent scans the
-// node's own storage.
+// node's own storage. CF scans (CfBatch) fill a distance array, then
+// take its argmin; point->center scans (CenterBatch) fuse the two, up
+// to four points at a time.
 //
 // Equivalence contract: for every metric the batch path performs the
 // SAME floating-point operations in the SAME order per candidate as
 // the scalar oracle in metrics.cc / cf_vector.cc (the AVX2 pass uses
-// separate mul+add, never FMA), so scalar and batch kernels agree
-// bitwise — same winners, same distances. tests/kernel_test.cc holds
-// this line across metrics D0-D4, both threshold kinds, and dims.
+// separate mul+add, never FMA), and every argmin is first-wins strict
+// `<` from +inf, so scalar and batch kernels agree bitwise — same
+// winners, same distances. An argmin with no candidate below +inf
+// returns index SIZE_MAX. tests/kernel_test.cc holds this line across
+// metrics D0-D4, both threshold kinds, and dims.
 #ifndef BIRCH_BIRCH_KERNEL_KERNEL_H_
 #define BIRCH_BIRCH_KERNEL_KERNEL_H_
 
@@ -149,8 +153,8 @@ class CfBatch {
   std::unique_ptr<double[]> block_;
 };
 
-/// Reusable scan workspace (distance array + query centroid buffer);
-/// one per tree / per worker thread, so scans never allocate.
+/// Reusable CfBatch scan workspace (distance array + query centroid
+/// buffer); one per tree / per worker thread, so scans never allocate.
 struct Workspace {
   std::vector<double> dist;
   std::vector<double> query_centroid;
@@ -184,8 +188,9 @@ ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
 double MergedDiameter(const CfVector& a, const CfVector& b);
 double MergedRadius(const CfVector& a, const CfVector& b);
 
-/// SoA block over k centers (plain points) for point->center argmin
-/// scans (Phase 4 assignment, k-means sweeps, streaming refinement).
+/// Dimension-major block over k centers (plain points) for
+/// point->center argmin scans: Phase 4 assignment, Phase-3 k-means
+/// sweeps, the sharded splitter and serving descent.
 class CenterBatch {
  public:
   /// Rebuilds from `centers` (all the same dimension).
@@ -194,10 +199,24 @@ class CenterBatch {
   size_t size() const { return size_; }
   size_t dim() const { return dim_; }
 
-  /// Index of the center with the smallest SQUARED Euclidean distance
-  /// to `point` (first-wins ties, scalar-identical), and that squared
-  /// distance. size() must be > 0.
-  ScanResult NearestSq(std::span<const double> point, Workspace* ws) const;
+  /// Nearest center to each of the `n` row-major points in `rows`
+  /// (n * dim() values). out[r] holds the index of the center with the
+  /// smallest SQUARED Euclidean distance to point r and that distance,
+  /// bitwise equal to a SquaredDistance loop with first-wins strict `<`
+  /// from +inf. One fused pass per tile of four points: each sum stays
+  /// in a register, each center column is loaded once per tile, and no
+  /// distance array is written. When no center compares below +inf (a
+  /// NaN coordinate, or sums that overflow) out[r] is {SIZE_MAX, +inf};
+  /// callers that must pick a center take center 0.
+  void NearestSqRows(std::span<const double> rows, size_t n,
+                     ScanResult* out) const;
+
+  /// NearestSqRows for one point.
+  ScanResult NearestSq(std::span<const double> point) const {
+    ScanResult r;
+    NearestSqRows(point, 1, &r);
+    return r;
+  }
 
   /// Squared Euclidean distance from `point` to center `j`, one center
   /// at a time in the scan's operation order: the scalar oracle over

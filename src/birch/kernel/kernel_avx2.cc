@@ -5,7 +5,9 @@
 //
 // Equivalence: every lane performs the same operation sequence as the
 // portable loop — separate mul and add (no FMA), fabs as a sign-bit
-// mask — so results are bitwise identical element by element.
+// mask — so results are bitwise identical element by element. The
+// templates below sit in an anonymous namespace, so no AVX2-encoded
+// instantiation can be shared with another translation unit.
 #include "birch/kernel/kernel_ops.h"
 
 #if defined(BIRCH_KERNEL_AVX2)
@@ -149,11 +151,111 @@ void FinishD2StableAvx2(double* acc, const double* msq, double qmsq,
   }
 }
 
+// The minimum of the four lanes, in every lane.
+__m256d LaneMin(__m256d v) {
+  v = _mm256_min_pd(v, _mm256_permute2f128_pd(v, v, 1));
+  return _mm256_min_pd(v, _mm256_permute_pd(v, 0b0101));
+}
+
+// Fused point->center argmin for a tile of N points against one 4-wide
+// vector of centers at a time. Each point's four sums stay in one
+// register across the dimension loop, and each center vector is loaded
+// once per tile. Lane l of best[r] / arg[r] holds point r's running
+// minimum over the centers j = l (mod 4) and the first j that reached
+// it (strict `<`: min_pd for the distance, compare-and-blend for the
+// index), so reducing the lanes by
+// distance, then by lowest index, gives the sequential first-wins
+// argmin; the m % 4 tail centers follow in order. Indices ride in
+// double lanes, exact below 2^53.
+template <size_t N>
+void NearestSqTileAvx2(const double* rows, const double* cols,
+                       size_t stride, size_t dims, size_t m, size_t* index,
+                       double* dist) {
+  const double inf = __builtin_inf();
+  __m256d best[N];
+  __m256d arg[N];
+  for (size_t r = 0; r < N; ++r) {
+    best[r] = _mm256_set1_pd(inf);
+    arg[r] = _mm256_setzero_pd();
+  }
+  const size_t mv = m - m % 4;
+  const __m256d four = _mm256_set1_pd(4.0);
+  __m256d jv = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  for (size_t j = 0; j < mv; j += 4) {
+    __m256d acc[N];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < N; ++r) acc[r] = _mm256_setzero_pd();
+    for (size_t k = 0; k < dims; ++k) {
+      const __m256d c = _mm256_loadu_pd(cols + k * stride + j);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < N; ++r) {
+        const __m256d d =
+            _mm256_sub_pd(_mm256_set1_pd(rows[r * dims + k]), c);
+        acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(d, d));
+      }
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < N; ++r) {
+      // min_pd(a, b) is a < b ? a : b, so a NaN or tied sum keeps the
+      // earlier minimum, exactly like the blend of the index.
+      const __m256d lt = _mm256_cmp_pd(acc[r], best[r], _CMP_LT_OQ);
+      best[r] = _mm256_min_pd(acc[r], best[r]);
+      arg[r] = _mm256_blendv_pd(arg[r], jv, lt);
+    }
+    jv = _mm256_add_pd(jv, four);
+  }
+  for (size_t r = 0; r < N; ++r) {
+    // Branch-free lane reduction: the smallest distance, then the lowest
+    // index among the lanes holding it. min_pd is exact here: the lanes
+    // are never NaN (a NaN sum never wins a strict `<`).
+    const __m256d d_min = LaneMin(best[r]);
+    const __m256d tied = _mm256_cmp_pd(best[r], d_min, _CMP_EQ_OQ);
+    const __m256d j_min =
+        LaneMin(_mm256_blendv_pd(_mm256_set1_pd(inf), arg[r], tied));
+    double bd = _mm256_cvtsd_f64(d_min);
+    size_t bj = static_cast<size_t>(_mm256_cvtsd_f64(j_min));
+    const double* p = rows + r * dims;
+    for (size_t j = mv; j < m; ++j) {
+      double s = 0.0;
+      for (size_t k = 0; k < dims; ++k) {
+        const double d = p[k] - cols[k * stride + j];
+        s += d * d;
+      }
+      if (s < bd) {
+        bd = s;
+        bj = j;
+      }
+    }
+    // Every winner is below +inf; a lane that never won still reads +inf.
+    dist[r] = bd;
+    index[r] = bd < inf ? bj : static_cast<size_t>(-1);
+  }
+}
+
+void NearestSqAvx2(const double* rows, size_t n, const double* cols,
+                   size_t stride, size_t dims, size_t m, size_t* index,
+                   double* dist) {
+  switch (n) {
+    case 1:
+      NearestSqTileAvx2<1>(rows, cols, stride, dims, m, index, dist);
+      break;
+    case 2:
+      NearestSqTileAvx2<2>(rows, cols, stride, dims, m, index, dist);
+      break;
+    case 3:
+      NearestSqTileAvx2<3>(rows, cols, stride, dims, m, index, dist);
+      break;
+    case 4:
+      NearestSqTileAvx2<4>(rows, cols, stride, dims, m, index, dist);
+      break;
+  }
+}
+
 }  // namespace
 
 const Ops kAvx2Ops = {&SqDiffAvx2,     &AbsDiffAvx2, &DotAvx2,
                       &MergedNormAvx2, &SqrtArrAvx2, &FinishD2Avx2,
-                      &FinishD2StableAvx2};
+                      &FinishD2StableAvx2, &NearestSqAvx2};
 
 }  // namespace detail
 }  // namespace kernel

@@ -52,7 +52,21 @@ struct Ops {
   ///   acc[j] = sqrt(d2 > 0 ? d2 : 0)
   void (*finish_d2_stable)(double* acc, const double* msq, double qmsq,
                            size_t m);
+  /// Fused point->center argmin for a tile of n <= kTileRows row-major
+  /// points (`rows[r * dims + k]`) against m dimension-major centers.
+  /// Per pair, s = 0 then s += d * d over k in order, d = point - center
+  /// (the SquaredDistance loop, separate mul and add); per point, the
+  /// first center with the smallest s under strict `<` from +inf.
+  /// Writes index[r] and dist[r]; index[r] = SIZE_MAX with dist[r] =
+  /// +inf when no s compares below +inf. No distance array is written.
+  void (*nearest_sq)(const double* rows, size_t n, const double* cols,
+                     size_t stride, size_t dims, size_t m, size_t* index,
+                     double* dist);
 };
+
+/// Points per nearest_sq call: four accumulators, four running minima
+/// and four running indices fit the sixteen AVX2 registers.
+constexpr size_t kTileRows = 4;
 
 /// The active implementation: AVX2 when compiled in (BIRCH_KERNEL_AVX2)
 /// and supported by this CPU, portable otherwise. Resolved once.

@@ -1,6 +1,7 @@
 #include "birch/phase1.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "obs/metrics.h"
@@ -214,20 +215,27 @@ Status Phase1Builder::DegradeOutlierDisk() {
   return Status::OK();
 }
 
+Status ValidatePoint(std::span<const double> x, double weight,
+                     uint64_t index) {
+  for (size_t k = 0; k < x.size(); ++k) {
+    if (!std::isfinite(x[k])) {
+      return Status::InvalidArgument(
+          "point " + std::to_string(index) +
+          " has a non-finite coordinate (x[" + std::to_string(k) +
+          "] = " + std::to_string(x[k]) +
+          "); every coordinate must be a finite number");
+    }
+  }
+  if (!(weight > 0.0) || !std::isfinite(weight)) {
+    return Status::InvalidArgument(
+        "weight must be positive and finite: point " +
+        std::to_string(index) + " has weight " + std::to_string(weight));
+  }
+  return Status::OK();
+}
+
 Status Phase1Builder::Add(std::span<const double> x, double weight) {
-  if (finished_) {
-    return Status::FailedPrecondition("Add() after Finish()");
-  }
-  if (x.size() != options_.tree.dim) {
-    return Status::InvalidArgument("point dimension mismatch");
-  }
-  if (weight <= 0.0) {
-    return Status::InvalidArgument("weight must be positive");
-  }
-  ++stats_.points_added;
-  OBS_COUNTER_INC("phase1/points");
-  point_cf_.AssignPoint(x, weight);
-  return IngestPointCf();
+  return AddBatch(x, 1, std::span<const double>(&weight, 1));
 }
 
 Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
@@ -251,11 +259,11 @@ Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
         " points; pass one weight per point or an empty span for all-1");
   }
   // Validate the whole batch before ingesting any of it, so a bad
-  // weight rejects the batch instead of leaving it half-inserted.
-  for (double w : weights) {
-    if (w <= 0.0) {
-      return Status::InvalidArgument("weight must be positive");
-    }
+  // point rejects the batch instead of leaving it half-inserted.
+  for (size_t i = 0; i < n; ++i) {
+    BIRCH_RETURN_IF_ERROR(ValidatePoint(xs.subspan(i * dim, dim),
+                                        weights.empty() ? 1.0 : weights[i],
+                                        stats_.points_added + i));
   }
   for (size_t i = 0; i < n; ++i) {
     ++stats_.points_added;

@@ -114,6 +114,14 @@ struct Phase1Freeze {
   FaultStats fault_stats;
 };
 
+/// InvalidArgument naming point `index` (its position in the stream
+/// being ingested) when a coordinate of `x` is NaN or infinite, or when
+/// `weight` is not a positive finite number; OK otherwise. Phase 1
+/// runs it on every point before the point reaches a tree or the
+/// sharded splitter.
+Status ValidatePoint(std::span<const double> x, double weight,
+                     uint64_t index);
+
 /// Single-scan builder. Usage: Add() every point, then Finish() exactly
 /// once; afterwards tree() holds the condensed summary and
 /// final_outliers() the entries that never fit anywhere.
@@ -124,7 +132,7 @@ class Phase1Builder {
   Phase1Builder(const Phase1Builder&) = delete;
   Phase1Builder& operator=(const Phase1Builder&) = delete;
 
-  /// Inserts one (optionally weighted) point.
+  /// Inserts one (optionally weighted) point: AddBatch() with n = 1.
   Status Add(std::span<const double> x, double weight = 1.0);
 
   /// Batch insert: `n` points packed row-major in `xs` (exactly
@@ -133,8 +141,8 @@ class Phase1Builder {
   /// on each row in order — same tree, bitwise — but hoists the
   /// per-call validation and counter traffic out of the loop and
   /// keeps the per-insert scan scratch hot. Validation failures
-  /// (sizes, non-positive weights) reject the whole batch before any
-  /// point is ingested.
+  /// (sizes, and any point ValidatePoint() rejects) reject the whole
+  /// batch before any point is ingested.
   Status AddBatch(std::span<const double> xs, size_t n,
                   std::span<const double> weights = {});
 

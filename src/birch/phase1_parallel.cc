@@ -155,11 +155,18 @@ class AffinitySplitter {
   }
 
   /// Shard owning the region `p` falls in (armed() only).
-  size_t Route(std::span<const double> p, kernel::Workspace* ws) const {
-    return shard_of_center_[centers_batch_.NearestSq(p, ws).index];
+  size_t Route(std::span<const double> p) const {
+    return shard_of_center_[NearestCenter(p)];
   }
 
  private:
+  /// Index of the center nearest `p`; center 0 when none compares below
+  /// +inf (its squared distances overflow).
+  size_t NearestCenter(std::span<const double> p) const {
+    const size_t best = centers_batch_.NearestSq(p).index;
+    return best == static_cast<size_t>(-1) ? 0 : best;
+  }
+
   void Fit() {
     const size_t m = sample_.size() / dim_;
     const size_t c = std::min(centers_target_, m);
@@ -179,7 +186,6 @@ class AffinitySplitter {
     // it only has to carve the space into coherent regions, not
     // converge.
     std::vector<double> counts(c, 0.0);
-    kernel::Workspace ws;
     for (int round = 0; round < 4; ++round) {
       centers_batch_.Assign(centers);
       std::fill(counts.begin(), counts.end(), 0.0);
@@ -187,7 +193,7 @@ class AffinitySplitter {
           c, std::vector<double>(dim_, 0.0));
       for (size_t j = 0; j < m; ++j) {
         std::span<const double> row(sample_.data() + j * dim_, dim_);
-        size_t best = centers_batch_.NearestSq(row, &ws).index;
+        size_t best = NearestCenter(row);
         counts[best] += 1.0;
         double* sum = sums[best].data();
         for (size_t k = 0; k < dim_; ++k) sum[k] += row[k];
@@ -329,7 +335,6 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
   {
     TRACE_SPAN("phase1/scan");
     std::vector<PointBatch> pending(static_cast<size_t>(shards));
-    kernel::Workspace route_ws;
     IngestCadence cadence = options.cadence;
     std::vector<double> p(dim);
     double w = 1.0;
@@ -339,10 +344,14 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
     // re-fitted from the skipped prefix — so shard assignment matches
     // the uninterrupted run point for point.
     while (i < options.resume_skip_points && source->Next(p, &w)) {
-      if (splitter != nullptr && !splitter->armed()) splitter->Observe(p);
+      if (splitter != nullptr && !splitter->armed()) {
+        deal_status = ValidatePoint(p, w, i);
+        if (!deal_status.ok()) break;
+        splitter->Observe(p);
+      }
       ++i;
     }
-    if (i < options.resume_skip_points) {
+    if (deal_status.ok() && i < options.resume_skip_points) {
       deal_status = Status::InvalidArgument(
           "source ended before the checkpoint's resume offset (" +
           std::to_string(i) + " < " +
@@ -350,9 +359,12 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
           "); pass the same stream the checkpointed run consumed");
     }
     while (deal_status.ok() && source->Next(p, &w)) {
+      // The splitter must never see a NaN or infinite coordinate.
+      deal_status = ValidatePoint(p, w, i);
+      if (!deal_status.ok()) break;
       size_t s;
       if (splitter != nullptr && splitter->armed()) {
-        s = splitter->Route(p, &route_ws);
+        s = splitter->Route(p);
       } else {
         s = static_cast<size_t>(i % static_cast<uint64_t>(shards));
         // The point that completes the sample is still dealt i mod S;

@@ -1,5 +1,6 @@
 #include "birch/refine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,60 @@
 #include "util/math.h"
 
 namespace birch {
+
+namespace {
+constexpr size_t kNoWinner = static_cast<size_t>(-1);
+}  // namespace
+
+SeedAssigner::SeedAssigner(const std::vector<std::vector<double>>& centers,
+                           double outlier_distance, KernelKind kernel)
+    : centers_(centers),
+      dim_(centers.empty() ? 0 : centers[0].size()),
+      limit_sq_(outlier_distance > 0.0
+                    ? outlier_distance * outlier_distance
+                    : std::numeric_limits<double>::infinity()),
+      use_batch_(IsBatchKernel(kernel)) {
+  if (use_batch_) batch_.Assign(centers);
+}
+
+uint64_t SeedAssigner::Assign(std::span<const double> rows, size_t n,
+                              std::span<const double> weights, int* labels,
+                              std::vector<CfVector>* cfs) const {
+  uint64_t discarded = 0;
+  kernel::ScanResult nearest[kBlockRows];
+  for (size_t begin = 0; begin < n; begin += kBlockRows) {
+    const size_t count = std::min(kBlockRows, n - begin);
+    if (use_batch_) {
+      batch_.NearestSqRows(rows.subspan(begin * dim_, count * dim_), count,
+                           nearest);
+    } else {
+      for (size_t t = 0; t < count; ++t) {
+        std::span<const double> row = rows.subspan((begin + t) * dim_, dim_);
+        kernel::ScanResult& r = nearest[t];
+        r = {kNoWinner, std::numeric_limits<double>::infinity()};
+        for (size_t c = 0; c < centers_.size(); ++c) {
+          const double d = SquaredDistance(row, centers_[c]);
+          if (d < r.distance) r = {c, d};
+        }
+      }
+    }
+    for (size_t t = 0; t < count; ++t) {
+      const size_t i = begin + t;
+      const kernel::ScanResult& r = nearest[t];
+      int label = r.index == kNoWinner ? -1 : static_cast<int>(r.index);
+      if (r.distance > limit_sq_) {
+        label = -1;
+        ++discarded;
+      }
+      labels[i] = label;
+      if (label >= 0) {
+        (*cfs)[static_cast<size_t>(label)].AddPoint(
+            rows.subspan(i * dim_, dim_), weights.empty() ? 1.0 : weights[i]);
+      }
+    }
+  }
+  return discarded;
+}
 
 namespace {
 
@@ -24,9 +79,6 @@ uint64_t AssignPass(const Dataset& data,
                     std::vector<CfVector>* cluster_cfs,
                     uint64_t* discarded) {
   const size_t k = centers.size();
-  const double limit_sq =
-      outlier_distance > 0.0 ? outlier_distance * outlier_distance
-                             : std::numeric_limits<double>::infinity();
   // Accumulators are fed point by point (AddPoint never adopts a
   // policy), so they must be constructed under the pipeline's CF
   // policies — carried by the caller-sized cluster_cfs.
@@ -39,44 +91,27 @@ uint64_t AssignPass(const Dataset& data,
   for (auto& cf : *cluster_cfs) cf = CfVector(data.dim(), rep, storage);
   uint64_t changes = 0;
   *discarded = 0;
-  const bool use_batch = IsBatchKernel(kernel_kind);
-  kernel::CenterBatch cbatch;
-  if (use_batch) cbatch.Assign(centers);
+  const SeedAssigner assigner(centers, outlier_distance, kernel_kind);
+  std::span<const double> values = data.Values();
+  std::span<const double> weights = data.Weights();
 
+  const size_t dim = data.dim();
   // Assigns [begin, end); accumulates into cfs/changes/discarded.
   auto assign_range = [&](size_t begin, size_t end,
                           std::vector<CfVector>* cfs, uint64_t* local_changes,
                           uint64_t* local_discarded) {
-    kernel::Workspace ws;
-    for (size_t i = begin; i < end; ++i) {
-      auto row = data.Row(i);
-      int best = -1;
-      double best_d = std::numeric_limits<double>::infinity();
-      if (use_batch) {
-        kernel::ScanResult r = cbatch.NearestSq(row, &ws);
-        best_d = r.distance;
-        if (r.index != static_cast<size_t>(-1)) {
-          best = static_cast<int>(r.index);
+    int fresh[SeedAssigner::kBlockRows] = {};
+    for (size_t i = begin; i < end; i += SeedAssigner::kBlockRows) {
+      const size_t n = std::min(SeedAssigner::kBlockRows, end - i);
+      *local_discarded += assigner.Assign(
+          values.subspan(i * dim, n * dim), n,
+          weights.empty() ? weights : weights.subspan(i, n), fresh, cfs);
+      for (size_t t = 0; t < n; ++t) {
+        int& label = (*labels)[i + t];
+        if (label != fresh[t]) {
+          label = fresh[t];
+          ++*local_changes;
         }
-      } else {
-        for (size_t c = 0; c < k; ++c) {
-          double d = SquaredDistance(row, centers[c]);
-          if (d < best_d) {
-            best_d = d;
-            best = static_cast<int>(c);
-          }
-        }
-      }
-      if (best_d > limit_sq) {
-        best = -1;
-        ++*local_discarded;
-      }
-      if ((*labels)[i] != best) {
-        (*labels)[i] = best;
-        ++*local_changes;
-      }
-      if (best >= 0) {
-        (*cfs)[static_cast<size_t>(best)].AddPoint(row, data.Weight(i));
       }
     }
   };

@@ -6,6 +6,10 @@
 // the "wrong" subcluster by a skewed input order, and copies of the
 // same point split across subclusters), and can optionally discard
 // points too far from every seed as outliers.
+//
+// Every pass, in memory (RefineClusters) or streamed from a PointSource
+// (ClusterSource), assigns its points through one SeedAssigner, which
+// hands the kernel's fused point->center argmin blocks of rows.
 #ifndef BIRCH_BIRCH_REFINE_H_
 #define BIRCH_BIRCH_REFINE_H_
 
@@ -49,6 +53,42 @@ struct RefineResult {
   std::vector<CfVector> clusters;
   int passes_run = 0;
   uint64_t points_discarded = 0;
+};
+
+/// The Phase-4 assignment step. Labels each point with its nearest
+/// center (squared Euclidean, first wins on ties) and adds the point,
+/// with its weight, to that cluster's CF. A point whose nearest center
+/// lies farther than `outlier_distance` (when > 0) is labelled -1 and
+/// counted as discarded; a point no center compares below +inf to (a
+/// NaN coordinate, or distances that overflow) is labelled -1 and added
+/// nowhere. kScalar runs the SquaredDistance loop, kBatch the fused
+/// kernel; both give the same labels and CFs bit for bit.
+class SeedAssigner {
+ public:
+  /// `centers` must outlive the assigner and stay unchanged while it is
+  /// used; build a new assigner when the centers move.
+  SeedAssigner(const std::vector<std::vector<double>>& centers,
+               double outlier_distance, KernelKind kernel);
+
+  /// Assigns the `n` row-major points in `rows` (n * dim values) with
+  /// `weights` (one per point, or empty for all-1): writes labels[0, n)
+  /// and adds each labelled point into (*cfs)[label]. Returns the
+  /// number discarded by `outlier_distance`. Const and thread-safe;
+  /// points reach each CF in row order.
+  uint64_t Assign(std::span<const double> rows, size_t n,
+                  std::span<const double> weights, int* labels,
+                  std::vector<CfVector>* cfs) const;
+
+  /// Rows per kernel call inside Assign; a good block size for callers
+  /// that buffer a stream.
+  static constexpr size_t kBlockRows = 256;
+
+ private:
+  const std::vector<std::vector<double>>& centers_;
+  size_t dim_;
+  double limit_sq_;
+  bool use_batch_;
+  kernel::CenterBatch batch_;
 };
 
 /// Runs Phase-4 refinement of `seeds` over `data`.

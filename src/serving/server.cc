@@ -9,18 +9,6 @@
 namespace birch {
 namespace serving {
 
-namespace {
-
-/// Per-thread scan scratch: queries on any number of snapshots reuse
-/// it, so the hot path never allocates after the first query on a
-/// thread.
-kernel::Workspace* ThreadWorkspace() {
-  thread_local kernel::Workspace ws;
-  return &ws;
-}
-
-}  // namespace
-
 Status BirchServer::Publish(std::shared_ptr<ServingSnapshot> snap) {
   if (snap == nullptr) {
     return Status::InvalidArgument(
@@ -64,7 +52,7 @@ StatusOr<AssignResult> BirchServer::Assign(
         "publish manually) and ingest at least one point");
   }
   Timer timer;
-  AssignResult r = snap->Assign(point, ThreadWorkspace());
+  AssignResult r = snap->Assign(point, /*ws=*/nullptr);
   OBS_HISTOGRAM_RECORD("serving/assign_us", timer.Seconds() * 1e6);
   OBS_COUNTER_INC("serving/assign_queries");
   return r;

@@ -106,10 +106,10 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
 
 size_t ServingSnapshot::NearestRow(const Node& node,
                                    std::span<const double> point,
-                                   KernelKind kernel, kernel::Workspace* ws,
+                                   KernelKind kernel,
                                    double* best_sq) const {
   if (IsBatchKernel(kernel)) {
-    kernel::ScanResult r = node.centers.NearestSq(point, ws);
+    kernel::ScanResult r = node.centers.NearestSq(point);
     *best_sq = r.distance;
     return r.index == static_cast<size_t>(-1) ? 0 : r.index;
   }
@@ -128,15 +128,15 @@ size_t ServingSnapshot::NearestRow(const Node& node,
 
 AssignResult ServingSnapshot::AssignWith(std::span<const double> point,
                                          KernelKind kernel,
-                                         kernel::Workspace* ws) const {
+                                         kernel::Workspace* /*ws*/) const {
   assert(point.size() == dim_);
   double best_sq = 0.0;
   const Node* node = &nodes_[0];
   while (!node->is_leaf) {
-    const size_t row = NearestRow(*node, point, kernel, ws, &best_sq);
+    const size_t row = NearestRow(*node, point, kernel, &best_sq);
     node = &nodes_[node->children[row]];
   }
-  const size_t row = NearestRow(*node, point, kernel, ws, &best_sq);
+  const size_t row = NearestRow(*node, point, kernel, &best_sq);
   const size_t entry = node->first_entry + row;
   AssignResult r;
   r.cluster_id = entry_cluster_[entry];

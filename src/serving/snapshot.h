@@ -75,8 +75,7 @@ struct SnapshotBuildOptions {
 };
 
 /// The immutable snapshot. Thread-safe for concurrent const queries:
-/// all state is written once in Build() and only read afterwards
-/// (callers supply a per-thread kernel::Workspace).
+/// all state is written once in Build() and only read afterwards.
 class ServingSnapshot {
  public:
   /// Flattens `tree` and runs the publish-time global clustering.
@@ -96,8 +95,9 @@ class ServingSnapshot {
   /// at each level pick the child whose entry centroid is nearest in
   /// squared Euclidean distance, then argmin over the landing leaf's
   /// entry centroids. Deterministic: first-wins ties, strict `<`, and
-  /// the kScalar / kBatch paths agree bitwise. `ws` is the caller's
-  /// scratch (one per thread).
+  /// the kScalar / kBatch paths agree bitwise. The scans keep no
+  /// scratch: `ws` is unused and may be null (the parameter stays so
+  /// existing callers compile).
   AssignResult Assign(std::span<const double> point,
                       kernel::Workspace* ws) const;
   /// Assign with this snapshot's build-time kernel choice overridden.
@@ -156,10 +156,10 @@ class ServingSnapshot {
   /// under the tree's CF policies.
   size_t Flatten(const CfNode& node, CfVector* row);
   /// Argmin over `node`'s entry centroids under the chosen kernel.
-  /// First-wins ties; fills *best_sq with the winning squared distance.
+  /// First-wins ties, row 0 when none compares below +inf; fills
+  /// *best_sq with the winning squared distance.
   size_t NearestRow(const Node& node, std::span<const double> point,
-                    KernelKind kernel, kernel::Workspace* ws,
-                    double* best_sq) const;
+                    KernelKind kernel, double* best_sq) const;
 
   uint64_t epoch_ = 0;
   uint64_t points_ingested_ = 0;

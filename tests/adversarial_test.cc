@@ -3,12 +3,21 @@
 // clustering — sorted scans, all-duplicate streams, mixed scales,
 // collinear data, and clusters arriving one at a time under a tiny
 // memory budget. Each case must terminate, conserve points, and (where
-// ground truth exists) still recover the clusters.
+// ground truth exists) still recover the clusters. Rows whose squared
+// distances overflow must complete, and NaN or infinite coordinates must
+// be rejected with InvalidArgument, serially and sharded.
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "birch/birch.h"
+#include "birch/dataset_io.h"
 #include "datagen/generator.h"
 #include "eval/matching.h"
 #include "eval/quality.h"
@@ -205,6 +214,102 @@ TEST(AdversarialTest, HeavyTailedClusterSizes) {
   MatchReport match = MatchClusters(actual, result.value().clusters);
   EXPECT_GE(match.matched, 10);
   EXPECT_LT(match.mean_centroid_displacement, 2.0);
+}
+
+/// Writes 5,000 generated 2-D rows to a CSV, with `bad_row` (a literal
+/// "x,y" line) before generated row i once per occurrence of i in `at`
+/// (ascending), and clusters it through
+/// ClusterSource(CsvPointSource) with `threads` shards (0 = serial).
+StatusOr<BirchResult> ClusterCsvWithBadRows(const std::string& name,
+                                            const std::string& bad_row,
+                                            const std::vector<size_t>& at,
+                                            int threads) {
+  GeneratorOptions g;
+  g.k = 5;
+  g.n_low = g.n_high = 1000;
+  g.r_low = g.r_high = 1.0;
+  g.grid_spacing = 10.0;
+  g.seed = 308;
+  auto gen = Generate(g);
+  if (!gen.ok()) return gen.status();
+  const Dataset& data = gen.value().data;
+  // Unique to this process: the plain and .san builds of this suite
+  // run concurrently under ctest.
+  const std::string path = ::testing::TempDir() + "/" + name + "_" +
+                           std::to_string(::getpid()) + ".csv";
+  {
+    std::ofstream f(path);
+    f.precision(17);
+    for (size_t i = 0, bad = 0; i < data.size(); ++i) {
+      while (bad < at.size() && at[bad] == i) {
+        f << bad_row << "\n";
+        ++bad;
+      }
+      f << data.Row(i)[0] << "," << data.Row(i)[1] << "\n";
+    }
+  }
+  auto source_or = CsvPointSource::Open(path);
+  if (!source_or.ok()) return source_or.status();
+  BirchOptions o;
+  o.dim = 2;
+  o.k = 5;
+  o.exec.num_threads = threads;
+  auto result = ClusterSource(source_or.value().get(), o);
+  std::remove(path.c_str());
+  return result;
+}
+
+// A squared distance to a 1e200 point overflows to +inf against every
+// candidate, so the tree descent (and, sharded, the splitter) finds no
+// winner and must fall back to candidate 0 instead of indexing with
+// SIZE_MAX.
+TEST(AdversarialTest, HugeFiniteRowCompletesSerially) {
+  auto result = ClusterCsvWithBadRows("huge_serial", "1e200,1e200", {2500},
+                                      /*threads=*/0);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value().clusters.empty());
+}
+
+// Every coordinate and squared norm of a 1e153 point is finite, but a
+// hundred of them in a row overflow the CF sums they are absorbed into.
+TEST(AdversarialTest, OverflowingCfSumsCompleteSerially) {
+  const std::vector<size_t> at(100, 2500);
+  auto result = ClusterCsvWithBadRows("overflow_serial", "1e153,1e153", at,
+                                      /*threads=*/0);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value().clusters.empty());
+}
+
+TEST(AdversarialTest, HugeFiniteRowCompletesSharded) {
+  // Position 4,000 lies past the splitter's 1,024-point sample, so the
+  // armed splitter routes the row.
+  auto result = ClusterCsvWithBadRows("huge_sharded", "1e200,1e200", {4000},
+                                      /*threads=*/3);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value().clusters.empty());
+}
+
+TEST(AdversarialTest, NonFiniteRowsAreRejectedNamingThePoint) {
+  // Among the splitter's first 1,024 points: the dealer rejects the row
+  // before the splitter's k-means sees it.
+  auto sharded = ClusterCsvWithBadRows("nan_sharded", "nan,nan", {700},
+                                       /*threads=*/3);
+  ASSERT_EQ(sharded.status().code(), StatusCode::kInvalidArgument)
+      << sharded.status().ToString();
+  EXPECT_NE(sharded.status().message().find("point 700"), std::string::npos)
+      << sharded.status().message();
+
+  auto serial = ClusterCsvWithBadRows("nan_serial", "nan,nan", {700},
+                                      /*threads=*/0);
+  ASSERT_EQ(serial.status().code(), StatusCode::kInvalidArgument)
+      << serial.status().ToString();
+  EXPECT_NE(serial.status().message().find("point 700"), std::string::npos)
+      << serial.status().message();
+
+  auto inf = ClusterCsvWithBadRows("inf_serial", "1,inf", {10},
+                                   /*threads=*/0);
+  EXPECT_EQ(inf.status().code(), StatusCode::kInvalidArgument)
+      << inf.status().ToString();
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "birch/metrics.h"
+#include "center_batch_cases.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -164,11 +165,10 @@ TEST(PortableKernelTest, CenterBatchMatchesScalarLoop) {
   }
   CenterBatch batch;
   batch.Assign(centers);
-  Workspace ws;
   std::vector<double> p(dim);
   for (int trial = 0; trial < 50; ++trial) {
     for (auto& v : p) v = rng.Uniform(-12.0, 12.0);
-    ScanResult r = batch.NearestSq(p, &ws);
+    ScanResult r = batch.NearestSq(p);
     size_t best = 0;
     double best_d = std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < centers.size(); ++c) {
@@ -181,6 +181,7 @@ TEST(PortableKernelTest, CenterBatchMatchesScalarLoop) {
     EXPECT_EQ(r.index, best) << "trial " << trial;
     EXPECT_EQ(r.distance, best_d) << "trial " << trial;
   }
+  center_batch_cases::RunNearestSqCases(31);
 }
 
 }  // namespace

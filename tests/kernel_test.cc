@@ -16,6 +16,7 @@
 #include "birch/global_cluster.h"
 #include "birch/metrics.h"
 #include "birch/refine.h"
+#include "center_batch_cases.h"
 #include "pagestore/memory_tracker.h"
 #include "util/math.h"
 #include "util/random.h"
@@ -327,11 +328,10 @@ TEST(CenterBatchTest, NearestSqMatchesScalarLoop) {
     }
     CenterBatch batch;
     batch.Assign(centers);
-    Workspace ws;
     std::vector<double> p(dim);
     for (int trial = 0; trial < 40; ++trial) {
       for (auto& v : p) v = rng.Uniform(-12.0, 12.0);
-      ScanResult r = batch.NearestSq(p, &ws);
+      ScanResult r = batch.NearestSq(p);
 
       size_t best = 0;
       double best_d = std::numeric_limits<double>::infinity();
@@ -346,6 +346,7 @@ TEST(CenterBatchTest, NearestSqMatchesScalarLoop) {
       EXPECT_EQ(r.distance, best_d) << "dim=" << dim << " trial=" << trial;
     }
   }
+  center_batch_cases::RunNearestSqCases(31);
 }
 
 /// Inserts the same random stream into a kScalar tree and a kBatch

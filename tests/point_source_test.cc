@@ -1,8 +1,15 @@
 // Streaming-source tests: DatasetSource, CsvPointSource and
 // StreamingGenerator must all deliver the right points, rewind
 // correctly, and drive the out-of-core ClusterSource pipeline to the
-// same answer as the in-memory path.
+// same answer as the in-memory path — bit for bit after Phase 4.
+#include <unistd.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +21,13 @@
 
 namespace birch {
 namespace {
+
+/// A temp CSV path unique to this process: the plain and .san builds of
+/// this suite run concurrently under ctest.
+std::string TempCsv(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         std::to_string(::getpid()) + ".csv";
+}
 
 TEST(DatasetSourceTest, StreamsAllRowsAndRewinds) {
   Dataset data(2);
@@ -40,7 +54,7 @@ TEST(DatasetSourceTest, StreamsAllRowsAndRewinds) {
 }
 
 TEST(CsvPointSourceTest, StreamsFileWithHeader) {
-  std::string path = ::testing::TempDir() + "/birch_stream.csv";
+  std::string path = TempCsv("birch_stream");
   {
     std::ofstream f(path);
     f << "x,y\n# comment\n1,2\n\n3,4\n5,6\n";
@@ -65,16 +79,18 @@ TEST(CsvPointSourceTest, StreamsFileWithHeader) {
   count = 0;
   while (source->Next(p, &w)) ++count;
   EXPECT_EQ(count, 3);
+  std::remove(path.c_str());
 }
 
 TEST(CsvPointSourceTest, OpenFailsOnMissingOrEmpty) {
   EXPECT_FALSE(CsvPointSource::Open("/no/such/file.csv").ok());
-  std::string path = ::testing::TempDir() + "/birch_empty.csv";
+  std::string path = TempCsv("birch_empty");
   {
     std::ofstream f(path);
     f << "# nothing here\n";
   }
   EXPECT_FALSE(CsvPointSource::Open(path).ok());
+  std::remove(path.c_str());
 }
 
 TEST(StreamingGeneratorTest, MatchesRequestedCounts) {
@@ -196,6 +212,56 @@ TEST(ClusterSourceTest, OutOfCoreMatchesInMemoryQuality) {
               1e-6);
   // Labels are intentionally absent in the out-of-core path.
   EXPECT_TRUE(stream_result.value().labels.empty());
+}
+
+/// Every double of every CF, as raw bits.
+std::vector<uint64_t> CfBits(const std::vector<CfVector>& cfs) {
+  std::vector<uint64_t> bits;
+  std::vector<double> buf;
+  for (const CfVector& cf : cfs) {
+    buf.clear();
+    cf.SerializeTo(&buf);
+    for (double v : buf) bits.push_back(std::bit_cast<uint64_t>(v));
+  }
+  return bits;
+}
+
+TEST(ClusterSourceTest, StreamingRefineMatchesInMemoryBitwise) {
+  // The streaming Phase 4 (a source re-scan) and the in-memory one
+  // (RefineClusters over the Dataset) share one assignment routine, so
+  // on the same rows they must produce the same cluster CFs.
+  for (size_t dim : {2, 16}) {
+    GeneratorOptions g;
+    g.dim = dim;
+    g.k = 8;
+    g.n_low = g.n_high = 300;
+    g.r_low = g.r_high = 1.0;
+    g.grid_spacing = 10.0;
+    g.seed = 46;
+    auto gen = Generate(g);
+    ASSERT_TRUE(gen.ok());
+    const Dataset& data = gen.value().data;
+    for (int passes : {1, 2}) {
+      for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kBatch}) {
+        BirchOptions b;
+        b.dim = dim;
+        b.k = 8;
+        b.resources.memory_bytes = 24 * 1024;
+        b.refine.passes = passes;
+        b.exec.kernel = kernel;
+        auto in_memory = ClusterDataset(data, b);
+        ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+        DatasetSource source(&data);
+        auto streamed = ClusterSource(&source, b);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        EXPECT_FALSE(streamed.value().clusters.empty());
+        EXPECT_EQ(CfBits(streamed.value().clusters),
+                  CfBits(in_memory.value().clusters))
+            << "dim=" << dim << " passes=" << passes
+            << " kernel=" << KernelName(kernel);
+      }
+    }
+  }
 }
 
 TEST(ClusterSourceTest, NonRewindableSkipsRefinement) {
