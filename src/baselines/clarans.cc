@@ -1,67 +1,8 @@
 #include "baselines/clarans.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <unordered_set>
-
-#include "util/math.h"
-#include "util/random.h"
+#include <vector>
 
 namespace birch {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Cached per-point nearest / second-nearest medoid state.
-struct Assignment {
-  std::vector<int> nearest;        // index into the medoid array
-  std::vector<double> d_nearest;   // distance to it
-  std::vector<double> d_second;    // distance to the runner-up
-  double cost = 0.0;
-
-  void Recompute(const Dataset& data, const std::vector<size_t>& medoids) {
-    const size_t n = data.size();
-    nearest.assign(n, -1);
-    d_nearest.assign(n, kInf);
-    d_second.assign(n, kInf);
-    cost = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      auto row = data.Row(i);
-      for (size_t m = 0; m < medoids.size(); ++m) {
-        double d = Distance(row, data.Row(medoids[m]));
-        if (d < d_nearest[i]) {
-          d_second[i] = d_nearest[i];
-          d_nearest[i] = d;
-          nearest[i] = static_cast<int>(m);
-        } else if (d < d_second[i]) {
-          d_second[i] = d;
-        }
-      }
-      cost += d_nearest[i];
-    }
-  }
-};
-
-/// PAM swap delta: replace medoid slot `m` with candidate row `x`.
-double SwapDelta(const Dataset& data, const Assignment& a, int m, size_t x) {
-  double delta = 0.0;
-  auto xrow = data.Row(x);
-  for (size_t i = 0; i < data.size(); ++i) {
-    double dxi = Distance(data.Row(i), xrow);
-    if (a.nearest[i] == m) {
-      // Point loses its medoid: goes to the candidate or its runner-up.
-      delta += std::min(dxi, a.d_second[i]) - a.d_nearest[i];
-    } else if (dxi < a.d_nearest[i]) {
-      // Candidate undercuts the current nearest.
-      delta += dxi - a.d_nearest[i];
-    }
-  }
-  return delta;
-}
-
-}  // namespace
 
 StatusOr<ClaransResult> Clarans(const Dataset& data,
                                 const ClaransOptions& options) {
@@ -73,66 +14,23 @@ StatusOr<ClaransResult> Clarans(const Dataset& data,
   if (options.numlocal <= 0) {
     return Status::InvalidArgument("numlocal must be > 0");
   }
-  const size_t k = static_cast<size_t>(options.k);
-  int64_t maxneighbor = options.maxneighbor;
-  if (maxneighbor <= 0) {
-    maxneighbor = std::max<int64_t>(
-        static_cast<int64_t>(0.0125 * static_cast<double>(k) *
-                             static_cast<double>(n - k)),
-        250);
-  }
-
-  Rng rng(options.seed);
-  ClaransResult best;
-  best.cost = kInf;
-
-  for (int local = 0; local < options.numlocal; ++local) {
-    // Random initial medoid set.
-    std::unordered_set<size_t> chosen;
-    std::vector<size_t> medoids;
-    while (medoids.size() < k) {
-      size_t x = rng.UniformInt(n);
-      if (chosen.insert(x).second) medoids.push_back(x);
-    }
-    std::vector<bool> is_medoid(n, false);
-    for (size_t m : medoids) is_medoid[m] = true;
-
-    Assignment assign;
-    assign.Recompute(data, medoids);
-
-    int64_t tried = 0;
-    while (tried < maxneighbor) {
-      // Random neighbour: swap a random medoid slot with a random
-      // non-medoid point.
-      int m = static_cast<int>(rng.UniformInt(k));
-      size_t x = rng.UniformInt(n);
-      if (is_medoid[x]) continue;  // not a neighbour; redraw
-      ++tried;
-      ++best.neighbors_evaluated;
-      double delta = SwapDelta(data, assign, m, x);
-      if (delta < -1e-12) {
-        is_medoid[medoids[static_cast<size_t>(m)]] = false;
-        medoids[static_cast<size_t>(m)] = x;
-        is_medoid[x] = true;
-        assign.Recompute(data, medoids);
-        ++best.swaps_accepted;
-        tried = 0;  // restart the neighbour count from the new node
-      }
-    }
-
-    if (assign.cost < best.cost) {
-      best.cost = assign.cost;
-      best.medoids = medoids;
-      best.labels = assign.nearest;
-    }
-  }
-
-  best.clusters.assign(k, CfVector(data.dim()));
+  MedoidSearchOptions search;
+  search.k = static_cast<size_t>(options.k);
+  search.numlocal = options.numlocal;
+  search.maxneighbor = options.maxneighbor;
+  search.seed = options.seed;
+  // The search counts every row once, whatever its weight; the cluster
+  // CFs below carry the weights.
+  const std::vector<double> unit(n, 1.0);
+  ClaransResult result;
+  static_cast<MedoidSearchResult&>(result) =
+      ClaransSearch(data.Values(), data.dim(), unit, search);
+  result.clusters.assign(search.k, CfVector(data.dim()));
   for (size_t i = 0; i < n; ++i) {
-    best.clusters[static_cast<size_t>(best.labels[i])].AddPoint(
+    result.clusters[static_cast<size_t>(result.labels[i])].AddPoint(
         data.Row(i), data.Weight(i));
   }
-  return best;
+  return result;
 }
 
 }  // namespace birch

@@ -9,7 +9,8 @@
 //
 // Swap costs are evaluated incrementally (O(N) per neighbour) using
 // cached nearest / second-nearest medoid distances, the standard PAM
-// delta formula.
+// delta formula. The search is ClaransSearch (birch/global_cluster.h),
+// which Phase 3's kMedoids runs too; here every row counts once.
 #ifndef BIRCH_BASELINES_CLARANS_H_
 #define BIRCH_BASELINES_CLARANS_H_
 
@@ -18,6 +19,7 @@
 
 #include "birch/cf_vector.h"
 #include "birch/dataset.h"
+#include "birch/global_cluster.h"
 #include "util/status.h"
 
 namespace birch {
@@ -30,17 +32,12 @@ struct ClaransOptions {
   uint64_t seed = 42;
 };
 
-struct ClaransResult {
-  /// Row indices of the K medoids.
-  std::vector<size_t> medoids;
-  /// Per-point index of the nearest medoid (cluster label).
-  std::vector<int> labels;
-  /// Exact CFs of the K clusters.
+/// The search's medoids, per-point labels (index of the nearest
+/// medoid), cost (total distance of points to their medoid) and
+/// counters, plus the clusters' CFs.
+struct ClaransResult : MedoidSearchResult {
+  /// Exact CFs of the K clusters, with the points' weights.
   std::vector<CfVector> clusters;
-  /// Total distance of points to their medoid (the CLARANS objective).
-  double cost = 0.0;
-  uint64_t neighbors_evaluated = 0;
-  uint64_t swaps_accepted = 0;
 };
 
 /// Runs CLARANS on `data`. Fails on k <= 0 or k >= data.size().

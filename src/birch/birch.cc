@@ -85,13 +85,77 @@ IngestCadence CadenceFrom(const BirchOptions& o, uint64_t position) {
                        o.serving.publish_every_n, position);
 }
 
+/// Streamed Phase 4: re-scans `source`, already rewound, once per pass
+/// in O(k) memory, moving `centers` to the centroids of the points
+/// they drew. Keeping no labels, it stops when the centers stop moving
+/// rather than when no label changes. Returns the last pass's cluster
+/// CFs, empty ones included.
+StatusOr<std::vector<CfVector>> StreamingRefine(
+    PointSource* source, const BirchOptions& opts,
+    std::vector<std::vector<double>> centers) {
+  // One buffered tile of source rows per Assign call.
+  const size_t tile = SeedAssigner::kBlockRows;
+  std::vector<double> rows(tile * opts.dim);
+  std::vector<double> weights(tile);
+  std::vector<int> labels(tile);
+  std::vector<CfVector> sums;
+  for (int pass = 0; pass < opts.refine.passes; ++pass) {
+    if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
+    const SeedAssigner assigner(centers, opts.refine.outlier_distance,
+                                opts.exec.kernel);
+    sums.assign(centers.size(),
+                CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
+    size_t n = tile;
+    while (n == tile) {
+      n = 0;
+      while (n < tile &&
+             source->Next(std::span<double>(rows).subspan(n * opts.dim,
+                                                          opts.dim),
+                          &weights[n])) {
+        ++n;
+      }
+      assigner.Assign(std::span<const double>(rows).first(n * opts.dim), n,
+                      std::span<const double>(weights).first(n),
+                      labels.data(), &sums);
+    }
+    double moved = 0.0;
+    for (size_t c = 0; c < centers.size(); ++c) {
+      if (sums[c].empty()) continue;
+      std::vector<double> next = sums[c].Centroid();
+      moved += SquaredDistance(centers[c], next);
+      centers[c] = std::move(next);
+    }
+    if (moved < 1e-18) break;
+  }
+  return sums;
+}
+
+/// Drops the clusters Phase 4 left empty and renumbers `labels` (empty
+/// for a streamed Phase 4) to match.
+void DropEmptyClusters(std::vector<CfVector>* clusters,
+                       std::vector<int>* labels) {
+  std::vector<int> remap(clusters->size(), -1);
+  std::vector<CfVector> kept;
+  for (size_t c = 0; c < clusters->size(); ++c) {
+    if ((*clusters)[c].empty()) continue;
+    remap[c] = static_cast<int>(kept.size());
+    kept.push_back(std::move((*clusters)[c]));
+  }
+  *clusters = std::move(kept);
+  for (int& l : *labels) {
+    if (l >= 0) l = remap[static_cast<size_t>(l)];
+  }
+}
+
 /// Phases 2-4 plus result bookkeeping, shared by the serial and the
-/// sharded pipelines. `pool` is nullptr for the serial path, which
-/// keeps every loop bit-for-bit identical to the serial-only
-/// implementation.
+/// sharded pipelines. Phase 4 refines against `for_refinement`, or,
+/// when that is null, re-scans `rescan` if it can rewind. `pool` is
+/// nullptr for the serial path, which keeps every loop bit-for-bit
+/// identical to the serial-only implementation.
 StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
                                    const Phase1Outcome& p1,
                                    const Dataset* for_refinement,
+                                   PointSource* rescan,
                                    exec::ThreadPool* pool,
                                    const obs::MetricsSnapshot& baseline) {
   BirchResult result;
@@ -110,12 +174,11 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
       tree->leaf_entry_count() > options.global_phase.phase2_target_entries) {
     Phase2Options p2;
     p2.target_leaf_entries = options.global_phase.phase2_target_entries;
-    if (options.outliers.handling && tree->leaf_entry_count() > 0) {
+    if (options.outliers.handling) {
       // Phase 2 "removes more outliers" (paper Sec. 5): entries far
       // below the average density are shed while condensing.
-      double avg = tree->TreeSummary().n() /
-                   static_cast<double>(tree->leaf_entry_count());
-      p2.outlier_weight_threshold = options.outliers.fraction * avg;
+      p2.outlier_weight_threshold =
+          OutlierWeightThreshold(*tree, options.outliers.fraction);
     }
     BIRCH_RETURN_IF_ERROR(
         CondenseTree(tree, p2, &shed_outliers, &result.phase2));
@@ -162,26 +225,19 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
     r.kernel = options.exec.kernel;
     auto refined_or = RefineClusters(*for_refinement, result.clusters, r);
     if (!refined_or.ok()) return refined_or.status();
-    RefineResult& refined = refined_or.value();
+    result.labels = std::move(refined_or.value().labels);
+    // refine.passes == 0: labels only, clusters stay Phase-3.
     if (options.refine.passes > 0) {
-      // Keep the refined clusters (drop any that ended empty).
-      result.labels = std::move(refined.labels);
-      std::vector<int> remap(refined.clusters.size(), -1);
-      std::vector<CfVector> kept;
-      for (size_t c = 0; c < refined.clusters.size(); ++c) {
-        if (!refined.clusters[c].empty()) {
-          remap[c] = static_cast<int>(kept.size());
-          kept.push_back(refined.clusters[c]);
-        }
-      }
-      for (auto& l : result.labels) {
-        if (l >= 0) l = remap[static_cast<size_t>(l)];
-      }
-      result.clusters = std::move(kept);
-    } else {
-      // refinement_passes == 0: labels only, clusters stay Phase-3.
-      result.labels = std::move(refined.labels);
+      result.clusters = std::move(refined_or.value().clusters);
+      DropEmptyClusters(&result.clusters, &result.labels);
     }
+  } else if (rescan != nullptr && options.refine.passes > 0 &&
+             rescan->Rewind().ok()) {
+    auto refined_or =
+        StreamingRefine(rescan, options, clustering.Centroids());
+    if (!refined_or.ok()) return refined_or.status();
+    result.clusters = std::move(refined_or).ValueOrDie();
+    DropEmptyClusters(&result.clusters, &result.labels);
   }
   result.timings.phase4 = timer.Seconds();
   phase4_span.End();
@@ -218,65 +274,6 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
   tree->ExportOccupancy();
   result.metrics = obs::CaptureSnapshot().DeltaSince(baseline);
   return result;
-}
-
-/// Streaming Phase 4: re-scan the source per pass in O(k) memory.
-/// Refines `result` in place; no-op if the source cannot rewind.
-Status StreamingRefine(PointSource* source, const BirchOptions& opts,
-                       BirchResult* result) {
-  if (opts.refine.passes <= 0 || !source->Rewind().ok()) {
-    return Status::OK();
-  }
-  TRACE_SPAN("birch/phase4");
-  Timer timer;
-  std::vector<std::vector<double>> centers = result->centroids;
-  // One buffered tile of source rows per Assign call.
-  const size_t tile = SeedAssigner::kBlockRows;
-  std::vector<double> rows(tile * opts.dim);
-  std::vector<double> weights(tile);
-  std::vector<int> labels(tile);
-  for (int pass = 0; pass < opts.refine.passes; ++pass) {
-    if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
-    const SeedAssigner assigner(centers, opts.refine.outlier_distance,
-                                opts.exec.kernel);
-    std::vector<CfVector> sums(
-        centers.size(),
-        CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
-    size_t n = tile;
-    while (n == tile) {
-      n = 0;
-      while (n < tile &&
-             source->Next(std::span<double>(rows).subspan(n * opts.dim,
-                                                          opts.dim),
-                          &weights[n])) {
-        ++n;
-      }
-      assigner.Assign(std::span<const double>(rows).first(n * opts.dim), n,
-                      std::span<const double>(weights).first(n),
-                      labels.data(), &sums);
-    }
-    double moved = 0.0;
-    for (size_t c = 0; c < centers.size(); ++c) {
-      if (sums[c].empty()) continue;
-      std::vector<double> next = sums[c].Centroid();
-      moved += SquaredDistance(centers[c], next);
-      centers[c] = std::move(next);
-    }
-    result->clusters = std::move(sums);
-    if (moved < 1e-18) break;
-  }
-  // Drop empty clusters, refresh centroids.
-  std::vector<CfVector> kept;
-  for (auto& c : result->clusters) {
-    if (!c.empty()) kept.push_back(std::move(c));
-  }
-  result->clusters = std::move(kept);
-  result->centroids.clear();
-  for (const auto& c : result->clusters) {
-    result->centroids.push_back(c.Centroid());
-  }
-  result->timings.phase4 = timer.Seconds();
-  return Status::OK();
 }
 
 }  // namespace
@@ -603,6 +600,11 @@ StatusOr<BirchResult> BirchClusterer::Snapshot(int k) const {
 }
 
 StatusOr<BirchResult> BirchClusterer::Finish(const Dataset* for_refinement) {
+  return FinishSerial(for_refinement, /*rescan=*/nullptr);
+}
+
+StatusOr<BirchResult> BirchClusterer::FinishSerial(
+    const Dataset* for_refinement, PointSource* rescan) {
   if (finished_) return Status::FailedPrecondition("Finish() called twice");
   finished_ = true;
 
@@ -621,11 +623,12 @@ StatusOr<BirchResult> BirchClusterer::Finish(const Dataset* for_refinement) {
   if (options_.exec.num_threads > 0) {
     pool = std::make_unique<exec::ThreadPool>(options_.exec.num_threads);
   }
-  return FinishRun(p1, for_refinement, pool.get());
+  return FinishRun(p1, for_refinement, rescan, pool.get());
 }
 
 StatusOr<BirchResult> BirchClusterer::FinishRun(Phase1Outcome p1,
                                                 const Dataset* for_refinement,
+                                                PointSource* rescan,
                                                 exec::ThreadPool* pool) {
   // Phase 1 started when the clusterer was built: the ingest stream is
   // the phase, not just its tail.
@@ -639,8 +642,8 @@ StatusOr<BirchResult> BirchClusterer::FinishRun(Phase1Outcome p1,
   if (server_ != nullptr && tree().leaf_entry_count() > 0) {
     BIRCH_RETURN_IF_ERROR(PublishSnapshot());
   }
-  auto result_or =
-      RunPhases234(options_, p1, for_refinement, pool, metrics_baseline_);
+  auto result_or = RunPhases234(options_, p1, for_refinement, rescan, pool,
+                                metrics_baseline_);
   if (sampler_ != nullptr) {
     sampler_->Stop();  // final sample covers the finished run
     if (result_or.ok()) result_or.value().timeseries = sampler_->Snapshot();
@@ -656,6 +659,8 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
   if (source->dim() != options_.dim) {
     return Status::InvalidArgument("source dimension mismatch");
   }
+  // Without a dataset, Phase 4 re-scans the source itself.
+  PointSource* rescan = for_refinement == nullptr ? source : nullptr;
   if (options_.exec.num_threads <= 0) {
     // Serial: the streaming path, point by point. A restored clusterer
     // skips what the checkpointed run already consumed.
@@ -674,7 +679,7 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
       resume_skip_points_ = 0;
     }
     BIRCH_RETURN_IF_ERROR(AddSource(source));
-    return Finish(for_refinement);
+    return FinishSerial(for_refinement, rescan);
   }
 
   // Sharded: N private trees merged by CF additivity, then the
@@ -712,7 +717,7 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
   p1.mem = sharded_->mem.get();
   p1.shard_peak_bytes = sharded_->peak_memory_bytes;
   p1.disk = sharded_->disk;
-  return FinishRun(p1, for_refinement, &pool);
+  return FinishRun(p1, for_refinement, rescan, &pool);
 }
 
 StatusOr<BirchResult> ClusterSource(PointSource* source,
@@ -723,11 +728,7 @@ StatusOr<BirchResult> ClusterSource(PointSource* source,
 
   auto clusterer_or = BirchClusterer::Create(opts);
   if (!clusterer_or.ok()) return clusterer_or.status();
-  auto result_or = clusterer_or.value()->Cluster(source, nullptr);
-  if (!result_or.ok()) return result_or.status();
-  BirchResult result = std::move(result_or).ValueOrDie();
-  BIRCH_RETURN_IF_ERROR(StreamingRefine(source, opts, &result));
-  return result;
+  return clusterer_or.value()->Cluster(source);
 }
 
 StatusOr<BirchResult> ClusterDataset(const Dataset& data,

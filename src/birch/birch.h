@@ -135,14 +135,19 @@ class BirchClusterer {
 
   /// Runs Phases 2-4. If `for_refinement` is non-null, Phase 4
   /// labels/refines against it (it should be the full data seen so
-  /// far). Consumes the builder: Add() afterwards fails, but tree()
+  /// far); without it there is no Phase 4, since the clusterer holds no
+  /// raw data. Consumes the builder: Add() afterwards fails, but tree()
   /// and phase1_stats() remain valid for inspection.
   StatusOr<BirchResult> Finish(const Dataset* for_refinement = nullptr);
 
   /// Whole-pipeline convenience: drains `source` through Phase 1
   /// (sharded across options.exec.num_threads trees when > 0, the
-  /// streaming serial path otherwise), then runs Phases 2-4 exactly
-  /// like Finish(). Consumes the builder the same way.
+  /// streaming serial path otherwise), then runs Phases 2-4 like
+  /// Finish(). Phase 4 refines against `for_refinement` when given;
+  /// otherwise, when options.refine.passes > 0 and the source rewinds,
+  /// it re-scans the source pass by pass in O(k) memory, leaving
+  /// labels empty. A restored clusterer refines the same way.
+  /// Consumes the builder the same way as Finish().
   StatusOr<BirchResult> Cluster(PointSource* source,
                                 const Dataset* for_refinement = nullptr);
 
@@ -214,11 +219,17 @@ class BirchClusterer {
       CadenceDue due, uint64_t position, const std::string& checkpoint_path,
       std::span<const std::unique_ptr<Phase1Builder>> shards = {});
 
-  /// The tail Finish() and a sharded Cluster() share: closes Phase 1,
-  /// publishes the final epoch, runs Phases 2-4 on `pool` (null =
-  /// serial) and stops the sampler.
+  /// Finish(), with `rescan` for Phase 4 (see FinishRun()).
+  StatusOr<BirchResult> FinishSerial(const Dataset* for_refinement,
+                                     PointSource* rescan);
+
+  /// The tail every entry point shares: closes Phase 1, publishes the
+  /// final epoch, runs Phases 2-4 on `pool` (null = serial) and stops
+  /// the sampler. Phase 4 refines against `for_refinement`, or, when
+  /// that is null, re-scans `rescan` if it rewinds.
   StatusOr<BirchResult> FinishRun(Phase1Outcome p1,
                                   const Dataset* for_refinement,
+                                  PointSource* rescan,
                                   exec::ThreadPool* pool);
 
   BirchOptions options_;
@@ -273,13 +284,13 @@ class BirchClusterer {
 StatusOr<BirchResult> ClusterDataset(const Dataset& data,
                                      const BirchOptions& options);
 
-/// One-call out-of-core API: cluster a stream without materializing
-/// it. Phase 4 runs only when the source is rewindable AND
-/// options.refine.passes > 0; with a rewindable source the
-/// refinement re-scans it pass by pass in O(1) extra memory, so
-/// BirchResult.labels stays empty either way (a labels vector for N
-/// points would defeat the purpose — use result.centroids to label
-/// downstream, or LabelPoints on manageable slices).
+/// One-call out-of-core API: Create() + Cluster(source), clustering a
+/// stream without materializing it. Phase 4 runs only when the source
+/// is rewindable AND options.refine.passes > 0, re-scanning it pass by
+/// pass in O(k) extra memory, so BirchResult.labels stays empty either
+/// way (a labels vector for N points would defeat the purpose — use
+/// result.centroids to label downstream, or LabelPoints on manageable
+/// slices).
 StatusOr<BirchResult> ClusterSource(PointSource* source,
                                     const BirchOptions& options);
 

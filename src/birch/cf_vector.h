@@ -120,8 +120,9 @@ class CfVector {
   /// constructed default-classic merge correctly into either world).
   void Add(const CfVector& other);
 
-  /// Remove a CF previously added (used by merging refinement and
-  /// Phase 4 re-assignment). Caller guarantees `other` is a subset.
+  /// Remove a CF previously added. No pipeline step calls it; the CF
+  /// algebra property tests pin it. Caller guarantees `other` is a
+  /// subset.
   void Subtract(const CfVector& other);
 
   /// Accumulate a single weighted point.

@@ -344,72 +344,92 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
   return result;
 }
 
-/// CLARANS-style randomized medoid search adapted to weighted CFs: the
-/// objective is sum_i n_i * ||c_i - c_medoid(i)||, evaluated on entry
-/// centroids. Being weight-aware, a heavy subcluster pulls medoids the
-/// way its raw points would.
+/// Phase 3's medoid search: CLARANS over the entry centroids, each
+/// weighted by its N, so a heavy subcluster pulls medoids the way its
+/// raw points would.
 GlobalClustering MedoidsCluster(std::span<const CfVector> entries,
                                 const GlobalClusterOptions& options, int k) {
   const size_t m = entries.size();
+  const size_t dim = entries[0].dim();
   const size_t uk = static_cast<size_t>(k);
-  Rng rng(options.seed);
-
+  GlobalClustering result;
   if (uk >= m) {
     // Every entry is its own medoid; nothing to search.
-    GlobalClustering identity;
-    identity.assignment.resize(m);
-    identity.clusters.assign(m, CfVector(entries[0].dim()));
+    result.assignment.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      identity.assignment[i] = static_cast<int>(i);
-      identity.clusters[i] = entries[i];
+      result.assignment[i] = static_cast<int>(i);
+      result.clusters.push_back(entries[i]);
     }
-    return identity;
+    return result;
   }
 
-  std::vector<std::vector<double>> cents(m);
+  std::vector<double> rows;
+  rows.reserve(m * dim);
   std::vector<double> weights(m);
   for (size_t i = 0; i < m; ++i) {
-    cents[i] = entries[i].Centroid();
+    const std::vector<double> c = entries[i].Centroid();
+    rows.insert(rows.end(), c.begin(), c.end());
     weights[i] = entries[i].n();
   }
-  auto dist = [&](size_t a, size_t b) {
-    return Distance(std::span<const double>(cents[a]),
-                    std::span<const double>(cents[b]));
-  };
+  MedoidSearchOptions search;
+  search.k = uk;
+  search.numlocal = std::max(1, options.medoid_numlocal);
+  search.maxneighbor = options.medoid_maxneighbor;
+  search.seed = options.seed;
+  result.assignment = ClaransSearch(rows, dim, weights, search).labels;
+  result.clusters.assign(uk, CfVector(dim));
+  for (size_t i = 0; i < m; ++i) {
+    result.clusters[static_cast<size_t>(result.assignment[i])].Add(
+        entries[i]);
+  }
+  return result;
+}
 
-  int64_t maxneighbor = options.medoid_maxneighbor;
+}  // namespace
+
+MedoidSearchResult ClaransSearch(std::span<const double> rows, size_t dim,
+                                 std::span<const double> weights,
+                                 const MedoidSearchOptions& options) {
+  const size_t n = weights.size();
+  const size_t k = options.k;
+  auto dist = [&](size_t a, size_t b) {
+    return Distance(rows.subspan(a * dim, dim), rows.subspan(b * dim, dim));
+  };
+  int64_t maxneighbor = options.maxneighbor;
   if (maxneighbor <= 0) {
     maxneighbor = std::max<int64_t>(
-        static_cast<int64_t>(0.0125 * static_cast<double>(uk) *
-                             static_cast<double>(m - uk)),
+        static_cast<int64_t>(0.0125 * static_cast<double>(k) *
+                             static_cast<double>(n - k)),
         250);
   }
 
-  std::vector<size_t> best_medoids;
-  std::vector<int> best_assign;
-  double best_cost = kInf;
-
-  for (int local = 0; local < std::max(1, options.medoid_numlocal);
-       ++local) {
-    // Random distinct medoid set.
+  Rng rng(options.seed);
+  MedoidSearchResult best;
+  best.cost = kInf;
+  // Per row: its nearest medoid slot and the distances to the nearest
+  // and the runner-up medoid.
+  std::vector<int> nearest(n);
+  std::vector<double> d1(n);
+  std::vector<double> d2(n);
+  for (int local = 0; local < options.numlocal; ++local) {
+    // Random distinct initial medoid set.
     std::vector<size_t> medoids;
-    std::vector<bool> is_medoid(m, false);
-    while (medoids.size() < uk) {
-      size_t x = rng.UniformInt(m);
+    std::vector<bool> is_medoid(n, false);
+    while (medoids.size() < k) {
+      const size_t x = rng.UniformInt(n);
       if (!is_medoid[x]) {
         is_medoid[x] = true;
         medoids.push_back(x);
       }
     }
-    std::vector<int> nearest(m);
-    std::vector<double> d1(m), d2(m);
     double cost = 0.0;
-    auto recompute = [&]() {
+    auto recompute = [&] {
       cost = 0.0;
-      for (size_t i = 0; i < m; ++i) {
+      for (size_t i = 0; i < n; ++i) {
+        nearest[i] = -1;
         d1[i] = d2[i] = kInf;
-        for (size_t s = 0; s < uk; ++s) {
-          double d = dist(i, medoids[s]);
+        for (size_t s = 0; s < k; ++s) {
+          const double d = dist(i, medoids[s]);
           if (d < d1[i]) {
             d2[i] = d1[i];
             d1[i] = d;
@@ -425,45 +445,42 @@ GlobalClustering MedoidsCluster(std::span<const CfVector> entries,
 
     int64_t tried = 0;
     while (tried < maxneighbor) {
-      size_t slot = rng.UniformInt(uk);
-      size_t x = rng.UniformInt(m);
-      if (is_medoid[x]) continue;
+      // Random neighbour: swap a random medoid slot with a random
+      // non-medoid row.
+      const int slot = static_cast<int>(rng.UniformInt(k));
+      const size_t x = rng.UniformInt(n);
+      if (is_medoid[x]) continue;  // not a neighbour; redraw
       ++tried;
+      ++best.neighbors_evaluated;
       double delta = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        double dxi = dist(i, x);
-        if (nearest[i] == static_cast<int>(slot)) {
+      for (size_t i = 0; i < n; ++i) {
+        const double dxi = dist(i, x);
+        if (nearest[i] == slot) {
+          // Row i loses its medoid: it goes to x or its runner-up.
           delta += weights[i] * (std::min(dxi, d2[i]) - d1[i]);
         } else if (dxi < d1[i]) {
+          // x undercuts the current nearest.
           delta += weights[i] * (dxi - d1[i]);
         }
       }
       if (delta < -1e-12) {
-        is_medoid[medoids[slot]] = false;
-        medoids[slot] = x;
+        const size_t s = static_cast<size_t>(slot);
+        is_medoid[medoids[s]] = false;
+        medoids[s] = x;
         is_medoid[x] = true;
         recompute();
-        tried = 0;
+        ++best.swaps_accepted;
+        tried = 0;  // restart the neighbour count from the new set
       }
     }
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_medoids = medoids;
-      best_assign = nearest;
+    if (cost < best.cost) {
+      best.cost = cost;
+      best.medoids = medoids;
+      best.labels = nearest;
     }
   }
-
-  GlobalClustering result;
-  result.assignment = std::move(best_assign);
-  result.clusters.assign(uk, CfVector(entries[0].dim()));
-  for (size_t i = 0; i < m; ++i) {
-    result.clusters[static_cast<size_t>(result.assignment[i])].Add(
-        entries[i]);
-  }
-  return result;
+  return best;
 }
-
-}  // namespace
 
 StatusOr<GlobalClustering> GlobalCluster(
     std::span<const CfVector> entries, const GlobalClusterOptions& options) {

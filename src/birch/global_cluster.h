@@ -25,7 +25,7 @@ class ThreadPool;
 enum class GlobalAlgorithm {
   kHierarchical = 0,  // paper default: adapted agglomerative HC
   kKMeans,            // CF-weighted Lloyd with k-means++ seeding
-  kMedoids,           // CLARANS-style randomized medoid search over CFs
+  kMedoids,           // CLARANS over the CF centroids, weighted by N
 };
 
 struct GlobalClusterOptions {
@@ -66,6 +66,42 @@ struct GlobalClustering {
   /// Convenience: centroids of `clusters`.
   std::vector<std::vector<double>> Centroids() const;
 };
+
+struct MedoidSearchOptions {
+  /// Number of medoids; 0 < k < number of rows.
+  size_t k = 0;
+  /// Random starts (> 0).
+  int numlocal = 2;
+  /// Neighbours tried per medoid set before it counts as a local
+  /// minimum; <= 0 uses max(0.0125 * k * (n - k), 250).
+  int64_t maxneighbor = 0;
+  uint64_t seed = 42;
+};
+
+struct MedoidSearchResult {
+  /// Row indices of the k medoids.
+  std::vector<size_t> medoids;
+  /// Per row, the index into `medoids` of its nearest medoid.
+  std::vector<int> labels;
+  /// sum_i w_i * ||x_i - medoid(i)|| at `medoids`.
+  double cost = 0.0;
+  uint64_t neighbors_evaluated = 0;
+  uint64_t swaps_accepted = 0;
+};
+
+/// CLARANS (Ng & Han, VLDB 1994): the paper's comparator (Sec. 6.7) and
+/// Phase 3's medoid search (kMedoids). From each of `numlocal` random
+/// medoid sets it tries random single-medoid swaps, moves to the first
+/// one that lowers the cost (the PAM swap delta over cached nearest /
+/// second-nearest medoid distances, O(n) per neighbour), and stops at a
+/// set where `maxneighbor` tries in a row found none; the cheapest
+/// local minimum wins. Runs over n = weights.size() rows of `dim`
+/// values packed row-major in `rows`; row i counts weights[i] times in
+/// the cost. Phase 3 passes entry centroids weighted by N, the CLARANS
+/// baseline raw rows with unit weights.
+MedoidSearchResult ClaransSearch(std::span<const double> rows, size_t dim,
+                                 std::span<const double> weights,
+                                 const MedoidSearchOptions& options);
 
 /// Clusters the given subcluster CFs. Fails on empty input, k < 0,
 /// k > #inputs, or an oversized hierarchical input.

@@ -32,11 +32,73 @@ Phase1Builder::Phase1Builder(const Phase1Options& options)
   robust_.outlier_disk_disabled = !disk_enabled_;
 }
 
-double Phase1Builder::OutlierWeightThreshold() const {
-  size_t entries = tree_->leaf_entry_count();
+Phase1Stats& Phase1Stats::operator+=(const Phase1Stats& other) {
+  points_added += other.points_added;
+  rebuilds += other.rebuilds;
+  outlier_entries_spilled += other.outlier_entries_spilled;
+  outlier_entries_reabsorbed += other.outlier_entries_reabsorbed;
+  points_delay_spilled += other.points_delay_spilled;
+  reabsorb_cycles += other.reabsorb_cycles;
+  forced_inserts += other.forced_inserts;
+  return *this;
+}
+
+RobustnessStats& RobustnessStats::operator+=(const RobustnessStats& other) {
+  transient_io_errors += other.transient_io_errors;
+  io_retries += other.io_retries;
+  simulated_backoff_us += other.simulated_backoff_us;
+  checksum_failures += other.checksum_failures;
+  pages_lost += other.pages_lost;
+  records_lost += other.records_lost;
+  degradation_events += other.degradation_events;
+  fallback_absorbed += other.fallback_absorbed;
+  fallback_dropped += other.fallback_dropped;
+  outlier_disk_disabled |= other.outlier_disk_disabled;
+  return *this;
+}
+
+double OutlierWeightThreshold(const CfTree& tree, double fraction) {
+  const size_t entries = tree.leaf_entry_count();
   if (entries == 0) return 0.0;
-  double avg = tree_->TreeSummary().n() / static_cast<double>(entries);
-  return options_.outlier_fraction * avg;
+  const double avg = tree.TreeSummary().n() / static_cast<double>(entries);
+  return fraction * avg;
+}
+
+bool ReabsorbEntry(CfTree* tree, const CfVector& e, Phase1Stats* stats) {
+  if (tree->InsertEntry(e, InsertMode::kAbsorbOnly) ==
+      InsertOutcome::kRejected) {
+    return false;
+  }
+  ++stats->outlier_entries_reabsorbed;
+  OBS_COUNTER_INC("phase1/outliers_reabsorbed");
+  return true;
+}
+
+Status RebuildToFit(
+    CfTree* tree, ThresholdHeuristic* heuristic, const Phase1Options& options,
+    Phase1Stats* stats,
+    const std::function<Status(std::vector<CfVector>&)>& shed) {
+  int guard = 0;
+  do {
+    const double t_next = heuristic->SuggestNext(*tree, stats->points_added);
+    const double outlier_n =
+        options.outlier_handling
+            ? OutlierWeightThreshold(*tree, options.outlier_fraction)
+            : 0.0;
+    std::vector<CfVector> outliers;
+    tree->Rebuild(t_next, outlier_n, &outliers);
+    ++stats->rebuilds;
+    stats->final_threshold = t_next;
+    OBS_COUNTER_INC("phase1/rebuilds");
+    BIRCH_RETURN_IF_ERROR(shed(outliers));
+    // One rebuild normally recovers the budget; a pathological
+    // distribution may need another round with a larger threshold.
+  } while (tree->over_budget() && ++guard < 16);
+  if (tree->over_budget()) {
+    return Status::OutOfMemory(
+        "memory budget unattainable after repeated rebuilds");
+  }
+  return Status::OK();
 }
 
 RobustnessStats Phase1Builder::robustness() const {
@@ -160,18 +222,6 @@ StatusOr<std::unique_ptr<Phase1Builder>> Phase1Builder::Thaw(
   return b;
 }
 
-void Phase1Builder::NoteDrainLoss(const DrainReport& report) {
-  if (report.records_lost == 0) return;
-  // The device demonstrably ate data: one degradation event per lossy
-  // drain (the per-record accounting lives in the spill stats).
-  ++robust_.degradation_events;
-  if (disk_enabled_ && report.pages_lost == report.pages_total) {
-    // Every page came back unreadable — stop trusting the device.
-    disk_enabled_ = false;
-    robust_.outlier_disk_disabled = true;
-  }
-}
-
 void Phase1Builder::FallbackOutlierEntry(const CfVector& e) {
   // No disk to park the entry on: absorb it at the current threshold if
   // it fits an existing entry, otherwise call it an outlier now. The
@@ -186,6 +236,55 @@ void Phase1Builder::FallbackOutlierEntry(const CfVector& e) {
   ++robust_.fallback_dropped;
 }
 
+StatusOr<Phase1Builder::SpillOutcome> Phase1Builder::Spill(
+    SpillFile* file, const CfVector& e) {
+  std::vector<double> buf;
+  e.SerializeTo(&buf);
+  Status st = file->Append(buf);
+  if (st.ok()) return SpillOutcome::kStored;
+  if (st.code() == StatusCode::kOutOfDisk) return SpillOutcome::kFull;
+  if (st.code() != StatusCode::kIOError &&
+      st.code() != StatusCode::kDataLoss) {
+    return st;
+  }
+  // The spill layer could not recover (transient budget exhausted, or
+  // data demonstrably gone): the disk is broken, not merely full.
+  // Retire it, salvaging both spill files into the tree.
+  BIRCH_RETURN_IF_ERROR(DegradeOutlierDisk());
+  return SpillOutcome::kBroken;
+}
+
+Status Phase1Builder::Drain(SpillFile* file, bool note_loss,
+                            const std::function<Status(CfVector)>& each) {
+  std::vector<double> drained;
+  DrainReport rep;
+  BIRCH_RETURN_IF_ERROR(file->DrainAll(&drained, &rep));
+  if (note_loss && rep.records_lost > 0) {
+    // The device demonstrably ate data: one degradation event per lossy
+    // drain (the per-record accounting lives in the spill stats).
+    ++robust_.degradation_events;
+    if (disk_enabled_ && rep.pages_lost == rep.pages_total) {
+      // Every page came back unreadable — stop trusting the device.
+      disk_enabled_ = false;
+      robust_.outlier_disk_disabled = true;
+    }
+  }
+  const size_t rec = CfVector::SerializedDoubles(options_.tree.dim);
+  for (size_t off = 0; off + rec <= drained.size(); off += rec) {
+    BIRCH_RETURN_IF_ERROR(each(CfVector::Deserialize(
+        std::span<const double>(drained.data() + off, rec),
+        options_.tree.dim, options_.tree.cf, options_.tree.cf_storage)));
+  }
+  return Status::OK();
+}
+
+Status Phase1Builder::ReplayDelayedPoints(bool note_loss) {
+  return Drain(&delayed_points_, note_loss, [this](CfVector e) {
+    tree_->InsertEntry(e);
+    return tree_->over_budget() ? RebuildLarger() : Status::OK();
+  });
+}
+
 Status Phase1Builder::DegradeOutlierDisk() {
   if (!disk_enabled_) return Status::OK();
   disk_enabled_ = false;
@@ -193,26 +292,14 @@ Status Phase1Builder::DegradeOutlierDisk() {
   ++robust_.degradation_events;
   OBS_COUNTER_INC("phase1/disk_degradations");
   TRACE_INSTANT("phase1/degrade_disk");
-  const size_t rec = CfVector::SerializedDoubles(options_.tree.dim);
-
   // Salvage whatever the device still returns, then never write again.
-  std::vector<double> drained;
-  DrainReport rep;
-  BIRCH_RETURN_IF_ERROR(outlier_entries_.DrainAll(&drained, &rep));
-  for (size_t off = 0; off + rec <= drained.size(); off += rec) {
-    FallbackOutlierEntry(CfVector::Deserialize(
-        std::span<const double>(drained.data() + off, rec),
-        options_.tree.dim, options_.tree.cf, options_.tree.cf_storage));
-  }
-  BIRCH_RETURN_IF_ERROR(delayed_points_.DrainAll(&drained, &rep));
-  for (size_t off = 0; off + rec <= drained.size(); off += rec) {
-    CfVector e = CfVector::Deserialize(
-        std::span<const double>(drained.data() + off, rec),
-        options_.tree.dim, options_.tree.cf, options_.tree.cf_storage);
-    tree_->InsertEntry(e);
-    if (tree_->over_budget()) BIRCH_RETURN_IF_ERROR(RebuildLarger());
-  }
-  return Status::OK();
+  // The salvage drains add no degradation event of their own.
+  BIRCH_RETURN_IF_ERROR(
+      Drain(&outlier_entries_, /*note_loss=*/false, [this](CfVector e) {
+        FallbackOutlierEntry(e);
+        return Status::OK();
+      }));
+  return ReplayDelayedPoints(/*note_loss=*/false);
 }
 
 Status ValidatePoint(std::span<const double> x, double weight,
@@ -286,43 +373,21 @@ Status Phase1Builder::IngestPointCf() {
     // Memory is exhausted: keep absorbing what fits, spill the rest.
     InsertOutcome out = tree_->InsertEntry(ent, InsertMode::kNoSplit);
     if (out != InsertOutcome::kRejected) return Status::OK();
-    std::vector<double> buf;
-    ent.SerializeTo(&buf);
-    Status st = delayed_points_.Append(buf);
-    if (st.ok()) {
+    auto spilled_or = Spill(&delayed_points_, ent);
+    if (!spilled_or.ok()) return spilled_or.status();
+    if (spilled_or.value() == SpillOutcome::kStored) {
       ++stats_.points_delay_spilled;
       OBS_COUNTER_INC("phase1/delay_spills");
       return Status::OK();
     }
-    if (IsUnrecoverableDiskError(st)) {
-      // The disk is broken, not merely full: retire it (salvaging both
-      // spill files into the tree) and insert this point normally.
-      delay_mode_ = false;
-      BIRCH_RETURN_IF_ERROR(DegradeOutlierDisk());
-      tree_->InsertEntry(ent);
-      if (tree_->over_budget()) return HandleMemoryExhaustion();
-      return Status::OK();
-    }
-    if (st.code() != StatusCode::kOutOfDisk) return st;
-    // Disk is full too: rebuild with a larger threshold, replay the
-    // spilled points, then insert this one normally.
+    // The disk is broken (Spill() retired it) or full; either way delay
+    // mode ends. A full disk first rebuilds with a larger threshold and
+    // replays the spilled points. Then this point goes in normally.
     delay_mode_ = false;
-    BIRCH_RETURN_IF_ERROR(RebuildLarger());
-    std::vector<double> drained;
-    DrainReport rep;
-    BIRCH_RETURN_IF_ERROR(delayed_points_.DrainAll(&drained, &rep));
-    NoteDrainLoss(rep);
-    const size_t rec = CfVector::SerializedDoubles(options_.tree.dim);
-    for (size_t off = 0; off + rec <= drained.size(); off += rec) {
-      CfVector e = CfVector::Deserialize(
-          std::span<const double>(drained.data() + off, rec),
-          options_.tree.dim, options_.tree.cf, options_.tree.cf_storage);
-      tree_->InsertEntry(e);
-      if (tree_->over_budget()) BIRCH_RETURN_IF_ERROR(RebuildLarger());
+    if (spilled_or.value() == SpillOutcome::kFull) {
+      BIRCH_RETURN_IF_ERROR(RebuildLarger());
+      BIRCH_RETURN_IF_ERROR(ReplayDelayedPoints(/*note_loss=*/true));
     }
-    tree_->InsertEntry(ent);
-    if (tree_->over_budget()) return HandleMemoryExhaustion();
-    return Status::OK();
   }
 
   tree_->InsertEntry(ent);
@@ -351,76 +416,56 @@ Status Phase1Builder::HandleMemoryExhaustion() {
 Status Phase1Builder::RebuildLarger() {
   TRACE_SPAN("phase1/rebuild");
   Timer rebuild_timer;
-  int guard = 0;
-  do {
-    double t_next = heuristic_.SuggestNext(*tree_, stats_.points_added);
-    std::vector<CfVector> outliers;
-    double outlier_n =
-        options_.outlier_handling ? OutlierWeightThreshold() : 0.0;
-    tree_->Rebuild(t_next, outlier_n, &outliers);
-    ++stats_.rebuilds;
-    stats_.final_threshold = t_next;
-    OBS_COUNTER_INC("phase1/rebuilds");
-    OBS_GAUGE_SET("phase1/threshold", t_next);
-    TRACE_COUNTER("phase1/threshold", t_next);
-    for (const CfVector& e : outliers) {
-      BIRCH_RETURN_IF_ERROR(SpillOutlierEntry(e));
-    }
-    // One rebuild normally recovers the budget; a pathological
-    // distribution may need another round with a larger threshold.
-  } while (tree_->over_budget() && ++guard < 16);
-  if (tree_->over_budget()) {
-    return Status::OutOfMemory(
-        "memory budget unattainable after repeated rebuilds");
-  }
+  BIRCH_RETURN_IF_ERROR(RebuildToFit(
+      tree_.get(), &heuristic_, options_, &stats_,
+      [this](std::vector<CfVector>& outliers) {
+        OBS_GAUGE_SET("phase1/threshold", stats_.final_threshold);
+        TRACE_COUNTER("phase1/threshold", stats_.final_threshold);
+        for (const CfVector& e : outliers) {
+          BIRCH_RETURN_IF_ERROR(SpillOutlierEntry(e, /*respill=*/false));
+        }
+        return Status::OK();
+      }));
   OBS_HISTOGRAM_RECORD("phase1/rebuild_us", rebuild_timer.Seconds() * 1e6);
   return Status::OK();
 }
 
-Status Phase1Builder::SpillOutlierEntry(const CfVector& e) {
-  if (!disk_enabled_) {
-    FallbackOutlierEntry(e);
-    return Status::OK();
+Status Phase1Builder::SpillOutlierEntry(const CfVector& e, bool respill) {
+  // A fresh spill that finds the disk full drains it through a re-absorb
+  // cycle (Fig. 2's "out of disk space" branch) and retries once. A
+  // re-spill from inside that cycle, or a retry that still finds the
+  // disk full (delayed points may hold it), forces the entry back into
+  // the tree so progress is guaranteed.
+  for (bool may_drain = !respill;; may_drain = false) {
+    // The disk may be out of service from the start, or retired by the
+    // re-absorb drain.
+    if (!disk_enabled_) {
+      FallbackOutlierEntry(e);
+      return Status::OK();
+    }
+    auto spilled_or = Spill(&outlier_entries_, e);
+    if (!spilled_or.ok()) return spilled_or.status();
+    switch (spilled_or.value()) {
+      case SpillOutcome::kStored:
+        if (!respill) {
+          ++stats_.outlier_entries_spilled;
+          OBS_COUNTER_INC("phase1/outlier_spills");
+        }
+        return Status::OK();
+      case SpillOutcome::kBroken:
+        FallbackOutlierEntry(e);
+        return Status::OK();
+      case SpillOutcome::kFull:
+        break;
+    }
+    if (!may_drain) {
+      ++stats_.forced_inserts;
+      OBS_COUNTER_INC("phase1/forced_inserts");
+      tree_->InsertEntry(e);
+      return Status::OK();
+    }
+    BIRCH_RETURN_IF_ERROR(ReabsorbOutliers(/*final_pass=*/false));
   }
-  std::vector<double> buf;
-  e.SerializeTo(&buf);
-  Status st = outlier_entries_.Append(buf);
-  if (st.ok()) {
-    ++stats_.outlier_entries_spilled;
-    OBS_COUNTER_INC("phase1/outlier_spills");
-    return Status::OK();
-  }
-  if (IsUnrecoverableDiskError(st)) {
-    BIRCH_RETURN_IF_ERROR(DegradeOutlierDisk());
-    FallbackOutlierEntry(e);
-    return Status::OK();
-  }
-  if (st.code() != StatusCode::kOutOfDisk) return st;
-  // Outlier disk full: drain + re-absorb (Fig. 2's "out of disk space"
-  // branch), then retry once.
-  BIRCH_RETURN_IF_ERROR(ReabsorbOutliers(/*final_pass=*/false));
-  if (!disk_enabled_) {  // the re-absorb drain may have retired the disk
-    FallbackOutlierEntry(e);
-    return Status::OK();
-  }
-  st = outlier_entries_.Append(buf);
-  if (st.ok()) {
-    ++stats_.outlier_entries_spilled;
-    OBS_COUNTER_INC("phase1/outlier_spills");
-    return Status::OK();
-  }
-  if (IsUnrecoverableDiskError(st)) {
-    BIRCH_RETURN_IF_ERROR(DegradeOutlierDisk());
-    FallbackOutlierEntry(e);
-    return Status::OK();
-  }
-  if (st.code() != StatusCode::kOutOfDisk) return st;
-  // Still full (delayed points may hold the disk): force the entry back
-  // into the tree so progress is guaranteed.
-  ++stats_.forced_inserts;
-  OBS_COUNTER_INC("phase1/forced_inserts");
-  tree_->InsertEntry(e);
-  return Status::OK();
 }
 
 Status Phase1Builder::ReabsorbOutliers(bool final_pass) {
@@ -428,49 +473,20 @@ Status Phase1Builder::ReabsorbOutliers(bool final_pass) {
   TRACE_SPAN("phase1/reabsorb");
   ++stats_.reabsorb_cycles;
   OBS_COUNTER_INC("phase1/reabsorb_cycles");
-  std::vector<double> drained;
-  DrainReport rep;
-  BIRCH_RETURN_IF_ERROR(outlier_entries_.DrainAll(&drained, &rep));
-  NoteDrainLoss(rep);
-  const size_t rec = CfVector::SerializedDoubles(options_.tree.dim);
-  for (size_t off = 0; off + rec <= drained.size(); off += rec) {
-    CfVector e = CfVector::Deserialize(
-        std::span<const double>(drained.data() + off, rec),
-        options_.tree.dim, options_.tree.cf, options_.tree.cf_storage);
-    // Re-absorb only if the entry fits without splitting — a genuine
-    // outlier must not distort the tree (Sec. 5.1.4).
-    InsertOutcome out = tree_->InsertEntry(e, InsertMode::kAbsorbOnly);
-    if (out != InsertOutcome::kRejected) {
-      ++stats_.outlier_entries_reabsorbed;
-      OBS_COUNTER_INC("phase1/outliers_reabsorbed");
-      continue;
-    }
+  return Drain(&outlier_entries_, /*note_loss=*/true, [&](CfVector e) {
+    if (ReabsorbEntry(tree_.get(), e, &stats_)) return Status::OK();
     if (final_pass) {
       final_outliers_.push_back(std::move(e));
-      continue;
+      return Status::OK();
     }
     if (!disk_enabled_) {
       // Disk retired mid-cycle: the entry has no spill to return to.
       final_outliers_.push_back(std::move(e));
       ++robust_.fallback_dropped;
-      continue;
+      return Status::OK();
     }
-    std::vector<double> buf;
-    e.SerializeTo(&buf);
-    Status st = outlier_entries_.Append(buf);
-    if (!st.ok()) {
-      if (IsUnrecoverableDiskError(st)) {
-        BIRCH_RETURN_IF_ERROR(DegradeOutlierDisk());
-        FallbackOutlierEntry(e);
-        continue;
-      }
-      if (st.code() != StatusCode::kOutOfDisk) return st;
-      ++stats_.forced_inserts;
-      OBS_COUNTER_INC("phase1/forced_inserts");
-      tree_->InsertEntry(e);
-    }
-  }
-  return Status::OK();
+    return SpillOutlierEntry(e, /*respill=*/true);
+  });
 }
 
 Status Phase1Builder::Finish() {
@@ -482,18 +498,7 @@ Status Phase1Builder::Finish() {
   delay_mode_ = false;
 
   // Replay delay-split points with splits allowed.
-  std::vector<double> drained;
-  DrainReport rep;
-  BIRCH_RETURN_IF_ERROR(delayed_points_.DrainAll(&drained, &rep));
-  NoteDrainLoss(rep);
-  const size_t rec = CfVector::SerializedDoubles(options_.tree.dim);
-  for (size_t off = 0; off + rec <= drained.size(); off += rec) {
-    CfVector e = CfVector::Deserialize(
-        std::span<const double>(drained.data() + off, rec),
-        options_.tree.dim, options_.tree.cf, options_.tree.cf_storage);
-    tree_->InsertEntry(e);
-    if (tree_->over_budget()) BIRCH_RETURN_IF_ERROR(RebuildLarger());
-  }
+  BIRCH_RETURN_IF_ERROR(ReplayDelayedPoints(/*note_loss=*/true));
 
   // Final outlier verdicts.
   BIRCH_RETURN_IF_ERROR(ReabsorbOutliers(/*final_pass=*/true));

@@ -8,6 +8,7 @@
 #ifndef BIRCH_BIRCH_PHASE1_H_
 #define BIRCH_BIRCH_PHASE1_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -56,6 +57,9 @@ struct Phase1Stats {
   uint64_t reabsorb_cycles = 0;
   uint64_t forced_inserts = 0;  // disk full fallbacks
   double final_threshold = 0.0;
+
+  /// Adds `other`'s counters (a shard's); final_threshold is kept.
+  Phase1Stats& operator+=(const Phase1Stats& other);
 };
 
 /// Fault-tolerance accounting for one run: what the storage stack
@@ -84,6 +88,10 @@ struct RobustnessStats {
   /// True when the run ended with the outlier disk out of service
   /// (disk_budget_bytes == 0, or disabled mid-run after a failure).
   bool outlier_disk_disabled = false;
+
+  /// Adds `other`'s counters (a shard's); the disk counts as disabled
+  /// if either was.
+  RobustnessStats& operator+=(const RobustnessStats& other);
 };
 
 /// Complete mid-stream state of a Phase1Builder, in plain values: the
@@ -121,6 +129,32 @@ struct Phase1Freeze {
 /// sharded splitter.
 Status ValidatePoint(std::span<const double> x, double weight,
                      uint64_t index);
+
+/// The outlier criterion (Sec. 5.1.4): a leaf entry holding fewer than
+/// `fraction` of the average points per leaf entry of `tree` is a
+/// potential outlier. Returns that weight bound; 0 for an empty tree.
+/// Phase 1's rebuilds, the sharded merge and Phase 2 all use it.
+double OutlierWeightThreshold(const CfTree& tree, double fraction);
+
+/// The re-absorb verdict for a potential outlier (Sec. 5.1.4): `e`
+/// re-enters `tree` only by merging into an existing leaf entry, never
+/// as a fresh entry or through a split, so a genuine outlier cannot
+/// distort the tree. Counts an absorption in `stats`; false leaves the
+/// tree unchanged.
+bool ReabsorbEntry(CfTree* tree, const CfVector& e, Phase1Stats* stats);
+
+/// Fig. 2's rebuild step: rebuilds `tree` at `heuristic`'s next
+/// threshold, round after round, until it fits its memory budget
+/// (OutOfMemory after 16 rounds). With options.outlier_handling each
+/// round takes the leaf entries below OutlierWeightThreshold() out of
+/// the tree and hands them to `shed` before the next round. Counts each
+/// round in stats->rebuilds and leaves stats->final_threshold at the
+/// last threshold. Phase1Builder and the sharded merge both rebuild
+/// through it.
+Status RebuildToFit(
+    CfTree* tree, ThresholdHeuristic* heuristic, const Phase1Options& options,
+    Phase1Stats* stats,
+    const std::function<Status(std::vector<CfVector>&)>& shed);
 
 /// Single-scan builder. Usage: Add() every point, then Finish() exactly
 /// once; afterwards tree() holds the condensed summary and
@@ -196,10 +230,35 @@ class Phase1Builder {
   /// split and re-spilling the rest.
   Status ReabsorbOutliers(bool final_pass);
 
-  /// Spills `e` to the outlier disk; on OutOfDisk falls back to a
-  /// forced tree insert so progress is always made, and on an
-  /// unrecoverable device failure degrades to the in-tree fallback.
-  Status SpillOutlierEntry(const CfVector& e);
+  /// Spills outlier entry `e` to the outlier disk; when the disk is
+  /// full, falls back to a forced tree insert so progress is always
+  /// made, and when it is broken or retired, to the in-tree fallback.
+  /// `respill` marks an entry a re-absorb cycle hands back: it is not
+  /// counted again and does not start another cycle.
+  Status SpillOutlierEntry(const CfVector& e, bool respill);
+
+  /// What one append to the outlier disk did.
+  enum class SpillOutcome {
+    kStored,
+    kFull,    // OutOfDisk
+    kBroken,  // unrecoverable: Spill() retired the disk
+  };
+
+  /// Appends `e` to `file` — every spill write goes through here. An
+  /// unrecoverable device failure retires the disk (DegradeOutlierDisk)
+  /// and reports kBroken; other errors than OutOfDisk are returned.
+  StatusOr<SpillOutcome> Spill(SpillFile* file, const CfVector& e);
+
+  /// Drains `file` and hands each record, deserialized, to `each` —
+  /// every spill read goes through here. With `note_loss` a lossy drain
+  /// counts a degradation event, and one that lost every page retires
+  /// the disk.
+  Status Drain(SpillFile* file, bool note_loss,
+               const std::function<Status(CfVector)>& each);
+
+  /// Re-inserts every delay-split point with splits allowed, rebuilding
+  /// whenever the tree outgrows the budget.
+  Status ReplayDelayedPoints(bool note_loss);
 
   /// In-tree fallback for one outlier entry when the disk is out of
   /// service: absorb at the current threshold if possible, otherwise
@@ -211,18 +270,6 @@ class Phase1Builder {
   /// or drop outlier entries, replay delayed points) and routes all
   /// future spills through the in-tree fallback.
   Status DegradeOutlierDisk();
-
-  /// Records drain-loss accounting (degradation event per lossy drain).
-  void NoteDrainLoss(const DrainReport& report);
-
-  /// True for errors the spill layer could not recover from (transient
-  /// budget exhausted, or data demonstrably gone).
-  static bool IsUnrecoverableDiskError(const Status& st) {
-    return st.code() == StatusCode::kIOError ||
-           st.code() == StatusCode::kDataLoss;
-  }
-
-  double OutlierWeightThreshold() const;
 
   Phase1Options options_;
   MemoryTracker mem_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -104,16 +105,6 @@ Phase1Options ShardOptions(const Phase1Options& total, int shards) {
   }
   o.expected_points = total.expected_points / s;
   return o;
-}
-
-void MergeStats(const Phase1Stats& in, Phase1Stats* out) {
-  out->points_added += in.points_added;
-  out->rebuilds += in.rebuilds;
-  out->outlier_entries_spilled += in.outlier_entries_spilled;
-  out->outlier_entries_reabsorbed += in.outlier_entries_reabsorbed;
-  out->points_delay_spilled += in.points_delay_spilled;
-  out->reabsorb_cycles += in.reabsorb_cycles;
-  out->forced_inserts += in.forced_inserts;
 }
 
 uint64_t SplitMix64(uint64_t* s) {
@@ -239,19 +230,6 @@ class AffinitySplitter {
   std::vector<size_t> shard_of_center_;
   bool armed_ = false;
 };
-
-void MergeRobustness(const RobustnessStats& in, RobustnessStats* out) {
-  out->transient_io_errors += in.transient_io_errors;
-  out->io_retries += in.io_retries;
-  out->simulated_backoff_us += in.simulated_backoff_us;
-  out->checksum_failures += in.checksum_failures;
-  out->pages_lost += in.pages_lost;
-  out->records_lost += in.records_lost;
-  out->degradation_events += in.degradation_events;
-  out->fallback_absorbed += in.fallback_absorbed;
-  out->fallback_dropped += in.fallback_dropped;
-  out->outlier_disk_disabled |= in.outlier_disk_disabled;
-}
 
 }  // namespace
 
@@ -426,8 +404,8 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
   ShardedPhase1Result result;
   for (int s = 0; s < shards; ++s) {
     const Phase1Builder& b = *builders[static_cast<size_t>(s)];
-    MergeStats(b.stats(), &result.stats);
-    MergeRobustness(b.robustness(), &result.robustness);
+    result.stats += b.stats();
+    result.robustness += b.robustness();
     result.disk += b.disk().io_stats();
     result.peak_memory_bytes += b.memory().peak();
     if (obs::Enabled()) {
@@ -477,40 +455,24 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
     result.tree->AbsorbTree(*active[0]);
   }
 
-  // --- 4. Threshold-consistency reabsorb pass. ---
+  // --- 4. Threshold-consistency reabsorb pass: Phase 1's own rebuild
+  // step, with the shed entries collected instead of spilled. ---
   TRACE_SPAN("phase1/merge_reabsorb");
   std::vector<CfVector> shed;
   if (result.tree->over_budget()) {
     ThresholdHeuristic heuristic(dim, result.stats.points_added);
-    int guard = 0;
-    do {
-      double t_next =
-          heuristic.SuggestNext(*result.tree, result.stats.points_added);
-      double outlier_n = 0.0;
-      if (options.phase1.outlier_handling &&
-          result.tree->leaf_entry_count() > 0) {
-        double avg = result.tree->TreeSummary().n() /
-                     static_cast<double>(result.tree->leaf_entry_count());
-        outlier_n = options.phase1.outlier_fraction * avg;
-      }
-      result.tree->Rebuild(t_next, outlier_n, &shed);
-      ++result.stats.rebuilds;
-      OBS_COUNTER_INC("phase1/rebuilds");
-    } while (result.tree->over_budget() && ++guard < 16);
-    if (result.tree->over_budget()) {
-      return Status::OutOfMemory(
-          "memory budget unattainable after merging shard trees");
-    }
+    BIRCH_RETURN_IF_ERROR(RebuildToFit(
+        result.tree.get(), &heuristic, options.phase1, &result.stats,
+        [&shed](std::vector<CfVector>& out) {
+          shed.insert(shed.end(), std::make_move_iterator(out.begin()),
+                      std::make_move_iterator(out.end()));
+          return Status::OK();
+        }));
   }
   // Entries that were outliers within one shard (or shed just above)
-  // get one absorb-only retry against the union; a genuine outlier
-  // must still not re-enter the tree as a fresh entry (Sec. 5.1.4).
+  // get one absorb-only retry against the union.
   auto reabsorb = [&](const CfVector& e) {
-    if (result.tree->InsertEntry(e, InsertMode::kAbsorbOnly) !=
-        InsertOutcome::kRejected) {
-      ++result.stats.outlier_entries_reabsorbed;
-      OBS_COUNTER_INC("phase1/outliers_reabsorbed");
-    } else {
+    if (!ReabsorbEntry(result.tree.get(), e, &result.stats)) {
       result.final_outliers.push_back(e);
     }
   };

@@ -23,10 +23,11 @@
 //      against the full memory budget.
 //   4. Threshold-consistency reabsorb pass: if the merged tree
 //      overflows the total budget it is rebuilt at the heuristic's
-//      next threshold, and every per-shard final outlier gets one
-//      absorb-only retry against the merged tree (an entry that looked
-//      like an outlier inside one shard may sit squarely inside a
-//      cluster of the union).
+//      next threshold (Phase 1's RebuildToFit), and every per-shard
+//      final outlier, and every entry that rebuild sheds, gets one
+//      absorb-only retry against the merged tree (Phase 1's
+//      ReabsorbEntry: an entry that looked like an outlier inside one
+//      shard may sit squarely inside a cluster of the union).
 //
 // Every step is deterministic for a fixed (options, num_shards,
 // splitter_seed) triple: shard assignment, per-shard insertion order,

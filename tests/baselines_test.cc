@@ -3,7 +3,11 @@
 // initial random medoids) and respect its parameters; the hierarchical
 // wrapper must match Phase-3 behaviour on raw points.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include "baselines/hierarchical.h"
 #include "baselines/kmeans.h"
 #include "datagen/generator.h"
+#include "datagen/paper_datasets.h"
 #include "eval/matching.h"
 
 namespace birch {
@@ -134,6 +139,89 @@ TEST(ClaransTest, InvalidParamsRejected) {
   o.k = 2;
   o.numlocal = 0;
   EXPECT_FALSE(Clarans(g.data, o).ok());
+}
+
+/// FNV-1a over 64-bit words: a bit-for-bit fingerprint of a result.
+uint64_t Fnv(std::span<const uint64_t> words) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct ClaransPin {
+  uint64_t labels;
+  uint64_t medoids;
+  uint64_t cost_bits;
+  uint64_t clusters;
+  uint64_t neighbors_evaluated;
+  uint64_t swaps_accepted;
+};
+
+ClaransPin PinClarans(const Dataset& data, const ClaransOptions& o) {
+  auto r_or = Clarans(data, o);
+  EXPECT_TRUE(r_or.ok()) << r_or.status().ToString();
+  if (!r_or.ok()) return {};
+  const ClaransResult& r = r_or.value();
+  std::vector<uint64_t> labels(r.labels.begin(), r.labels.end());
+  std::vector<uint64_t> medoids(r.medoids.begin(), r.medoids.end());
+  std::vector<uint64_t> clusters;
+  for (const CfVector& c : r.clusters) {
+    clusters.push_back(std::bit_cast<uint64_t>(c.n()));
+    for (double v : c.raw_vec()) {
+      clusters.push_back(std::bit_cast<uint64_t>(v));
+    }
+    clusters.push_back(std::bit_cast<uint64_t>(c.raw_scalar()));
+  }
+  return {Fnv(labels), Fnv(medoids), std::bit_cast<uint64_t>(r.cost),
+          Fnv(clusters), r.neighbors_evaluated, r.swaps_accepted};
+}
+
+void ExpectClarans(const Dataset& data, int k, uint64_t seed,
+                   const ClaransPin& want) {
+  ClaransOptions o;
+  o.k = k;
+  o.seed = seed;
+  const ClaransPin got = PinClarans(data, o);
+  SCOPED_TRACE(testing::Message() << "k=" << k << " seed=" << seed);
+  EXPECT_EQ(got.labels, want.labels) << std::hex << got.labels;
+  EXPECT_EQ(got.medoids, want.medoids) << std::hex << got.medoids;
+  EXPECT_EQ(got.cost_bits, want.cost_bits) << std::hex << got.cost_bits;
+  EXPECT_EQ(got.clusters, want.clusters) << std::hex << got.clusters;
+  EXPECT_EQ(got.neighbors_evaluated, want.neighbors_evaluated);
+  EXPECT_EQ(got.swaps_accepted, want.swaps_accepted);
+}
+
+// Bit-for-bit pins of the search on a DS2 subset: labels, medoids, the
+// cost's bits, the cluster CFs and both search counters. The weighted
+// case checks that the search ignores row weights (CLARANS counts every
+// row once) while the cluster CFs carry them.
+TEST(ClaransTest, GoldenOutputsOnDs2Subset) {
+  auto gen = GeneratePaperDataset(PaperDataset::kDS2, /*k=*/12, /*n=*/35,
+                                  /*noise_fraction=*/0.05, /*seed=*/77);
+  ASSERT_TRUE(gen.ok());
+  const Dataset& data = gen.value().data;
+  ExpectClarans(data, 3, 5,
+                {0x4ad180d6776c7145ULL, 0x5b7a66e802837f4fULL,
+                 0x40a47ae4d991bf03ULL, 0x11daae449f7d03beULL, 2168, 34});
+  ExpectClarans(data, 7, 5,
+                {0xafca89a4bdd97a46ULL, 0xffdd448c3ae299dfULL,
+                 0x4096709ac5faf723ULL, 0x5a00ed53da4ac5f2ULL, 2407, 49});
+  ExpectClarans(data, 12, 6,
+                {0xaf012f63039e40cdULL, 0x8d44b54d9d323734ULL,
+                 0x40831d157e9e45a0ULL, 0xef616a30f4c948c9ULL, 2341, 55});
+
+  Dataset weighted(data.dim());
+  for (size_t i = 0; i < data.size(); ++i) {
+    weighted.AppendWeighted(data.Row(i), 1.0 + static_cast<double>(i % 4));
+  }
+  ExpectClarans(weighted, 7, 5,
+                {0xafca89a4bdd97a46ULL, 0xffdd448c3ae299dfULL,
+                 0x4096709ac5faf723ULL, 0x4bea7b2b09d07a59ULL, 2407, 49});
 }
 
 TEST(ClaraTest, RecoversSeparatedBlobs) {

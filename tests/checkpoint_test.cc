@@ -9,6 +9,8 @@
 // clustering.
 #include "birch/checkpoint.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -357,6 +359,43 @@ TEST(CheckpointTest, RestoredRunPublishesOnAbsoluteCadence) {
   EXPECT_EQ(c_or.value()->phase1_stats().points_added, 120u);
   EXPECT_EQ(c_or.value()->server()->epoch(), 1u);
   std::remove(path.c_str());
+}
+
+// A resumed stream refines like the uninterrupted one: Restore() +
+// Cluster(source) runs the same Phase-4 re-scan of the rewindable
+// source as ClusterSource(), serially and sharded, so the cluster CFs
+// match bit for bit.
+TEST(CheckpointTest, RestoredStreamRunRefinesLikeClusterSource) {
+  Dataset data = MakeData(6, 250, 709);
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const std::string path =
+        TempPath("ckpt_stream_refine_" + std::to_string(threads) + "_" +
+                 std::to_string(::getpid()) + ".birch");
+    BirchOptions o = SmallOpts(data.dim(), 6);
+    o.exec.num_threads = threads;
+    o.expected_points = data.size();
+    o.resources.checkpoint_every_n = 400;
+    o.resources.checkpoint_path = path;
+
+    // The uninterrupted run leaves its last mid-stream image at `path`.
+    DatasetSource want_src(&data);
+    auto want = ClusterSource(&want_src, o);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto img = ReadCheckpointFile(path);
+    ASSERT_TRUE(img.ok()) << img.status().ToString();
+    ASSERT_GT(img.value().points_ingested, 0u);
+    ASSERT_LT(img.value().points_ingested, data.size());
+
+    auto c_or = BirchClusterer::Restore(path, o);
+    ASSERT_TRUE(c_or.ok()) << c_or.status().ToString();
+    DatasetSource src(&data);
+    auto got = c_or.value()->Cluster(&src);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().clusters, want.value().clusters);
+    EXPECT_EQ(got.value().centroids, want.value().centroids);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CheckpointTest, ShardedAutoCheckpointRoundTrips) {

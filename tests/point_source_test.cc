@@ -18,6 +18,8 @@
 #include "birch/point_source.h"
 #include "datagen/streaming_generator.h"
 #include "eval/quality.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 
 namespace birch {
 namespace {
@@ -262,6 +264,39 @@ TEST(ClusterSourceTest, StreamingRefineMatchesInMemoryBitwise) {
       }
     }
   }
+}
+
+// ClusterSource's Phase 4 belongs to its run: the process-wide
+// registry-plus-tracer delta around the call holds exactly one
+// birch/phase4 span, and the run's own metrics delta holds that span.
+TEST(ClusterSourceTest, Phase4SpanIsPartOfTheRunMetrics) {
+  if (!obs::Enabled()) GTEST_SKIP() << "obs disabled";
+  GeneratorOptions g;
+  g.k = 5;
+  g.n_low = g.n_high = 200;
+  g.r_low = g.r_high = 1.0;
+  g.grid_spacing = 10.0;
+  g.seed = 47;
+  auto gen = Generate(g);
+  ASSERT_TRUE(gen.ok());
+  BirchOptions b;
+  b.k = 5;
+  b.resources.memory_bytes = 24 * 1024;
+  DatasetSource source(&gen.value().data);
+
+  const obs::MetricsSnapshot before = obs::CaptureSnapshot();
+  auto r = ClusterSource(&source, b);
+  const obs::MetricsSnapshot delta = obs::CaptureSnapshot().DeltaSince(before);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  auto process = delta.spans.find("birch/phase4");
+  ASSERT_NE(process, delta.spans.end());
+  EXPECT_EQ(process->second.count, 1u);
+  const auto& run_spans = r.value().metrics.spans;
+  auto run = run_spans.find("birch/phase4");
+  ASSERT_NE(run, run_spans.end());
+  EXPECT_EQ(run->second.count, 1u);
+  EXPECT_EQ(run->second.total_us, process->second.total_us);
 }
 
 TEST(ClusterSourceTest, NonRewindableSkipsRefinement) {

@@ -160,7 +160,9 @@ int Run(int argc, char** argv) {
                  "checkpoint — pass the SAME\n"
                  "  input file and the already-ingested rows are skipped "
                  "(options must match the\n"
-                 "  checkpointed run's dim/page/metric/threshold kind).\n"
+                 "  checkpointed run's dim/page/metric/threshold kind); "
+                 "with --stream the resumed\n"
+                 "  run refines (Phase 4) like an uninterrupted one.\n"
                  "  --publish-every N publishes a serving snapshot epoch "
                  "every N points (the\n"
                  "  queryable point->cluster serving tier; see "
@@ -337,7 +339,7 @@ int Run(int argc, char** argv) {
                      c_or.status().ToString().c_str());
         return 1;
       }
-      result_or = c_or.value()->Cluster(source_or.value().get(), nullptr);
+      result_or = c_or.value()->Cluster(source_or.value().get());
     } else {
       result_or = ClusterSource(source_or.value().get(), o);
     }
