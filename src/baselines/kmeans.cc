@@ -14,6 +14,8 @@ namespace birch {
 
 namespace {
 
+constexpr int kMaxIterations = 100;  // Lloyd rounds cap
+
 std::vector<std::vector<double>> SeedPlusPlus(const Dataset& data, int k,
                                               Rng* rng) {
   const size_t n = data.size();
@@ -67,7 +69,7 @@ StatusOr<KMeansResult> KMeans(const Dataset& data,
   result.labels.assign(n, -1);
   const size_t num_chunks =
       exec::ParallelForNumChunks(options.pool, n, /*min_per_chunk=*/256);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     // Assignment sweep: every point is independent.
     std::vector<uint8_t> chunk_changed(num_chunks, 0);
     exec::ParallelFor(

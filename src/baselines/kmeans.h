@@ -19,7 +19,6 @@ class ThreadPool;
 
 struct KMeansOptions {
   int k = 0;
-  int max_iterations = 100;
   uint64_t seed = 42;
   /// Optional worker pool for the assignment / centroid sweeps.
   /// nullptr runs them inline (exact serial arithmetic); with a pool,

@@ -114,7 +114,8 @@ class BirchClusterer {
   /// `xs` (exactly n * dim doubles), with optional per-point `weights`
   /// (empty = every point weighs 1.0). Bitwise-identical to calling
   /// Add() on each row in order; the batch is validated whole before
-  /// any point is ingested, and auto-checkpoint / auto-publish
+  /// any point is ingested (InvalidArgument ingests, checkpoints and
+  /// publishes nothing), and auto-checkpoint / auto-publish
   /// cadences still fire at the exact absolute point counts (the batch
   /// is split internally at cadence boundaries). Fails after
   /// Finish()/Cluster().
@@ -130,7 +131,8 @@ class BirchClusterer {
   Status AddDataset(const Dataset& data);
 
   /// Drains `source` into the tree (single scan; the stream is never
-  /// materialized). Fails after Finish()/Cluster().
+  /// materialized), returning the error it stops on (its status()).
+  /// Fails after Finish()/Cluster().
   Status AddSource(PointSource* source);
 
   /// Runs Phases 2-4. If `for_refinement` is non-null, Phase 4
@@ -147,7 +149,9 @@ class BirchClusterer {
   /// otherwise, when options.refine.passes > 0 and the source rewinds,
   /// it re-scans the source pass by pass in O(k) memory, leaving
   /// labels empty. A restored clusterer refines the same way.
-  /// Consumes the builder the same way as Finish().
+  /// Consumes the builder the same way as Finish(). Returns the error a
+  /// source stops on in any scan, and a Rewind() error other than
+  /// FailedPrecondition (a source that cannot rewind skips Phase 4).
   StatusOr<BirchResult> Cluster(PointSource* source,
                                 const Dataset* for_refinement = nullptr);
 
@@ -290,7 +294,7 @@ StatusOr<BirchResult> ClusterDataset(const Dataset& data,
 /// pass in O(k) extra memory, so BirchResult.labels stays empty either
 /// way (a labels vector for N points would defeat the purpose — use
 /// result.centroids to label downstream, or LabelPoints on manageable
-/// slices).
+/// slices). Fails as Cluster() does.
 StatusOr<BirchResult> ClusterSource(PointSource* source,
                                     const BirchOptions& options);
 

@@ -24,6 +24,7 @@ std::vector<std::vector<double>> GlobalClustering::Centroids() const {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kKMeansMaxIterations = 100;  // Lloyd rounds cap (kKMeans)
 
 /// Agglomerative HC over CFs with a cached-nearest-neighbour merge loop
 /// (O(m^2) typical). Stops at k clusters, or when the cheapest merge
@@ -229,7 +230,7 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
   const size_t num_chunks = exec::ParallelForNumChunks(options.pool, m,
                                                        /*min_per_chunk=*/64);
   kernel::CenterBatch cbatch;
-  for (int iter = 0; iter < options.kmeans_max_iterations; ++iter) {
+  for (int iter = 0; iter < kKMeansMaxIterations; ++iter) {
     // Assignment sweep: each point is independent; chunks report
     // whether they changed any label. The batch path scans an SoA
     // block over the centers; per-dimension arithmetic and first-wins
@@ -373,8 +374,6 @@ GlobalClustering MedoidsCluster(std::span<const CfVector> entries,
   }
   MedoidSearchOptions search;
   search.k = uk;
-  search.numlocal = std::max(1, options.medoid_numlocal);
-  search.maxneighbor = options.medoid_maxneighbor;
   search.seed = options.seed;
   result.assignment = ClaransSearch(rows, dim, weights, search).labels;
   result.clusters.assign(uk, CfVector(dim));

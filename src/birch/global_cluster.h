@@ -37,12 +37,6 @@ struct GlobalClusterOptions {
   GlobalAlgorithm algorithm = GlobalAlgorithm::kHierarchical;
   /// Inter-cluster metric for the hierarchical merges (paper: D2/D4).
   DistanceMetric metric = DistanceMetric::kD2;
-  /// k-means settings.
-  int kmeans_max_iterations = 100;
-  /// Medoid-search settings (kMedoids): random restarts and neighbour
-  /// budget per restart (<= 0: max(250, 1.25% * k * (m - k))).
-  int medoid_numlocal = 2;
-  int medoid_maxneighbor = 0;
   uint64_t seed = 42;
   /// Guard: hierarchical input size limit (cost is quadratic).
   size_t max_hierarchical_inputs = 20000;

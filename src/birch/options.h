@@ -174,13 +174,11 @@ struct BirchOptions {
     /// points, counted from the start of the stream like
     /// checkpoint_every_n (the sharded Cluster() path quiesces its
     /// shards at the same stream positions, so the epoch is one
-    /// coherent image). 0 (the default) publishes nothing and creates
-    /// no server.
+    /// coherent image). Each epoch's cluster table (what Assign's
+    /// cluster_id indexes into) clusters the tree with the run's `k`,
+    /// or its distance_limit rule. 0 (the default) publishes nothing
+    /// and creates no server.
     uint64_t publish_every_n = 0;
-    /// Cluster count for each snapshot's publish-time cluster table
-    /// (what Assign's cluster_id and KNearestCentroids index into).
-    /// 0 uses the run's `k` (or its distance_limit rule).
-    int publish_k = 0;
   };
 
   Resources resources;
@@ -269,9 +267,6 @@ struct BirchOptions {
       return Status::InvalidArgument(
           "obs.series_capacity must be > 0 when sampling is enabled");
     }
-    if (serving.publish_k < 0) {
-      return Status::InvalidArgument("serving.publish_k must be >= 0");
-    }
     return Status::OK();
   }
 };
@@ -342,7 +337,6 @@ class BirchOptions::Builder {
 
   // --- Serving tier ---
   Builder& PublishEveryN(uint64_t v) { o_.serving.publish_every_n = v; return *this; }
-  Builder& PublishK(int v) { o_.serving.publish_k = v; return *this; }
 
   /// Validates and returns the finished options.
   StatusOr<BirchOptions> Build() const {

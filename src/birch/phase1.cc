@@ -321,18 +321,8 @@ Status ValidatePoint(std::span<const double> x, double weight,
   return Status::OK();
 }
 
-Status Phase1Builder::Add(std::span<const double> x, double weight) {
-  return AddBatch(x, 1, std::span<const double>(&weight, 1));
-}
-
-Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
-                               std::span<const double> weights) {
-  if (finished_) {
-    return Status::FailedPrecondition(
-        "AddBatch() after Finish(): create a new builder to ingest more "
-        "data");
-  }
-  const size_t dim = options_.tree.dim;
+Status ValidateBatch(std::span<const double> xs, size_t n, size_t dim,
+                     std::span<const double> weights, uint64_t first_index) {
   if (xs.size() != n * dim) {
     return Status::InvalidArgument(
         "batch size mismatch: got " + std::to_string(xs.size()) +
@@ -345,13 +335,28 @@ Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
         " weights for " + std::to_string(n) +
         " points; pass one weight per point or an empty span for all-1");
   }
-  // Validate the whole batch before ingesting any of it, so a bad
-  // point rejects the batch instead of leaving it half-inserted.
   for (size_t i = 0; i < n; ++i) {
     BIRCH_RETURN_IF_ERROR(ValidatePoint(xs.subspan(i * dim, dim),
                                         weights.empty() ? 1.0 : weights[i],
-                                        stats_.points_added + i));
+                                        first_index + i));
   }
+  return Status::OK();
+}
+
+Status Phase1Builder::Add(std::span<const double> x, double weight) {
+  return AddBatch(x, 1, std::span<const double>(&weight, 1));
+}
+
+Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
+                               std::span<const double> weights) {
+  if (finished_) {
+    return Status::FailedPrecondition(
+        "AddBatch() after Finish(): create a new builder to ingest more "
+        "data");
+  }
+  const size_t dim = options_.tree.dim;
+  BIRCH_RETURN_IF_ERROR(
+      ValidateBatch(xs, n, dim, weights, stats_.points_added));
   for (size_t i = 0; i < n; ++i) {
     ++stats_.points_added;
     point_cf_.AssignPoint(xs.subspan(i * dim, dim),

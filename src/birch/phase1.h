@@ -130,6 +130,12 @@ struct Phase1Freeze {
 Status ValidatePoint(std::span<const double> x, double weight,
                      uint64_t index);
 
+/// The whole-batch check before any point is ingested: `xs` holds
+/// n * dim values, `weights` one per point or none, and ValidatePoint()
+/// accepts point i as index `first_index + i`.
+Status ValidateBatch(std::span<const double> xs, size_t n, size_t dim,
+                     std::span<const double> weights, uint64_t first_index);
+
 /// The outlier criterion (Sec. 5.1.4): a leaf entry holding fewer than
 /// `fraction` of the average points per leaf entry of `tree` is a
 /// potential outlier. Returns that weight bound; 0 for an empty tree.

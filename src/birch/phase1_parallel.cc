@@ -329,6 +329,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
       }
       ++i;
     }
+    if (deal_status.ok()) deal_status = source->status();
     if (deal_status.ok() && i < options.resume_skip_points) {
       deal_status = Status::InvalidArgument(
           "source ended before the checkpoint's resume offset (" +
@@ -389,6 +390,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
         sync->Release();
       }
     }
+    if (deal_status.ok()) deal_status = source->status();
     for (int s = 0; s < shards; ++s) {
       if (!pending[static_cast<size_t>(s)].ws.empty()) {
         channels[static_cast<size_t>(s)]->Push(

@@ -8,6 +8,8 @@
 
 namespace birch {
 
+constexpr int kMaxRounds = 64;  // safety cap on condensation rounds
+
 Status CondenseTree(CfTree* tree, const Phase2Options& options,
                     std::vector<CfVector>* outliers, Phase2Stats* stats) {
   TRACE_SPAN("phase2/condense");
@@ -20,7 +22,7 @@ Status CondenseTree(CfTree* tree, const Phase2Options& options,
 
   const double d = static_cast<double>(tree->options().dim);
   while (tree->leaf_entry_count() > options.target_leaf_entries &&
-         out->rounds < options.max_rounds) {
+         out->rounds < kMaxRounds) {
     size_t before = tree->leaf_entry_count();
     double ratio = static_cast<double>(before) /
                    static_cast<double>(options.target_leaf_entries);

@@ -19,8 +19,6 @@ struct Phase2Options {
   size_t target_leaf_entries = 1000;
   /// Entries lighter than this weight are shed as outliers (0 = keep).
   double outlier_weight_threshold = 0.0;
-  /// Safety cap on condensation rounds.
-  int max_rounds = 64;
 };
 
 struct Phase2Stats {

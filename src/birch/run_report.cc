@@ -82,7 +82,6 @@ void WriteOptions(JsonWriter* w, const BirchOptions& o) {
   w->EndObject();
   w->Key("serving").BeginObject();
   w->KV("publish_every_n", o.serving.publish_every_n);
-  w->KV("publish_k", static_cast<int64_t>(o.serving.publish_k));
   w->EndObject();
   w->Key("obs").BeginObject();
   w->KV("sample_every_ms", o.obs.sample_every_ms);
@@ -190,7 +189,6 @@ uint64_t OptionsFingerprint(const BirchOptions& o) {
   f.Mix(o.exec.splitter_seed);
   f.Mix(static_cast<int64_t>(o.exec.kernel));
   f.Mix(o.serving.publish_every_n);
-  f.Mix(static_cast<int64_t>(o.serving.publish_k));
   // options.obs deliberately excluded: telemetry cadence must never
   // make two otherwise-identical runs incomparable.
   return f.value();

@@ -5,6 +5,9 @@
 
 namespace birch {
 
+constexpr double kGrowthCap = 2.0;        // per-rebuild growth cap on T
+constexpr double kBackstopFactor = 1.25;  // T's step when nothing grows it
+
 bool LeastSquaresFit(const std::vector<double>& xs,
                      const std::vector<double>& ys, double* a, double* b) {
   if (xs.size() != ys.size() || xs.size() < 2) return false;
@@ -67,14 +70,14 @@ double ThresholdHeuristic::SuggestNext(const CfTree& tree,
   // spacing and collapsed distinct clusters irreversibly. Cap the
   // per-rebuild growth, but never below d_min (progress guarantee).
   if (ti > 0.0) {
-    next = std::max(std::min(next, growth_cap_ * ti), dmin);
+    next = std::max(std::min(next, kGrowthCap * ti), dmin);
   }
 
   // Backstop: the sequence must strictly increase for rebuilding to
   // shrink the tree (Reducibility Theorem premise).
   if (next <= ti) {
     if (ti > 0.0) {
-      next = ti * backstop_factor_;
+      next = ti * kBackstopFactor;
     } else if (dmin > 0.0) {
       next = dmin;
     } else {

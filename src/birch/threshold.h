@@ -35,13 +35,8 @@ bool LeastSquaresFit(const std::vector<double>& xs,
 class ThresholdHeuristic {
  public:
   /// `total_points` is N when known in advance, else 0.
-  ThresholdHeuristic(size_t dim, uint64_t total_points = 0,
-                     double backstop_factor = 1.25,
-                     double growth_cap = 2.0)
-      : dim_(dim),
-        total_points_(total_points),
-        backstop_factor_(backstop_factor),
-        growth_cap_(growth_cap) {}
+  ThresholdHeuristic(size_t dim, uint64_t total_points = 0)
+      : dim_(dim), total_points_(total_points) {}
 
   /// Suggests T_{i+1} > tree.threshold() given `points_seen` points
   /// absorbed so far. Also records the observation for the regression.
@@ -68,8 +63,6 @@ class ThresholdHeuristic {
 
   size_t dim_;
   uint64_t total_points_;
-  double backstop_factor_;
-  double growth_cap_;
   std::vector<Observation> history_;
 };
 

@@ -42,9 +42,6 @@ struct SamplerOptions {
   uint64_t sample_every_ms = 100;
   /// Ring capacity per series; the oldest samples drop beyond it.
   size_t series_capacity = 4096;
-  /// Also emit each sample as a tracer counter event (only while the
-  /// default tracer is recording).
-  bool emit_trace_counters = true;
 };
 
 class StatsSampler {

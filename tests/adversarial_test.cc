@@ -4,8 +4,9 @@
 // collinear data, and clusters arriving one at a time under a tiny
 // memory budget. Each case must terminate, conserve points, and (where
 // ground truth exists) still recover the clusters. Rows whose squared
-// distances overflow must complete, and NaN or infinite coordinates must
-// be rejected with InvalidArgument, serially and sharded.
+// distances overflow must complete, and NaN or infinite coordinates
+// and malformed CSV rows must be rejected with InvalidArgument, serially
+// and sharded.
 #include <unistd.h>
 
 #include <cmath>
@@ -310,6 +311,30 @@ TEST(AdversarialTest, NonFiniteRowsAreRejectedNamingThePoint) {
                                    /*threads=*/0);
   EXPECT_EQ(inf.status().code(), StatusCode::kInvalidArgument)
       << inf.status().ToString();
+}
+
+// A malformed row mid-file fails a streamed run, serial or sharded, with
+// the in-memory reader's message. It must not end the stream early and
+// let the run cluster the 3,000 rows before it.
+TEST(AdversarialTest, MalformedStreamedRowFailsTheRunNamingItsLine) {
+  struct Case {
+    const char* row;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"1.5,oops", "unparsable row at line 3001"},
+      {"1,2,3", "row arity changed at line 3001 (3 vs 2)"},
+  };
+  for (const Case& c : cases) {
+    for (int threads : {0, 3}) {
+      auto result = ClusterCsvWithBadRows("malformed", c.row, {3000}, threads);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << c.row << " threads=" << threads << ": "
+          << result.status().ToString();
+      EXPECT_EQ(result.status().message(), c.message)
+          << c.row << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -252,6 +253,38 @@ TEST(CheckpointTest, AddBatchKeepsAbsolutePointCadences) {
   EXPECT_EQ(pimg.value().points_ingested, 100u);
   EXPECT_EQ(pc.value()->server()->epoch(), 2u);
   EXPECT_EQ(read_file(path), batch_bytes);
+  std::remove(path.c_str());
+}
+
+// A rejected batch leaves no trace: AddBatch validates all of it
+// before the cadences cut it into pieces, so a NaN at row 150 of a
+// 200-row batch, with both cadences due at 100, ingests no point,
+// publishes no epoch and writes no checkpoint.
+TEST(CheckpointTest, RejectedBatchIngestsNothingAtEitherCadence) {
+  Dataset data = MakeData(4, 100, 710);
+  ASSERT_GE(data.size(), 200u);
+  const size_t dim = data.dim();
+  const std::string path = TempPath("ckpt_rejected_batch_" +
+                                    std::to_string(::getpid()) + ".birch");
+  std::remove(path.c_str());
+  BirchOptions o = SmallOpts(dim, 4);
+  o.resources.checkpoint_every_n = 100;
+  o.resources.checkpoint_path = path;
+  o.serving.publish_every_n = 100;
+  std::vector<double> xs(data.Values().begin(),
+                         data.Values().begin() + 200 * dim);
+  xs[150 * dim] = std::nan("");
+
+  auto c_or = BirchClusterer::Create(o);
+  ASSERT_TRUE(c_or.ok());
+  BirchClusterer& c = *c_or.value();
+  const Status st = c.AddBatch(xs, 200);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("point 150"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(c.phase1_stats().points_added, 0u);
+  EXPECT_EQ(c.server()->epoch(), 0u);
+  EXPECT_FALSE(std::ifstream(path).good()) << "checkpoint written";
   std::remove(path.c_str());
 }
 

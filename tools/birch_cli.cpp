@@ -117,7 +117,8 @@ int Run(int argc, char** argv) {
                  "[--fault-lose P] [--fault-flip P] [--fault-seed S] "
                  "[--io-attempts N]\n"
                  "  --stream clusters the file without loading it into "
-                 "memory (no per-row labels).\n"
+                 "memory (no per-row labels); a bad\n  row fails the "
+                 "run naming its line, as without --stream.\n"
                  "  --cf betula uses the numerically stable BETULA "
                  "(N, mean, S) CF representation\n"
                  "  (use for data far from the origin); --cf-storage f32 "
