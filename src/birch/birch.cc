@@ -401,7 +401,8 @@ Status BirchClusterer::AddBatch(std::span<const double> xs, size_t n,
         "checkpoints)");
   }
   const size_t dim = options_.dim;
-  // The whole batch first: the cadence below ingests it piece by piece.
+  // The whole batch first: the cadence below ingests it piece by piece,
+  // each piece already validated.
   BIRCH_RETURN_IF_ERROR(
       ValidateBatch(xs, n, dim, weights, phase1_->stats().points_added));
   size_t off = 0;
@@ -411,7 +412,7 @@ Status BirchClusterer::AddBatch(std::span<const double> xs, size_t n,
     // point ingest would produce.
     const size_t take =
         static_cast<size_t>(std::min<uint64_t>(n - off, cadence_.Room()));
-    BIRCH_RETURN_IF_ERROR(phase1_->AddBatch(
+    BIRCH_RETURN_IF_ERROR(phase1_->Ingest(
         xs.subspan(off * dim, take * dim), take,
         weights.empty() ? std::span<const double>()
                         : weights.subspan(off, take)));

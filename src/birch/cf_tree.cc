@@ -88,17 +88,12 @@ CfVector CfTree::Summary(const CfNode& node) const {
 }
 
 size_t CfTree::ClosestIndex(const CfNode& node, const CfVector& cf,
-                            const kernel::CfQuery* query) const {
+                            const kernel::CfQuery& query) const {
   stats_.distance_comparisons += node.size();
   OBS_COUNTER_ADD("tree/distance_comps", node.size());
   if (node.size() == 0) return kNone;
   if (IsBatchKernel(options_.kernel)) {
-    kernel::CfQuery local;
-    if (query == nullptr) {
-      local.Prepare(cf, options_.metric, &ws_.query_centroid);
-      query = &local;
-    }
-    return kernel::NearestEntry(node.rows, *query, options_.metric, &ws_)
+    return kernel::NearestEntry(node.rows, query, options_.metric, &ws_)
         .index;
   }
   size_t best = kNone;
@@ -135,12 +130,6 @@ bool CfTree::CanAbsorb(const CfVector& existing,
   return MergedThresholdValue(existing, incoming) <= threshold_;
 }
 
-void CfTree::AddToRow(CfNode* node, size_t i, const CfVector& cf) {
-  node->rows.Load(i, &row_);
-  row_.Add(cf);
-  node->rows.Update(i, row_);
-}
-
 InsertOutcome CfTree::InsertPoint(std::span<const double> x, double weight,
                                   InsertMode mode) {
   point_cf_.AssignPoint(x, weight);
@@ -157,10 +146,8 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
   // Prepare serves every scan of the descent — bitwise identical to
   // preparing per node, minus the repeated O(d) work.
   kernel::CfQuery query;
-  const kernel::CfQuery* q = nullptr;
   if (IsBatchKernel(options_.kernel)) {
     query.Prepare(entry, options_.metric, &ws_.query_centroid);
-    q = &query;
   }
 
   // Descend to the closest leaf, recording the path (reused member
@@ -170,21 +157,20 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
   CfNode* node = root_;
   while (!node->is_leaf) {
     // Child 0 when no row compares below +inf (CF sums that overflow).
-    size_t ci = ClosestIndex(*node, entry, q);
+    size_t ci = ClosestIndex(*node, entry, query);
     if (ci == kNone) ci = 0;
     path.push_back({node, ci});
     node = node->children[ci];
   }
 
   // Try to absorb into the closest leaf entry; every path node then
-  // gets the same CF addition on the row it descended through.
-  size_t ei = ClosestIndex(*node, entry, q);
+  // gets the same CF addition, in place, on the row it descended through.
+  size_t ei = ClosestIndex(*node, entry, query);
   if (ei != kNone) {
     node->rows.Load(ei, &row_);
     if (CanAbsorb(row_, entry)) {
-      row_.Add(entry);
-      node->rows.Update(ei, row_);
-      for (auto& step : path) AddToRow(step.node, step.child, entry);
+      node->rows.Add(ei, entry);
+      for (auto& step : path) step.node->rows.Add(step.child, entry);
       ++stats_.absorbed;
       return InsertOutcome::kAbsorbed;
     }
@@ -200,7 +186,7 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
     node->rows.Append(entry);
     ++leaf_entries_;
     OBS_GAUGE_ADD("tree/leaf_entries", 1);
-    for (auto& step : path) AddToRow(step.node, step.child, entry);
+    for (auto& step : path) step.node->rows.Add(step.child, entry);
     ++stats_.new_entries;
     return InsertOutcome::kNewEntry;
   }
@@ -234,7 +220,7 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
         MergingRefinement(parent, ci, parent->size() - 1);
       }
       for (int j = level - 1; j >= 0; --j) {
-        AddToRow(path[j].node, path[j].child, entry);
+        path[j].node->rows.Add(path[j].child, entry);
       }
       return InsertOutcome::kSplit;
     }

@@ -192,17 +192,13 @@ class CfTree {
 
   /// Index of the entry of `node` closest to `cf` (metric distance).
   /// Returns SIZE_MAX if the node is empty or no distance compares
-  /// below +inf. `query` (batch kernels
-  /// only) carries the query-side precomputations, prepared once per
-  /// insert and reused down the whole descent; nullptr prepares a
-  /// fresh one for this node.
+  /// below +inf. `query` is `cf` prepared for the batch kernels, once
+  /// per insert and reused down the whole descent; the scalar oracle
+  /// does not read it.
   size_t ClosestIndex(const CfNode& node, const CfVector& cf,
-                      const kernel::CfQuery* query = nullptr) const;
+                      const kernel::CfQuery& query) const;
 
   bool CanAbsorb(const CfVector& existing, const CfVector& incoming) const;
-
-  /// Adds `cf` to row `i` of `node`: load, CF addition, store.
-  void AddToRow(CfNode* node, size_t i, const CfVector& cf);
 
   /// Appends every row (and child) of `node` to `out`.
   void Gather(const CfNode& node, SplitRows* out) const;
@@ -241,8 +237,8 @@ class CfTree {
   /// cost a malloc/free pair on every insert.
   CfVector point_cf_;
   std::vector<PathStep> path_;
-  /// The one row a mutation, summary or scalar scan works on (mutable
-  /// for the const lookups, like ws_).
+  /// The one row an absorb test, move, summary or scalar scan loads
+  /// (mutable for the const lookups, like ws_).
   mutable CfVector row_;
 };
 

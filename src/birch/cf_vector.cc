@@ -77,31 +77,38 @@ void CfVector::Add(const CfVector& other) {
     storage_ = other.storage_;
   }
   assert(rep_ == other.rep_);
-  if (rep_ == CfRepresentation::kClassic) {
-    n_ += other.n_;
-    for (size_t i = 0; i < vec_.size(); ++i) vec_[i] += other.vec_[i];
-    scalar_ += other.scalar_;
+  AddInto(rep_, storage_, other, &n_, vec_.data(), 1, &scalar_);
+}
+
+void CfVector::AddInto(CfRepresentation rep, CfStorage storage,
+                       const CfVector& other, double* n, double* vec,
+                       size_t stride, double* scalar) {
+  const size_t dim = other.dim();
+  if (rep == CfRepresentation::kClassic) {
+    *n += other.n_;
+    for (size_t i = 0; i < dim; ++i) vec[i * stride] += other.vec_[i];
+    *scalar += other.scalar_;
   } else if (other.n_ > 0.0) {
-    // Chan-style merge. With na = n_, nb = other.n_:
+    // Chan-style merge. With na = n, nb = other.n_:
     //   mean' = mean + (nb/nm) * (mean_b - mean)
     //   S'    = S_a + S_b + (na*nb/nm) * ||mean_b - mean_a||^2
     // Every term is non-negative where it matters: no cancellation.
     // The operation ORDER here is a contract — the kernel's
     // MergedDiameter/MergedRadius and D3/D4 scans replicate it
     // exactly for bitwise scalar/batch equivalence.
-    const double nm = n_ + other.n_;
+    const double nm = *n + other.n_;
     const double f = other.n_ / nm;
-    const double coef = n_ * f;  // na*nb/nm
+    const double coef = *n * f;  // na*nb/nm
     double dsq = 0.0;
-    for (size_t i = 0; i < vec_.size(); ++i) {
-      const double d = other.vec_[i] - vec_[i];
-      vec_[i] += f * d;
+    for (size_t i = 0; i < dim; ++i) {
+      const double d = other.vec_[i] - vec[i * stride];
+      vec[i * stride] += f * d;
       dsq += d * d;
     }
-    scalar_ += other.scalar_ + coef * dsq;
-    n_ = nm;
+    *scalar += other.scalar_ + coef * dsq;
+    *n = nm;
   }
-  QuantizeStorage();
+  Quantize(storage, vec, dim, stride, scalar);
 }
 
 void CfVector::Subtract(const CfVector& other) {
@@ -218,9 +225,18 @@ double CfVector::SquaredDiameter() const {
 double CfVector::Diameter() const { return std::sqrt(SquaredDiameter()); }
 
 double CfVector::SumSquaredDeviation() const {
-  if (n_ <= 0.0) return 0.0;
-  if (rep_ == CfRepresentation::kBetula) return scalar_;
-  return GuardedStat(scalar_ - SquaredNorm(vec_) / n_, scalar_);
+  return SumSquaredDeviationOf(rep_, n_, vec_.data(), vec_.size(), 1,
+                               scalar_);
+}
+
+double CfVector::SumSquaredDeviationOf(CfRepresentation rep, double n,
+                                       const double* vec, size_t dim,
+                                       size_t stride, double scalar) {
+  if (n <= 0.0) return 0.0;
+  if (rep == CfRepresentation::kBetula) return scalar;
+  double norm = 0.0;  // SquaredNorm's loop, `stride` apart
+  for (size_t i = 0; i < dim; ++i) norm += vec[i * stride] * vec[i * stride];
+  return GuardedStat(scalar - norm / n, scalar);
 }
 
 void CfVector::SerializeTo(std::vector<double>* out) const {

@@ -178,16 +178,39 @@ class CfVector {
   bool operator==(const CfVector& other) const = default;
 
  private:
-  /// Node column blocks store and load rows of raw state directly.
+  /// Node column blocks store, load and add to rows of raw state
+  /// directly.
   friend class kernel::CfBatch;
+
+  // Raw-state forms of Add() and SumSquaredDeviation(), shared with the
+  // column blocks: the state is (*n, *scalar) and other.dim() (or `dim`)
+  // vector components `stride` doubles apart, and `rep` / `storage` are
+  // its policies.
+
+  /// The CF addition: adds `other` into the state.
+  static void AddInto(CfRepresentation rep, CfStorage storage,
+                      const CfVector& other, double* n, double* vec,
+                      size_t stride, double* scalar);
+
+  /// The total squared deviation of the state.
+  static double SumSquaredDeviationOf(CfRepresentation rep, double n,
+                                      const double* vec, size_t dim,
+                                      size_t stride, double scalar);
 
   /// kF32 storage: round the stored components through float after a
   /// mutation, as if the backing arrays were 4-byte floats. N is
   /// exempt (counts stay exact).
+  static void Quantize(CfStorage storage, double* vec, size_t dim,
+                       size_t stride, double* scalar) {
+    if (storage != CfStorage::kF32) return;
+    for (size_t i = 0; i < dim; ++i) {
+      double& v = vec[i * stride];
+      v = static_cast<double>(static_cast<float>(v));
+    }
+    *scalar = static_cast<double>(static_cast<float>(*scalar));
+  }
   void QuantizeStorage() {
-    if (storage_ != CfStorage::kF32) return;
-    for (double& v : vec_) v = static_cast<double>(static_cast<float>(v));
-    scalar_ = static_cast<double>(static_cast<float>(scalar_));
+    Quantize(storage_, vec_.data(), vec_.size(), 1, &scalar_);
   }
 
   double n_ = 0.0;

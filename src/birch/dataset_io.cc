@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 
 namespace birch {
 
@@ -57,6 +58,12 @@ StatusOr<std::unique_ptr<CsvPointSource>> CsvPointSource::Open(
     const std::string& path) {
   auto source = std::unique_ptr<CsvPointSource>(new CsvPointSource(path));
   if (!source->in_) return Status::IOError("cannot open " + path);
+  // A pipe, socket or terminal reads once: no Rewind().
+  std::error_code ec;
+  const auto type = std::filesystem::status(path, ec).type();
+  source->seekable_ = type != std::filesystem::file_type::fifo &&
+                      type != std::filesystem::file_type::socket &&
+                      type != std::filesystem::file_type::character;
   // The first data row fixes the dimensionality; the first Next()
   // returns it, so reading the file once never seeks.
   if (!source->NextRow()) {
@@ -101,6 +108,10 @@ bool CsvPointSource::Next(std::span<double> out, double* weight) {
 }
 
 Status CsvPointSource::Rewind() {
+  if (!seekable_) {
+    return Status::FailedPrecondition(
+        path_ + " is a pipe, socket or device: it cannot be re-read");
+  }
   in_.clear();
   in_.seekg(0);
   if (!in_) return Status::IOError("rewind failed for " + path_);

@@ -34,7 +34,9 @@ StatusOr<Dataset> ReadCsvPoints(const std::string& path);
 /// Streaming CSV source: reads the file one row at a time without ever
 /// materializing the dataset — BIRCH's single-scan access pattern over
 /// a file of arbitrary size. One pass reads front to back, so a pipe
-/// works; Rewind() (Phase-4 re-scans) needs a seekable file.
+/// works. Rewind() (Phase-4 re-scans) needs a file that can seek: over
+/// a FIFO, socket or character device it returns FailedPrecondition,
+/// which the clusterer reads as "no Phase 4".
 class CsvPointSource : public PointSource {
  public:
   /// Opens `path`, sniffing the dimensionality from the first data row:
@@ -61,6 +63,7 @@ class CsvPointSource : public PointSource {
   size_t line_no_ = 0;
   bool saw_data_ = false;  // header only skippable before first data row
   bool row_pending_ = false;  // row_ holds Open()'s row, not yet returned
+  bool seekable_ = true;  // not a FIFO, socket or character device
   Status status_;
 };
 

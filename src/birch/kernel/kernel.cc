@@ -46,15 +46,6 @@ void AbsDiffPortable(double* acc, const double* cols, size_t stride,
   }
 }
 
-void DotPortable(double* acc, const double* cols, size_t stride,
-                 const double* q, size_t dims, size_t m) {
-  for (size_t k = 0; k < dims; ++k) {
-    const double qk = q[k];
-    const double* col = cols + k * stride;
-    for (size_t j = 0; j < m; ++j) acc[j] += qk * col[j];
-  }
-}
-
 void MergedNormPortable(double* acc, const double* cols, size_t stride,
                         const double* q, size_t dims, size_t m) {
   for (size_t k = 0; k < dims; ++k) {
@@ -67,23 +58,13 @@ void MergedNormPortable(double* acc, const double* cols, size_t stride,
   }
 }
 
-void SqrtArrPortable(double* acc, size_t m) {
-  for (size_t j = 0; j < m; ++j) acc[j] = std::sqrt(acc[j]);
-}
-
-void FinishD2Portable(double* acc, const double* n, const double* msq,
-                      double qn, double qmsq, size_t m) {
+void D2KeysPortable(double* key, const double* cols, size_t stride,
+                    const double* q, size_t dims, size_t m, const double* n,
+                    const double* msq, double qn, double qmsq) {
   for (size_t j = 0; j < m; ++j) {
-    double d2 = qmsq + msq[j] - 2.0 * acc[j] / (qn * n[j]);
-    acc[j] = std::sqrt(ClampNonNegative(d2));
-  }
-}
-
-void FinishD2StablePortable(double* acc, const double* msq, double qmsq,
-                            size_t m) {
-  for (size_t j = 0; j < m; ++j) {
-    double d2 = (qmsq + msq[j]) + acc[j];
-    acc[j] = std::sqrt(ClampNonNegative(d2));
+    double cross = 0.0;
+    for (size_t k = 0; k < dims; ++k) cross += q[k] * cols[k * stride + j];
+    key[j] = ClampNonNegative(qmsq + msq[j] - 2.0 * cross / (qn * n[j]));
   }
 }
 
@@ -159,10 +140,9 @@ void NearestSqPortable(const double* rows, size_t n, const double* cols,
 
 }  // namespace
 
-const Ops kPortableOps = {&SqDiffPortable,    &AbsDiffPortable,
-                          &DotPortable,       &MergedNormPortable,
-                          &SqrtArrPortable,   &FinishD2Portable,
-                          &FinishD2StablePortable, &NearestSqPortable};
+const Ops kPortableOps = {&SqDiffPortable, &AbsDiffPortable,
+                          &MergedNormPortable, &D2KeysPortable,
+                          &NearestSqPortable};
 
 const Ops& GetOps() {
 #if defined(BIRCH_KERNEL_AVX2)
@@ -261,19 +241,37 @@ void CfBatch::Append(const CfVector& entry) {
 void CfBatch::Update(size_t i, const CfVector& entry) {
   assert(i < size_);
   assert(entry.dim() == dim_);
-  const double en = entry.n();
-  const double scalar = entry.raw_scalar();  // SS classic, S BETULA
-  column(0)[i] = en;
-  column(1)[i] = scalar;
-  column(2)[i] = en > 0.0 ? scalar / en : 0.0;
+  column(0)[i] = entry.n();
+  column(1)[i] = entry.raw_scalar();  // SS classic, S BETULA
   std::span<const double> vec = entry.raw_vec();
   double* v = column(3);
   for (size_t k = 0; k < dim_; ++k) v[k * capacity_ + i] = vec[k];
+  RefreshDerived(i, entry.rep());
+}
+
+void CfBatch::Add(size_t i, const CfVector& cf) {
+  assert(i < size_);
+  assert(cf.dim() == dim_);
+  CfVector::AddInto(cf.rep(), cf.storage(), cf, column(0) + i,
+                    column(3) + i, capacity_, column(1) + i);
+  RefreshDerived(i, cf.rep());
+}
+
+void CfBatch::RefreshDerived(size_t i, CfRepresentation rep) {
+  const double en = column(0)[i];
+  const double scalar = column(1)[i];
+  column(2)[i] = en > 0.0 ? scalar / en : 0.0;
+  const double* v = column(3) + i;
   if (needs_.centroid) {
-    double* c = column(CentroidColumn());
-    for (size_t k = 0; k < dim_; ++k) c[k * capacity_ + i] = vec[k] / en;
+    double* c = column(CentroidColumn()) + i;
+    for (size_t k = 0; k < dim_; ++k) {
+      c[k * capacity_] = v[k * capacity_] / en;
+    }
   }
-  if (needs_.ssd) column(SsdColumn())[i] = entry.SumSquaredDeviation();
+  if (needs_.ssd) {
+    column(SsdColumn())[i] =
+        CfVector::SumSquaredDeviationOf(rep, en, v, dim_, capacity_, scalar);
+  }
 }
 
 void CfBatch::Load(size_t i, CfVector* out) const {
@@ -295,118 +293,114 @@ void CfBatch::Erase(size_t i) {
   --size_;
 }
 
-void FillDistances(const CfBatch& batch, const CfQuery& query,
-                   DistanceMetric metric, Workspace* ws) {
+namespace {
+
+/// Fills key[0, m) with each candidate's key under `metric`: the value
+/// under the final sqrt of Distance(metric, query, batch[j]), computed
+/// with the scalar oracle's operations in its order — the distance
+/// itself for D1, which takes no sqrt.
+void FillKeys(const CfBatch& batch, const CfQuery& query,
+              DistanceMetric metric, double* key) {
   const size_t m = batch.size();
   const size_t cap = batch.capacity();
   const size_t dim = batch.dim();
-  ws->dist.assign(m, 0.0);
-  if (m == 0) return;
-  double* acc = ws->dist.data();
   const detail::Ops& ops = detail::GetOps();
 
   if (query.cf->rep() == CfRepresentation::kBetula) {
-    // Every BETULA metric starts from the squared mean differences
-    // accumulated over the mean (vector) columns; the finishing passes use
-    // the Chan-merge identities (sums of non-negative terms) in the
-    // exact operation order of the scalar oracle (metrics.cc /
-    // CfVector::Add), so scalar and batch stay bitwise identical.
+    // Every BETULA metric starts from the squared mean differences (the
+    // absolute ones for D1) accumulated over the mean (vector) columns;
+    // the finishing loops use the Chan-merge identities (sums of
+    // non-negative terms) in the exact operation order of the scalar
+    // oracle (metrics.cc / CfVector::Add).
+    std::fill_n(key, m, 0.0);
+    if (metric == DistanceMetric::kD1) {
+      ops.abs_diff(key, batch.vec(), cap, query.centroid, dim, m);
+      return;
+    }
+    // key holds ||mean_q - mean_j||^2: D0's key as it stands.
+    ops.sq_diff(key, batch.vec(), cap, query.centroid, dim, m);
+    const double* n = batch.n();
     switch (metric) {
-      case DistanceMetric::kD0: {
-        ops.sq_diff(acc, batch.vec(), cap, query.centroid, dim, m);
-        ops.sqrt_arr(acc, m);
-        break;
-      }
-      case DistanceMetric::kD1: {
-        ops.abs_diff(acc, batch.vec(), cap, query.centroid, dim, m);
-        break;
-      }
       case DistanceMetric::kD2: {
-        ops.sq_diff(acc, batch.vec(), cap, query.centroid, dim, m);
-        ops.finish_d2_stable(acc, batch.mean_sq(), query.mean_sq, m);
+        const double* msq = batch.mean_sq();
+        for (size_t j = 0; j < m; ++j) {
+          key[j] = ClampNonNegative((query.mean_sq + msq[j]) + key[j]);
+        }
         break;
       }
       case DistanceMetric::kD3: {
-        // acc holds ||mean_q - mean_j||^2; finish with the Chan merge
-        // S_m = S_q + (S_j + coef*dsq), quantized like the scalar
-        // Merged CF would be under f32 storage.
-        ops.sq_diff(acc, batch.vec(), cap, query.centroid, dim, m);
-        const double* n = batch.n();
+        // The Chan merge S_m = S_q + (S_j + coef*dsq), quantized like
+        // the scalar Merged CF would be under f32 storage.
         const double* ss = batch.ss();
         const bool f32 = query.cf->storage() == CfStorage::kF32;
         for (size_t j = 0; j < m; ++j) {
           double nm = query.n + n[j];
           if (nm <= 1.0) {
-            acc[j] = 0.0;
+            key[j] = 0.0;
             continue;
           }
           double f = n[j] / nm;
           double coef = query.n * f;
-          double sm = query.ss + (ss[j] + coef * acc[j]);
+          double sm = query.ss + (ss[j] + coef * key[j]);
           if (f32) sm = static_cast<double>(static_cast<float>(sm));
-          acc[j] = std::sqrt(ClampNonNegative(2.0 * sm / (nm - 1.0)));
+          key[j] = ClampNonNegative(2.0 * sm / (nm - 1.0));
         }
         break;
       }
       case DistanceMetric::kD4: {
         // The SSE increase is coef * ||mean_q - mean_j||^2 directly.
-        ops.sq_diff(acc, batch.vec(), cap, query.centroid, dim, m);
-        const double* n = batch.n();
         for (size_t j = 0; j < m; ++j) {
           double nm = query.n + n[j];
           if (nm <= 0.0) {
-            acc[j] = 0.0;
+            key[j] = 0.0;
             continue;
           }
           double f = n[j] / nm;
           double coef = query.n * f;
-          acc[j] = std::sqrt(ClampNonNegative(coef * acc[j]));
+          key[j] = ClampNonNegative(coef * key[j]);
         }
         break;
       }
+      default:
+        break;
     }
     return;
   }
 
   switch (metric) {
-    case DistanceMetric::kD0: {
-      ops.sq_diff(acc, batch.centroid(), cap, query.centroid, dim, m);
-      ops.sqrt_arr(acc, m);
+    case DistanceMetric::kD0:
+      std::fill_n(key, m, 0.0);
+      ops.sq_diff(key, batch.centroid(), cap, query.centroid, dim, m);
       break;
-    }
-    case DistanceMetric::kD1: {
-      ops.abs_diff(acc, batch.centroid(), cap, query.centroid, dim, m);
+    case DistanceMetric::kD1:
+      std::fill_n(key, m, 0.0);
+      ops.abs_diff(key, batch.centroid(), cap, query.centroid, dim, m);
       break;
-    }
-    case DistanceMetric::kD2: {
-      // acc holds the cross term Dot(LS_q, LS_j) first, then the
-      // finished distance.
-      ops.dot(acc, batch.vec(), cap, query.cf->ls().data(), dim, m);
-      ops.finish_d2(acc, batch.n(), batch.mean_sq(), query.n, query.mean_sq,
-                    m);
+    case DistanceMetric::kD2:
+      ops.d2_keys(key, batch.vec(), cap, query.cf->ls().data(), dim, m,
+                  batch.n(), batch.mean_sq(), query.n, query.mean_sq);
       break;
-    }
     case DistanceMetric::kD3: {
-      // acc holds ||LS_q + LS_j||^2 first.
-      ops.merged_norm(acc, batch.vec(), cap, query.cf->ls().data(), dim, m);
+      // key holds ||LS_q + LS_j||^2 first.
+      std::fill_n(key, m, 0.0);
+      ops.merged_norm(key, batch.vec(), cap, query.cf->ls().data(), dim, m);
       const double* n = batch.n();
       const double* ss = batch.ss();
       for (size_t j = 0; j < m; ++j) {
         double nm = query.n + n[j];
         if (nm <= 1.0) {
-          acc[j] = 0.0;
+          key[j] = 0.0;
           continue;
         }
         double ssm = query.ss + ss[j];
-        double num = 2.0 * (nm * ssm - acc[j]);
-        double sq = GuardedStat(num / (nm * (nm - 1.0)),
-                                2.0 * ssm / (nm - 1.0));
-        acc[j] = std::sqrt(sq);
+        double num = 2.0 * (nm * ssm - key[j]);
+        key[j] = GuardedStat(num / (nm * (nm - 1.0)), 2.0 * ssm / (nm - 1.0));
       }
       break;
     }
     case DistanceMetric::kD4: {
-      ops.merged_norm(acc, batch.vec(), cap, query.cf->ls().data(), dim, m);
+      std::fill_n(key, m, 0.0);
+      ops.merged_norm(key, batch.vec(), cap, query.cf->ls().data(), dim, m);
       const double* n = batch.n();
       const double* ss = batch.ss();
       const double* ssd = batch.ssd();
@@ -414,31 +408,60 @@ void FillDistances(const CfBatch& batch, const CfQuery& query,
         double nm = query.n + n[j];
         double ssm = query.ss + ss[j];
         double merged_ssd =
-            nm <= 0.0 ? 0.0 : GuardedStat(ssm - acc[j] / nm, ssm);
-        double inc = merged_ssd - query.ssd - ssd[j];
-        acc[j] = std::sqrt(ClampNonNegative(inc));
+            nm <= 0.0 ? 0.0 : GuardedStat(ssm - key[j] / nm, ssm);
+        key[j] = ClampNonNegative(merged_ssd - query.ssd - ssd[j]);
       }
       break;
     }
   }
 }
 
-ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
-                        DistanceMetric metric, Workspace* ws,
-                        const uint8_t* active, size_t exclude) {
-  FillDistances(batch, query, metric, ws);
+}  // namespace
+
+void FillDistances(const CfBatch& batch, const CfQuery& query,
+                   DistanceMetric metric, Workspace* ws) {
+  const size_t m = batch.size();
+  ws->dist.resize(m);
+  double* dist = ws->dist.data();
+  FillKeys(batch, query, metric, dist);
+  if (metric == DistanceMetric::kD1) return;
+  for (size_t j = 0; j < m; ++j) dist[j] = std::sqrt(dist[j]);
+}
+
+namespace detail {
+
+ScanResult NearestKey(const double* key, size_t m, bool root,
+                      const uint8_t* active, size_t exclude) {
   ScanResult r;
   r.distance = std::numeric_limits<double>::infinity();
-  const double* dist = ws->dist.data();
-  for (size_t j = 0; j < batch.size(); ++j) {
+  double best_key = r.distance;
+  for (size_t j = 0; j < m; ++j) {
     if (j == exclude) continue;
     if (active != nullptr && active[j] == 0) continue;
-    if (dist[j] < r.distance) {
-      r.distance = dist[j];
+    // sqrt is monotone: a key at or above the best one cannot give a
+    // smaller distance, so only a smaller key pays for its sqrt.
+    if (!(key[j] < best_key)) continue;
+    const double d = root ? std::sqrt(key[j]) : key[j];
+    if (d < r.distance) {
+      r.distance = d;
       r.index = j;
+      best_key = key[j];
     }
   }
   return r;
+}
+
+}  // namespace detail
+
+ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
+                        DistanceMetric metric, Workspace* ws,
+                        const uint8_t* active, size_t exclude) {
+  const size_t m = batch.size();
+  // Grow-only: a shorter node's scan leaves the tail as it is.
+  if (ws->dist.size() < m) ws->dist.resize(m);
+  FillKeys(batch, query, metric, ws->dist.data());
+  return detail::NearestKey(ws->dist.data(), m,
+                            metric != DistanceMetric::kD1, active, exclude);
 }
 
 namespace {

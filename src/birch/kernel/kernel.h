@@ -10,18 +10,26 @@
 // per-entry pointer chasing — and, when built with BIRCH_KERNEL_AVX2 on
 // an AVX2 machine, an explicit 4-wide SIMD pass. A CF-tree node stores
 // its entries in exactly this block (cf_node.h), so a descent scans the
-// node's own storage. CF scans (CfBatch) fill a distance array, then
-// take its argmin; point->center scans (CenterBatch) fuse the two, up
-// to four points at a time.
+// node's own storage. A CF scan (CfBatch) is one call per node that
+// returns the winner: one pass computes a key per candidate — the value
+// under the metric's final sqrt (for D1, which takes none, the distance
+// itself) — and the argmin takes sqrt only for a key below the running
+// best. Point->center scans (CenterBatch) fuse the distance and the
+// argmin too, up to four points at a time.
 //
 // Equivalence contract: for every metric the batch path performs the
 // SAME floating-point operations in the SAME order per candidate as
 // the scalar oracle in metrics.cc / cf_vector.cc (the AVX2 pass uses
 // separate mul+add, never FMA), and every argmin is first-wins strict
 // `<` from +inf, so scalar and batch kernels agree bitwise — same
-// winners, same distances. An argmin with no candidate below +inf
-// returns index SIZE_MAX. tests/kernel_test.cc holds this line across
-// metrics D0-D4, both threshold kinds, and dims.
+// winners, same distances. The CF argmin compares the distances the
+// oracle compares: sqrt is monotone, so a key at or above the best key
+// cannot win and skips its sqrt, and a smaller key wins only if its
+// sqrt is smaller. Two keys one ulp apart can share a sqrt; the earlier
+// candidate keeps the win there, as in the oracle, where an argmin over
+// the raw keys would pick the later. An argmin with no candidate below
+// +inf returns index SIZE_MAX. tests/kernel_test.cc holds this line
+// across metrics D0-D4, both threshold kinds, and dims.
 #ifndef BIRCH_BIRCH_KERNEL_KERNEL_H_
 #define BIRCH_BIRCH_KERNEL_KERNEL_H_
 
@@ -114,6 +122,12 @@ class CfBatch {
   /// Stores `entry` into row `i` and refreshes its derived columns.
   void Update(size_t i, const CfVector& entry);
 
+  /// Adds `cf` into row `i` in place (the CF Additivity Theorem) under
+  /// `cf`'s representation and storage policies, which every row of a
+  /// block shares: bitwise equal, in every column, to Load() into a CF
+  /// of those policies, CfVector::Add(cf), then Update().
+  void Add(size_t i, const CfVector& cf);
+
   /// Loads row `i` into `out`, which keeps its representation and
   /// storage policies: the exact stored values, no allocation once
   /// `out` has this block's dimension.
@@ -146,6 +160,11 @@ class CfBatch {
   }
   double* column(size_t c) { return block_.get() + c * capacity_; }
 
+  /// Recomputes row `i`'s derived columns (S/N, and the centroid and
+  /// SSD when kept) from its stored N, scalar and vector; `rep` is the
+  /// row's representation. Update() and Add() both end here.
+  void RefreshDerived(size_t i, CfRepresentation rep);
+
   uint32_t dim_ = 0;
   uint32_t capacity_ = 0;
   uint32_t size_ = 0;
@@ -153,8 +172,9 @@ class CfBatch {
   std::unique_ptr<double[]> block_;
 };
 
-/// Reusable CfBatch scan workspace (distance array + query centroid
-/// buffer); one per tree / per worker thread, so scans never allocate.
+/// Reusable CfBatch scan workspace (key / distance array + query
+/// centroid buffer); one per tree / per worker thread, so scans never
+/// allocate once it has grown to the largest block.
 struct Workspace {
   std::vector<double> dist;
   std::vector<double> query_centroid;
@@ -169,18 +189,34 @@ struct ScanResult {
 
 /// Computes Distance(metric, query, batch[i]) for every i in
 /// [0, batch.size()) into ws->dist (resized), bitwise-equal to the
-/// scalar oracle.
+/// scalar oracle: the scan's keys, then one sqrt pass (none for D1).
+/// The per-candidate view of NearestEntry()'s scan, which the tests
+/// hold to the oracle.
 void FillDistances(const CfBatch& batch, const CfQuery& query,
                    DistanceMetric metric, Workspace* ws);
 
 /// One-pass batch scan: nearest entry of `batch` to `query` under
-/// `metric`. `active` (nullable) masks candidates; `exclude` (or
-/// SIZE_MAX) skips one index. First-wins on ties, exactly like the
-/// scalar loop.
+/// `metric`, and its distance. `active` (nullable) masks candidates;
+/// `exclude` (or SIZE_MAX) skips one index. First-wins on ties, exactly
+/// like the scalar loop. Writes the keys into ws->dist (grown, never
+/// shrunk: its size is not the batch's).
 ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
                         DistanceMetric metric, Workspace* ws,
                         const uint8_t* active = nullptr,
                         size_t exclude = static_cast<size_t>(-1));
+
+namespace detail {
+
+/// NearestEntry()'s argmin step over precomputed keys: candidate j's
+/// distance is sqrt(key[j]) when `root`, key[j] otherwise, and the
+/// winner is the first candidate with the smallest distance under
+/// strict `<` from +inf, as in the scalar loop. sqrt is taken only for
+/// a key below the best key so far. `active` and `exclude` as in
+/// NearestEntry().
+ScanResult NearestKey(const double* key, size_t m, bool root,
+                      const uint8_t* active, size_t exclude);
+
+}  // namespace detail
 
 /// Diameter / radius the merge of `a` and `b` would have, computed
 /// without materializing the merged CF (no allocation). Bitwise-equal

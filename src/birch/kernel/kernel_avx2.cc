@@ -61,22 +61,6 @@ void AbsDiffAvx2(double* acc, const double* cols, size_t stride,
   }
 }
 
-void DotAvx2(double* acc, const double* cols, size_t stride,
-             const double* q, size_t dims, size_t m) {
-  for (size_t k = 0; k < dims; ++k) {
-    const double qk = q[k];
-    const double* col = cols + k * stride;
-    const __m256d qv = _mm256_set1_pd(qk);
-    size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      __m256d p = _mm256_mul_pd(qv, _mm256_loadu_pd(col + j));
-      __m256d a = _mm256_loadu_pd(acc + j);
-      _mm256_storeu_pd(acc + j, _mm256_add_pd(a, p));
-    }
-    for (; j < m; ++j) acc[j] += qk * col[j];
-  }
-}
-
 void MergedNormAvx2(double* acc, const double* cols, size_t stride,
                     const double* q, size_t dims, size_t m) {
   for (size_t k = 0; k < dims; ++k) {
@@ -97,57 +81,63 @@ void MergedNormAvx2(double* acc, const double* cols, size_t stride,
   }
 }
 
-// VSQRTPD is the correctly-rounded IEEE sqrt, so each lane is bitwise
-// identical to scalar sqrt. Tails use __builtin_sqrt (not <cmath>,
-// which would pull shared inline functions into this -mavx2 TU).
-void SqrtArrAvx2(double* acc, size_t m) {
-  size_t j = 0;
-  for (; j + 4 <= m; j += 4) {
-    _mm256_storeu_pd(acc + j, _mm256_sqrt_pd(_mm256_loadu_pd(acc + j)));
+// Loads four doubles at p; a tail group loads only its live lanes and
+// never touches the others, which may lie past the block.
+template <bool kTail>
+__m256d LoadGroup(const double* p, __m256i live) {
+  if constexpr (kTail) {
+    return _mm256_maskload_pd(p, live);
+  } else {
+    return _mm256_loadu_pd(p);
   }
-  for (; j < m; ++j) acc[j] = __builtin_sqrt(acc[j]);
 }
 
-void FinishD2Avx2(double* acc, const double* n, const double* msq,
-                  double qn, double qmsq, size_t m) {
+// Classic D2 keys of candidates j .. j + 3, the cross term held in one
+// register across the dimensions. kTail: only the lanes set in `live`
+// are loaded and stored.
+template <bool kTail>
+void D2KeyGroupAvx2(double* key, const double* cols, size_t stride,
+                    const double* q, size_t dims, size_t j, const double* n,
+                    const double* msq, __m256d qnv, __m256d qmsqv,
+                    __m256i live) {
+  __m256d cross = _mm256_setzero_pd();
+  for (size_t k = 0; k < dims; ++k) {
+    const __m256d c = LoadGroup<kTail>(cols + k * stride + j, live);
+    cross = _mm256_add_pd(cross, _mm256_mul_pd(_mm256_set1_pd(q[k]), c));
+  }
+  const __m256d denom = _mm256_mul_pd(qnv, LoadGroup<kTail>(n + j, live));
+  const __m256d term =
+      _mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), cross), denom);
+  __m256d d2 =
+      _mm256_sub_pd(_mm256_add_pd(qmsqv, LoadGroup<kTail>(msq + j, live)),
+                    term);
+  // ClampNonNegative: d2 > 0 ? d2 : 0 (NaN compares false -> 0).
+  d2 = _mm256_and_pd(d2, _mm256_cmp_pd(d2, _mm256_setzero_pd(), _CMP_GT_OQ));
+  if constexpr (kTail) {
+    _mm256_maskstore_pd(key + j, live, d2);
+  } else {
+    _mm256_storeu_pd(key + j, d2);
+  }
+}
+
+void D2KeysAvx2(double* key, const double* cols, size_t stride,
+                const double* q, size_t dims, size_t m, const double* n,
+                const double* msq, double qn, double qmsq) {
   const __m256d qnv = _mm256_set1_pd(qn);
   const __m256d qmsqv = _mm256_set1_pd(qmsq);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d zero = _mm256_setzero_pd();
+  const __m256i all = _mm256_set1_epi64x(-1);
   size_t j = 0;
   for (; j + 4 <= m; j += 4) {
-    __m256d cross = _mm256_loadu_pd(acc + j);
-    __m256d denom = _mm256_mul_pd(qnv, _mm256_loadu_pd(n + j));
-    __m256d term = _mm256_div_pd(_mm256_mul_pd(two, cross), denom);
-    __m256d d2 =
-        _mm256_sub_pd(_mm256_add_pd(qmsqv, _mm256_loadu_pd(msq + j)), term);
-    // ClampNonNegative: d2 > 0 ? d2 : 0 (NaN compares false -> 0).
-    d2 = _mm256_and_pd(d2, _mm256_cmp_pd(d2, zero, _CMP_GT_OQ));
-    _mm256_storeu_pd(acc + j, _mm256_sqrt_pd(d2));
+    D2KeyGroupAvx2<false>(key, cols, stride, q, dims, j, n, msq, qnv, qmsqv,
+                          all);
   }
-  for (; j < m; ++j) {
-    double d2 = qmsq + msq[j] - 2.0 * acc[j] / (qn * n[j]);
-    acc[j] = __builtin_sqrt(d2 > 0.0 ? d2 : 0.0);
-  }
-}
-
-// BETULA D2 finishing: (qmsq + msq[j]) + acc[j], all non-negative, then
-// sqrt. Same exact IEEE add/add/sqrt sequence as the portable loop.
-void FinishD2StableAvx2(double* acc, const double* msq, double qmsq,
-                        size_t m) {
-  const __m256d qmsqv = _mm256_set1_pd(qmsq);
-  const __m256d zero = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + 4 <= m; j += 4) {
-    __m256d d2 = _mm256_add_pd(_mm256_add_pd(qmsqv, _mm256_loadu_pd(msq + j)),
-                               _mm256_loadu_pd(acc + j));
-    // ClampNonNegative: d2 > 0 ? d2 : 0 (NaN compares false -> 0).
-    d2 = _mm256_and_pd(d2, _mm256_cmp_pd(d2, zero, _CMP_GT_OQ));
-    _mm256_storeu_pd(acc + j, _mm256_sqrt_pd(d2));
-  }
-  for (; j < m; ++j) {
-    double d2 = (qmsq + msq[j]) + acc[j];
-    acc[j] = __builtin_sqrt(d2 > 0.0 ? d2 : 0.0);
+  if (j < m) {
+    // Lane l is live when j + l < m.
+    const __m256i live =
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(m - j)),
+                           _mm256_setr_epi64x(0, 1, 2, 3));
+    D2KeyGroupAvx2<true>(key, cols, stride, q, dims, j, n, msq, qnv, qmsqv,
+                         live);
   }
 }
 
@@ -253,9 +243,8 @@ void NearestSqAvx2(const double* rows, size_t n, const double* cols,
 
 }  // namespace
 
-const Ops kAvx2Ops = {&SqDiffAvx2,     &AbsDiffAvx2, &DotAvx2,
-                      &MergedNormAvx2, &SqrtArrAvx2, &FinishD2Avx2,
-                      &FinishD2StableAvx2, &NearestSqAvx2};
+const Ops kAvx2Ops = {&SqDiffAvx2, &AbsDiffAvx2, &MergedNormAvx2,
+                      &D2KeysAvx2, &NearestSqAvx2};
 
 }  // namespace detail
 }  // namespace kernel

@@ -13,15 +13,18 @@ namespace birch {
 namespace kernel {
 namespace detail {
 
-/// Whole-scan accumulate primitives: one call folds ALL dims of a
-/// dimension-major block (`cols[k * stride + j]`, k in [0, dims), j in
-/// [0, m)) into the per-entry accumulators — dims-outer, entries-inner,
-/// `acc[j] op= f(q[k], cols[k * stride + j])`. One indirect call per
-/// scan keeps dispatch cost off the per-dimension path (a node scan at
-/// dim=64 would otherwise pay 64 indirect calls over tiny columns).
-/// The portable and AVX2 implementations are element-wise bitwise
-/// identical (the AVX2 code uses separate mul and add, never FMA, and
-/// fabs via sign-bit masking).
+/// Whole-scan primitives: one call folds ALL dims of a dimension-major
+/// block (`cols[k * stride + j]`, k in [0, dims), j in [0, m)) for every
+/// entry. One indirect call per scan keeps dispatch cost off the
+/// per-dimension path (a node scan at dim=64 would otherwise pay 64
+/// indirect calls over tiny columns). A CF scan computes one key per
+/// candidate — the value under the metric's final sqrt — and takes the
+/// sqrt itself only for a key that beats the running best (kernel.cc).
+/// The accumulators (sq_diff, abs_diff, merged_norm) run dims-outer,
+/// entries-inner, `acc[j] op= f(q[k], cols[k * stride + j])`, into an
+/// array the caller zero-fills. The portable and AVX2 implementations
+/// are element-wise bitwise identical (the AVX2 code uses separate mul
+/// and add, never FMA, and fabs via sign-bit masking).
 struct Ops {
   /// acc[j] += sum_k (q[k] - cols[k*stride+j])^2
   void (*sq_diff)(double* acc, const double* cols, size_t stride,
@@ -29,29 +32,19 @@ struct Ops {
   /// acc[j] += sum_k |q[k] - cols[k*stride+j]|
   void (*abs_diff)(double* acc, const double* cols, size_t stride,
                    const double* q, size_t dims, size_t m);
-  /// acc[j] += sum_k q[k] * cols[k*stride+j]
-  void (*dot)(double* acc, const double* cols, size_t stride,
-              const double* q, size_t dims, size_t m);
   /// t = q[k] + cols[k*stride+j]; acc[j] += sum_k t * t
   void (*merged_norm)(double* acc, const double* cols, size_t stride,
                       const double* q, size_t dims, size_t m);
-  /// acc[j] = sqrt(acc[j]). Correctly-rounded IEEE sqrt in both lanes
-  /// (VSQRTPD is exact), so the vector pass is bitwise identical to a
-  /// scalar std::sqrt loop. Inputs must be non-negative.
-  void (*sqrt_arr)(double* acc, size_t m);
-  /// The D2 finishing pass over the accumulated cross terms:
-  ///   d2 = qmsq + msq[j] - 2*acc[j] / (qn*n[j])
-  ///   acc[j] = sqrt(d2 > 0 ? d2 : 0)
-  /// Every step is an exact IEEE op, so vector and scalar agree bitwise.
-  void (*finish_d2)(double* acc, const double* n, const double* msq,
-                    double qn, double qmsq, size_t m);
-  /// The cancellation-free D2 finishing pass (BETULA representation).
-  /// acc[j] arrives as ||mean_q - mean_j||^2; msq[j] = S_j/N_j, qmsq =
-  /// S_q/N_q — all non-negative, so the sum never cancels:
-  ///   d2 = (qmsq + msq[j]) + acc[j]
-  ///   acc[j] = sqrt(d2 > 0 ? d2 : 0)
-  void (*finish_d2_stable)(double* acc, const double* msq, double qmsq,
-                           size_t m);
+  /// The classic D2 key of every candidate in one fused pass. Per
+  /// candidate the cross term c = 0, then c += q[k] * cols[k*stride+j]
+  /// over k in order, stays in a register across the dimensions; then
+  ///   d2 = qmsq + msq[j] - 2*c / (qn*n[j])
+  ///   key[j] = d2 > 0 ? d2 : 0
+  /// — AverageInterCluster's operations in its order, without the sqrt.
+  /// `key` is written, never read: no zero-filled array.
+  void (*d2_keys)(double* key, const double* cols, size_t stride,
+                  const double* q, size_t dims, size_t m, const double* n,
+                  const double* msq, double qn, double qmsq);
   /// Fused point->center argmin for a tile of n <= kTileRows row-major
   /// points (`rows[r * dims + k]`) against m dimension-major centers.
   /// Per pair, s = 0 then s += d * d over k in order, d = point - center

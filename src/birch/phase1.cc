@@ -354,9 +354,14 @@ Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
         "AddBatch() after Finish(): create a new builder to ingest more "
         "data");
   }
-  const size_t dim = options_.tree.dim;
   BIRCH_RETURN_IF_ERROR(
-      ValidateBatch(xs, n, dim, weights, stats_.points_added));
+      ValidateBatch(xs, n, options_.tree.dim, weights, stats_.points_added));
+  return Ingest(xs, n, weights);
+}
+
+Status Phase1Builder::Ingest(std::span<const double> xs, size_t n,
+                             std::span<const double> weights) {
+  const size_t dim = options_.tree.dim;
   for (size_t i = 0; i < n; ++i) {
     ++stats_.points_added;
     point_cf_.AssignPoint(xs.subspan(i * dim, dim),

@@ -23,6 +23,13 @@
 
 namespace birch {
 
+class PointSource;
+struct ShardedPhase1Options;
+struct ShardedPhase1Result;
+namespace exec {
+class ThreadPool;
+}  // namespace exec
+
 /// Phase-1 configuration. The defaults mirror the paper's Table 2
 /// (M = 80 KB, P = 1 KB, R = 20% of M, T0 = 0, outlier = entry with
 /// fewer than 25% of the average points per leaf entry).
@@ -221,8 +228,20 @@ class Phase1Builder {
       const Phase1Options& options, const Phase1Freeze& freeze);
 
  private:
+  // The clusterer and the sharded dealer validate every point they take
+  // in, so they hand their pieces to Ingest() without a second pass.
+  friend class BirchClusterer;
+  friend StatusOr<ShardedPhase1Result> RunShardedPhase1(
+      PointSource* source, const ShardedPhase1Options& options,
+      exec::ThreadPool* pool);
+
+  /// AddBatch() after its checks: ingests `n` points that
+  /// ValidateBatch() accepts, in order.
+  Status Ingest(std::span<const double> xs, size_t n,
+                std::span<const double> weights);
+
   /// Inserts the point already staged in point_cf_ (delay-mode spill
-  /// logic included) — the shared tail of Add() and AddBatch().
+  /// logic included) — the per-point step of Ingest().
   Status IngestPointCf();
 
   /// Called when the tree exceeds the memory budget after an insert.

@@ -293,8 +293,8 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
         }
         if (!st->ok()) continue;
         // Whole-batch ingest: arithmetic-identical to a per-point Add
-        // loop, one validated call per hand-off unit.
-        *st = builder->AddBatch(batch.xs, batch.ws.size(), batch.ws);
+        // loop; the dealer validated every point it dealt.
+        *st = builder->Ingest(batch.xs, batch.ws.size(), batch.ws);
       }
       if (st->ok()) *st = builder->Finish();
       latch.Done();

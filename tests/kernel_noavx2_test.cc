@@ -14,6 +14,7 @@
 
 #include "birch/metrics.h"
 #include "center_batch_cases.h"
+#include "cf_batch_cases.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -136,6 +137,18 @@ TEST(PortableKernelTest, BetulaFillDistancesBitwiseEqualsScalarOracle) {
       }
     }
   }
+}
+
+TEST(PortableKernelTest, SqrtTiesKeepTheEarlierCandidate) {
+  cf_batch_cases::RunSqrtTieCases();
+}
+
+TEST(PortableKernelTest, ScansOfEverySizeMatchOracle) {
+  cf_batch_cases::RunScanSizeCases();
+}
+
+TEST(PortableKernelTest, InPlaceAddMatchesLoadAddUpdate) {
+  cf_batch_cases::RunInPlaceAddCases();
 }
 
 TEST(PortableKernelTest, BetulaMergedStatsMatchOracle) {

@@ -17,6 +17,7 @@
 #include "birch/metrics.h"
 #include "birch/refine.h"
 #include "center_batch_cases.h"
+#include "cf_batch_cases.h"
 #include "pagestore/memory_tracker.h"
 #include "util/math.h"
 #include "util/random.h"
@@ -280,6 +281,18 @@ TEST(CfBatchTest, AppendAndUpdateMatchFreshAssign) {
           << MetricName(metric) << " j=" << j;
     }
   }
+}
+
+TEST(CfBatchTest, SqrtTiesKeepTheEarlierCandidate) {
+  cf_batch_cases::RunSqrtTieCases();
+}
+
+TEST(CfBatchTest, ScansOfEverySizeMatchOracle) {
+  cf_batch_cases::RunScanSizeCases();
+}
+
+TEST(CfBatchTest, InPlaceAddMatchesLoadAddUpdate) {
+  cf_batch_cases::RunInPlaceAddCases();
 }
 
 TEST(MergedStatTest, MergedDiameterAndRadiusMatchMergedCf) {

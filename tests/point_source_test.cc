@@ -2,6 +2,7 @@
 // StreamingGenerator must all deliver the right points, rewind
 // correctly, and drive the out-of-core ClusterSource pipeline to the
 // same answer as the in-memory path — bit for bit after Phase 4.
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -328,6 +330,64 @@ TEST(ClusterSourceTest, NonRewindableSkipsRefinement) {
   // No refinement scan happened (the timing is just the skipped-branch
   // epsilon, far below any real pass over 100 points).
   EXPECT_LT(result.value().timings.phase4, 1e-4);
+}
+
+// A pipe cannot be re-read: ClusterSource over one runs Phases 1-3 and
+// skips Phase 4, so its clusters are those of the same rows from a
+// regular file with no refinement, serial and sharded.
+TEST(ClusterSourceTest, PipeSkipsRefinement) {
+  GeneratorOptions g;
+  g.k = 5;
+  g.n_low = g.n_high = 400;
+  g.r_low = g.r_high = 1.0;
+  g.grid_spacing = 10.0;
+  g.seed = 49;
+  auto gen = Generate(g);
+  ASSERT_TRUE(gen.ok());
+  const Dataset& data = gen.value().data;
+  std::string csv;
+  char line[64];
+  for (size_t i = 0; i < data.size(); ++i) {
+    std::snprintf(line, sizeof(line), "%.17g,%.17g\n", data.Row(i)[0],
+                  data.Row(i)[1]);
+    csv += line;
+  }
+  const std::string file = TempCsv("birch_pipe_rows");
+  {
+    std::ofstream f(file);
+    f << csv;
+  }
+  for (int threads : {0, 3}) {
+    BirchOptions b;
+    b.k = 5;
+    b.resources.memory_bytes = 24 * 1024;
+    b.exec.num_threads = threads;
+    BirchOptions no_refine = b;
+    no_refine.refine.passes = 0;
+    auto file_source = CsvPointSource::Open(file);
+    ASSERT_TRUE(file_source.ok()) << file_source.status().ToString();
+    auto want = ClusterSource(file_source.value().get(), no_refine);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+    const std::string fifo = TempCsv("birch_pipe");
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    std::thread writer([&fifo, &csv] {
+      std::ofstream f(fifo);  // blocks until the reader opens the pipe
+      f << csv;
+    });
+    auto pipe_source = CsvPointSource::Open(fifo);
+    auto got = pipe_source.ok()
+                   ? ClusterSource(pipe_source.value().get(), b)
+                   : StatusOr<BirchResult>(pipe_source.status());
+    writer.join();
+    std::remove(fifo.c_str());
+    ASSERT_TRUE(got.ok()) << "threads=" << threads << ": "
+                          << got.status().ToString();
+    EXPECT_FALSE(got.value().clusters.empty());
+    EXPECT_EQ(CfBits(got.value().clusters), CfBits(want.value().clusters))
+        << "threads=" << threads;
+  }
+  std::remove(file.c_str());
 }
 
 // A source that rewinds but fails doing so fails the run: only

@@ -118,7 +118,9 @@ int Run(int argc, char** argv) {
                  "[--io-attempts N]\n"
                  "  --stream clusters the file without loading it into "
                  "memory (no per-row labels); a bad\n  row fails the "
-                 "run naming its line, as without --stream.\n"
+                 "run naming its line, as without --stream. A pipe "
+                 "(say <(zcat x.csv.gz))\n  cannot be re-read, so "
+                 "--stream over one skips the Phase-4 refinement.\n"
                  "  --cf betula uses the numerically stable BETULA "
                  "(N, mean, S) CF representation\n"
                  "  (use for data far from the origin); --cf-storage f32 "
