@@ -1,7 +1,10 @@
 #include "birch/birch.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 
 #include "birch/checkpoint.h"
@@ -11,6 +14,7 @@
 #include "serving/snapshot.h"
 #include "exec/thread_pool.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/math.h"
 #include "util/timer.h"
@@ -100,19 +104,33 @@ Status ReadRows(PointSource* source, size_t max, std::span<double> rows,
   return i < max ? source->status() : Status::OK();
 }
 
-/// Streamed Phase 4: re-scans `source`, already rewound, once per pass
-/// in O(k) memory, moving `centers` to the centroids of the points
-/// they drew. Keeping no labels, it stops when the centers stop moving
-/// rather than when no label changes. Returns the last pass's cluster
-/// CFs, empty ones included.
+/// Streamed Phase 4: re-scans `source`, already rewound, once per pass,
+/// moving `centers` to the centroids of the points they drew. This
+/// thread reads the source's blocks in stream order and folds them into
+/// the cluster CFs in that order; `pool` decodes and labels them, with
+/// up to two blocks per worker in flight (inline, one block at a time,
+/// when null). The CFs are therefore the serial pass's bit for bit at
+/// every thread count, in O(k + workers * block) memory. Keeping no
+/// labels, it stops when the centers stop moving rather than when no
+/// label changes. The first failing block in stream order, else a
+/// failed read, fails the pass once every block in flight is done.
+/// Returns the last pass's cluster CFs, empty ones included.
 StatusOr<std::vector<CfVector>> StreamingRefine(
     PointSource* source, const BirchOptions& opts,
-    std::vector<std::vector<double>> centers) {
-  // One buffered tile of source rows per Assign call.
-  const size_t tile = SeedAssigner::kBlockRows;
-  std::vector<double> rows(tile * opts.dim);
-  std::vector<double> weights(tile);
-  std::vector<int> labels(tile);
+    std::vector<std::vector<double>> centers, exec::ThreadPool* pool) {
+  TRACE_SPAN("phase4/refine");
+  struct Slot {
+    PointBlock block;
+    std::vector<int> labels;
+    Status status;
+    bool done = false;  // guarded by `mu`
+  };
+  // A ring: slots [head, head + in_flight) are in flight, oldest first.
+  const size_t window = pool == nullptr ? 1 : 2 * static_cast<size_t>(
+                                                      pool->size());
+  std::vector<Slot> slots(window);
+  std::mutex mu;
+  std::condition_variable finished;
   std::vector<CfVector> sums;
   for (int pass = 0; pass < opts.refine.passes; ++pass) {
     if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
@@ -120,12 +138,67 @@ StatusOr<std::vector<CfVector>> StreamingRefine(
                                 opts.exec.kernel);
     sums.assign(centers.size(),
                 CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
-    for (size_t n = tile; n == tile;) {
-      BIRCH_RETURN_IF_ERROR(ReadRows(source, tile, rows, weights, &n));
-      assigner.Assign(std::span<const double>(rows).first(n * opts.dim), n,
-                      std::span<const double>(weights).first(n),
-                      labels.data(), &sums);
+    auto decode_and_label = [&](Slot* slot) {
+      Status st = source->DecodeBlock(&slot->block);
+      slot->labels.resize(slot->block.size());
+      assigner.Label(slot->block.values, slot->block.size(),
+                     slot->labels.data());
+      std::lock_guard<std::mutex> lock(mu);
+      slot->status = std::move(st);
+      slot->done = true;
+      finished.notify_one();
+    };
+    size_t head = 0;
+    size_t in_flight = 0;
+    bool reading = true;
+    Status status;  // the first failing block's, in stream order
+    Status read_status;
+    uint64_t blocks = 0;
+    std::chrono::steady_clock::duration waited{};
+    for (;;) {
+      while (reading && status.ok() && in_flight < window) {
+        Slot& slot = slots[(head + in_flight) % window];
+        if (!source->ReadBlock(&slot.block)) {
+          reading = false;
+          read_status = source->status();
+          break;
+        }
+        slot.done = false;  // no task holds a slot that is not in flight
+        ++in_flight;
+        ++blocks;
+        if (pool == nullptr) {
+          decode_and_label(&slot);
+        } else {
+          pool->Submit([&decode_and_label, &slot] {
+            decode_and_label(&slot);
+          });
+        }
+      }
+      if (in_flight == 0) break;
+      Slot& oldest = slots[head];
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!oldest.done) {
+          const auto start = std::chrono::steady_clock::now();
+          finished.wait(lock, [&oldest] { return oldest.done; });
+          waited += std::chrono::steady_clock::now() - start;
+        }
+      }
+      if (status.ok()) {
+        // A bad block still holds the rows before its bad line.
+        assigner.Fold(oldest.block.values, oldest.block.size(),
+                      oldest.block.weights, oldest.labels.data(), &sums);
+        status = oldest.status;
+      }
+      head = (head + 1) % window;
+      --in_flight;
     }
+    OBS_COUNTER_ADD("phase4/blocks", blocks);
+    const auto wait_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(waited);
+    OBS_COUNTER_ADD("phase4/wait_us", static_cast<uint64_t>(wait_us.count()));
+    BIRCH_RETURN_IF_ERROR(status);
+    BIRCH_RETURN_IF_ERROR(read_status);
     double moved = 0.0;
     for (size_t c = 0; c < centers.size(); ++c) {
       if (sums[c].empty()) continue;
@@ -246,7 +319,7 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
     if (rewound.code() != StatusCode::kFailedPrecondition) {
       BIRCH_RETURN_IF_ERROR(rewound);
       auto refined_or =
-          StreamingRefine(rescan, options, clustering.Centroids());
+          StreamingRefine(rescan, options, clustering.Centroids(), pool);
       if (!refined_or.ok()) return refined_or.status();
       result.clusters = std::move(refined_or).ValueOrDie();
       DropEmptyClusters(&result.clusters, &result.labels);

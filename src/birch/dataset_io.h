@@ -1,15 +1,17 @@
 // Numeric CSV input. CsvPointSource is the one CSV reader, streaming a
-// file row by row (BIRCH's single scan); ReadCsvPoints() drains it into a
-// Dataset. Per line: fields split on ',', ' ', '\t' or '\r', each a whole
-// strtod number; '#' starts a comment; blank lines, and lines that do not
-// parse before the first data row (headers), are skipped. The first data
-// row fixes the arity: a later line that does not parse or has another
-// arity ends the stream with InvalidArgument naming its line.
+// file block by block (BIRCH's single scan); ReadCsvPoints() drains it
+// into a Dataset. Per line: fields split on ',', ' ', '\t' or '\r', each
+// a whole strtod number; '#' starts a comment; blank lines, and lines
+// that do not parse before the first data row (headers), are skipped.
+// The first data row fixes the arity: a later line that does not parse
+// or has another arity ends the stream with InvalidArgument naming its
+// line, counted from the start of the file.
 #ifndef BIRCH_BIRCH_DATASET_IO_H_
 #define BIRCH_BIRCH_DATASET_IO_H_
 
-#include <fstream>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,19 +26,32 @@ namespace birch {
 /// through std::from_chars, and through strtod in place where
 /// from_chars stops short (hex, a leading '+', out of range) or reads a
 /// NaN, so values are bitwise strtod's; a NUL byte inside a field
-/// rejects it.
+/// rejects it. CsvPointSource decodes every line through this rule.
 bool ParseCsvNumericRow(const std::string& line, std::vector<double>* out);
 
 /// Drains a CsvPointSource over `path` into a dataset, failing with its
 /// Open() or status() error.
 StatusOr<Dataset> ReadCsvPoints(const std::string& path);
 
-/// Streaming CSV source: reads the file one row at a time without ever
-/// materializing the dataset — BIRCH's single-scan access pattern over
-/// a file of arbitrary size. One pass reads front to back, so a pipe
-/// works. Rewind() (Phase-4 re-scans) needs a file that can seek: over
-/// a FIFO, socket or character device it returns FailedPrecondition,
-/// which the clusterer reads as "no Phase 4".
+/// Streaming CSV source: reads the file without ever materializing the
+/// dataset — BIRCH's single-scan access pattern over a file of arbitrary
+/// size.
+///
+/// Blocks: ReadBlock() reads about kBlockBytes of raw text cut after the
+/// last whole line (a longer line grows its block to its newline; the
+/// file's last line needs none), counting lines so DecodeBlock() can
+/// name a bad one; DecodeBlock() parses the block's lines on any thread.
+/// Next() serves rows from blocks it decodes on the calling thread.
+///
+/// Pipes: one pass reads front to back, so a pipe works, and a read
+/// returns what has arrived: Open() and Next() give the rows whose lines
+/// are in without waiting for a block to fill.
+///
+/// Rewind() (Phase-4 re-scans) seeks straight to the first data row
+/// Open() found, giving the rows and line numbers of a re-read from byte
+/// 0. It needs a file that can seek: over a FIFO, socket or character
+/// device it returns FailedPrecondition, which the clusterer reads as
+/// "no Phase 4".
 class CsvPointSource : public PointSource {
  public:
   /// Opens `path`, sniffing the dimensionality from the first data row:
@@ -44,26 +59,35 @@ class CsvPointSource : public PointSource {
   static StatusOr<std::unique_ptr<CsvPointSource>> Open(
       const std::string& path);
 
+  ~CsvPointSource() override;
+  CsvPointSource(const CsvPointSource&) = delete;
+  CsvPointSource& operator=(const CsvPointSource&) = delete;
+
   size_t dim() const override { return dim_; }
   bool Next(std::span<double> out, double* weight) override;
   Status Rewind() override;
   Status status() const override { return status_; }
+  bool ReadBlock(PointBlock* block) override;
+  Status DecodeBlock(PointBlock* block) const override;
 
  private:
   explicit CsvPointSource(std::string path);
 
-  /// The next data row into row_ (any arity while dim_ is 0), or false.
-  bool NextRow();
-
   std::string path_;
+  int fd_ = -1;
   size_t dim_ = 0;
-  std::ifstream in_;
-  std::string line_;
-  std::vector<double> row_;
-  size_t line_no_ = 0;
-  bool saw_data_ = false;  // header only skippable before first data row
-  bool row_pending_ = false;  // row_ holds Open()'s row, not yet returned
   bool seekable_ = true;  // not a FIFO, socket or character device
+  // Where Open() found the first data row; Rewind() starts there.
+  uint64_t data_offset_ = 0;
+  uint64_t data_line_ = 0;
+  // The reader: bytes read past the last whole line handed out, and
+  // the number of lines before them.
+  std::string carry_;
+  uint64_t lines_ = 0;
+  bool eof_ = false;
+  // Next()'s decoded block and the next row it serves.
+  PointBlock current_;
+  size_t pos_ = 0;
   Status status_;
 };
 

@@ -4,22 +4,51 @@
 // generators, cursors) can be clustered inside the fixed memory
 // budget — the paper's "very large databases" setting made concrete.
 // (Phase 4 refinement needs a second scan; the clusterer rewinds the
-// source for it when the source is rewindable.)
+// source for it when the source is rewindable, and reads that scan in
+// blocks so a worker pool can decode and label them.)
 #ifndef BIRCH_BIRCH_POINT_SOURCE_H_
 #define BIRCH_BIRCH_POINT_SOURCE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "birch/dataset.h"
 #include "util/status.h"
 
 namespace birch {
 
+/// A run of consecutive stream rows: PointSource::ReadBlock() fills it
+/// in stream order, PointSource::DecodeBlock() turns it into rows.
+struct PointBlock {
+  /// Row-major values (size() * dim) and one weight per row.
+  std::vector<double> values;
+  std::vector<double> weights;
+  /// Input still to decode, as the source's DecodeBlock() reads it
+  /// (CsvPointSource: whole text lines, the first being file line
+  /// `first_line`). Empty for a source that decodes while it reads.
+  std::string text;
+  uint64_t first_line = 0;
+
+  size_t size() const { return weights.size(); }
+};
+
 /// Pull-based stream of weighted points.
+///
+/// Block contract: ReadBlock() reads the next run of the stream, in
+/// order, on the calling thread. DecodeBlock() is const and safe to run
+/// on any thread, concurrently with other blocks' DecodeBlock() and with
+/// ReadBlock(). Reading every block and decoding each gives the rows
+/// Next() gives, in the same order. Between two Rewind()s a caller reads
+/// through Next() or through ReadBlock(), not both.
 class PointSource {
  public:
+  /// Bytes a block aims at: a text block's size, or the default
+  /// ReadBlock()'s rows * dim * sizeof(double).
+  static constexpr size_t kBlockBytes = 256 * 1024;
+
   virtual ~PointSource() = default;
 
   virtual size_t dim() const = 0;
@@ -40,6 +69,33 @@ class PointSource {
   /// Default: FailedPrecondition, unsupported; Phase 4 is skipped.
   virtual Status Rewind() {
     return Status::FailedPrecondition("source is not rewindable");
+  }
+
+  /// Reads the next run of the stream into `block` (its previous
+  /// contents replaced); false at the end of the stream or on an error,
+  /// and status() says which. The default reads kBlockBytes worth of
+  /// rows through Next() and leaves nothing to decode.
+  virtual bool ReadBlock(PointBlock* block) {
+    const size_t d = dim();
+    const size_t rows = std::max<size_t>(1, kBlockBytes / (sizeof(double) * d));
+    block->values.resize(rows * d);
+    block->weights.resize(rows);
+    size_t n = 0;
+    while (n < rows &&
+           Next(std::span<double>(block->values).subspan(n * d, d),
+                &block->weights[n])) {
+      ++n;
+    }
+    block->values.resize(n * d);
+    block->weights.resize(n);
+    return n > 0;
+  }
+
+  /// Decodes what ReadBlock() left in `block` into its rows. On an
+  /// error `block` holds the rows before the bad one. The default has
+  /// nothing to decode.
+  virtual Status DecodeBlock(PointBlock* /*block*/) const {
+    return Status::OK();
   }
 };
 

@@ -27,9 +27,8 @@ SeedAssigner::SeedAssigner(const std::vector<std::vector<double>>& centers,
   if (use_batch_) batch_.Assign(centers);
 }
 
-uint64_t SeedAssigner::Assign(std::span<const double> rows, size_t n,
-                              std::span<const double> weights, int* labels,
-                              std::vector<CfVector>* cfs) const {
+uint64_t SeedAssigner::Label(std::span<const double> rows, size_t n,
+                             int* labels) const {
   uint64_t discarded = 0;
   kernel::ScanResult nearest[kBlockRows];
   for (size_t begin = 0; begin < n; begin += kBlockRows) {
@@ -49,36 +48,40 @@ uint64_t SeedAssigner::Assign(std::span<const double> rows, size_t n,
       }
     }
     for (size_t t = 0; t < count; ++t) {
-      const size_t i = begin + t;
       const kernel::ScanResult& r = nearest[t];
       int label = r.index == kNoWinner ? -1 : static_cast<int>(r.index);
       if (r.distance > limit_sq_) {
         label = -1;
         ++discarded;
       }
-      labels[i] = label;
-      if (label >= 0) {
-        (*cfs)[static_cast<size_t>(label)].AddPoint(
-            rows.subspan(i * dim_, dim_), weights.empty() ? 1.0 : weights[i]);
-      }
+      labels[begin + t] = label;
     }
   }
   return discarded;
 }
 
+void SeedAssigner::Fold(std::span<const double> rows, size_t n,
+                        std::span<const double> weights, const int* labels,
+                        std::vector<CfVector>* cfs) const {
+  for (size_t i = 0; i < n; ++i) {
+    if (labels[i] < 0) continue;
+    (*cfs)[static_cast<size_t>(labels[i])].AddPoint(
+        rows.subspan(i * dim_, dim_), weights.empty() ? 1.0 : weights[i]);
+  }
+}
+
 namespace {
 
 /// One redistribution pass. Returns the number of label changes.
-/// With a pool, chunks accumulate private partial CFs / counters that
-/// are folded in chunk order; the single-chunk path is the exact
-/// serial arithmetic.
+/// Serially each kBlockRows tile is labelled and then folded; with a
+/// pool the whole pass is labelled in chunks on it and then folded in
+/// row order, which is the serial arithmetic.
 uint64_t AssignPass(const Dataset& data,
                     const std::vector<std::vector<double>>& centers,
                     double outlier_distance, exec::ThreadPool* pool,
                     KernelKind kernel_kind, std::vector<int>* labels,
                     std::vector<CfVector>* cluster_cfs,
                     uint64_t* discarded) {
-  const size_t k = centers.size();
   // Accumulators are fed point by point (AddPoint never adopts a
   // policy), so they must be constructed under the pipeline's CF
   // policies — carried by the caller-sized cluster_cfs.
@@ -89,58 +92,48 @@ uint64_t AssignPass(const Dataset& data,
                                 ? CfStorage::kF64
                                 : (*cluster_cfs)[0].storage();
   for (auto& cf : *cluster_cfs) cf = CfVector(data.dim(), rep, storage);
-  uint64_t changes = 0;
-  *discarded = 0;
   const SeedAssigner assigner(centers, outlier_distance, kernel_kind);
   std::span<const double> values = data.Values();
   std::span<const double> weights = data.Weights();
-
   const size_t dim = data.dim();
-  // Assigns [begin, end); accumulates into cfs/changes/discarded.
-  auto assign_range = [&](size_t begin, size_t end,
-                          std::vector<CfVector>* cfs, uint64_t* local_changes,
-                          uint64_t* local_discarded) {
-    int fresh[SeedAssigner::kBlockRows] = {};
-    for (size_t i = begin; i < end; i += SeedAssigner::kBlockRows) {
-      const size_t n = std::min(SeedAssigner::kBlockRows, end - i);
-      *local_discarded += assigner.Assign(
-          values.subspan(i * dim, n * dim), n,
-          weights.empty() ? weights : weights.subspan(i, n), fresh, cfs);
-      for (size_t t = 0; t < n; ++t) {
+  const size_t n = data.size();
+  constexpr size_t kTile = SeedAssigner::kBlockRows;
+
+  const size_t slab = pool == nullptr ? kTile : n;
+  const size_t num_chunks = exec::ParallelForNumChunks(pool, slab, kTile);
+  std::vector<uint64_t> changes(num_chunks, 0);
+  std::vector<uint64_t> discards(num_chunks, 0);
+  size_t begin = 0;  // the slab being labelled
+  const exec::ChunkFn label_chunk = [&](size_t from, size_t to,
+                                        size_t chunk) {
+    int fresh[kTile] = {};
+    for (size_t i = begin + from; i < begin + to; i += kTile) {
+      const size_t m = std::min(kTile, begin + to - i);
+      discards[chunk] +=
+          assigner.Label(values.subspan(i * dim, m * dim), m, fresh);
+      for (size_t t = 0; t < m; ++t) {
         int& label = (*labels)[i + t];
         if (label != fresh[t]) {
           label = fresh[t];
-          ++*local_changes;
+          ++changes[chunk];
         }
       }
     }
   };
-
-  const size_t num_chunks = exec::ParallelForNumChunks(pool, data.size(),
-                                                       /*min_per_chunk=*/256);
-  if (num_chunks <= 1) {
-    assign_range(0, data.size(), cluster_cfs, &changes, discarded);
-    return changes;
+  for (; begin < n; begin += slab) {
+    const size_t count = std::min(slab, n - begin);
+    exec::ParallelFor(pool, count, label_chunk, kTile);
+    assigner.Fold(values.subspan(begin * dim, count * dim), count,
+                  weights.empty() ? weights : weights.subspan(begin, count),
+                  labels->data() + begin, cluster_cfs);
   }
-  std::vector<std::vector<CfVector>> partial_cfs(num_chunks);
-  std::vector<uint64_t> partial_changes(num_chunks, 0);
-  std::vector<uint64_t> partial_discarded(num_chunks, 0);
-  exec::ParallelFor(
-      pool, data.size(),
-      [&](size_t begin, size_t end, size_t chunk) {
-        partial_cfs[chunk].assign(k, CfVector(data.dim(), rep, storage));
-        assign_range(begin, end, &partial_cfs[chunk],
-                     &partial_changes[chunk], &partial_discarded[chunk]);
-      },
-      /*min_per_chunk=*/256);
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    for (size_t c = 0; c < k; ++c) {
-      (*cluster_cfs)[c].Add(partial_cfs[chunk][c]);
-    }
-    changes += partial_changes[chunk];
-    *discarded += partial_discarded[chunk];
+  uint64_t total_changes = 0;
+  *discarded = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    total_changes += changes[c];
+    *discarded += discards[c];
   }
-  return changes;
+  return total_changes;
 }
 
 }  // namespace

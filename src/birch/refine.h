@@ -8,8 +8,12 @@
 // points too far from every seed as outliers.
 //
 // Every pass, in memory (RefineClusters) or streamed from a PointSource
-// (ClusterSource), assigns its points through one SeedAssigner, which
-// hands the kernel's fused point->center argmin blocks of rows.
+// (ClusterSource), assigns its points through one SeedAssigner in two
+// steps: Label() hands the kernel's fused point->center argmin blocks of
+// rows and may run on any thread; Fold() adds the labelled rows into the
+// cluster CFs in row order on one thread. Each cluster CF therefore
+// receives its points in row order at every pool size, and the result
+// is the serial pass's bit for bit.
 #ifndef BIRCH_BIRCH_REFINE_H_
 #define BIRCH_BIRCH_REFINE_H_
 
@@ -36,10 +40,10 @@ struct RefineOptions {
   double outlier_distance = 0.0;
   /// Stop early once a pass changes no label.
   bool stop_when_stable = true;
-  /// Optional worker pool for the assignment sweep. nullptr runs the
-  /// pass inline, bit-for-bit identical to the serial implementation;
-  /// with a pool, per-chunk partial CFs are folded in chunk order, so
-  /// the result is deterministic for a fixed pool size.
+  /// Optional worker pool for the labelling. nullptr labels inline;
+  /// with a pool, chunks of rows are labelled on it. Either way the
+  /// rows are folded into the cluster CFs in row order, so labels and
+  /// CFs are the serial pass's bit for bit at every pool size.
   exec::ThreadPool* pool = nullptr;
   /// Distance-scan implementation for the point->center argmin
   /// (kernel/kernel.h). kScalar and kBatch are bitwise identical.
@@ -70,17 +74,20 @@ class SeedAssigner {
   SeedAssigner(const std::vector<std::vector<double>>& centers,
                double outlier_distance, KernelKind kernel);
 
-  /// Assigns the `n` row-major points in `rows` (n * dim values) with
-  /// `weights` (one per point, or empty for all-1): writes labels[0, n)
-  /// and adds each labelled point into (*cfs)[label]. Returns the
-  /// number discarded by `outlier_distance`. Const and thread-safe;
-  /// points reach each CF in row order.
-  uint64_t Assign(std::span<const double> rows, size_t n,
-                  std::span<const double> weights, int* labels,
-                  std::vector<CfVector>* cfs) const;
+  /// Labels the `n` row-major points in `rows` (n * dim values): writes
+  /// labels[0, n) and returns the number discarded by
+  /// `outlier_distance`. Const and safe to run on several threads at
+  /// once.
+  uint64_t Label(std::span<const double> rows, size_t n, int* labels) const;
 
-  /// Rows per kernel call inside Assign; a good block size for callers
-  /// that buffer a stream.
+  /// Adds each of the `n` points in `rows` labelled >= 0, with its
+  /// weight (one per point, or empty for all-1), into (*cfs)[label], in
+  /// row order. Call it on one thread, for the rows in stream order.
+  void Fold(std::span<const double> rows, size_t n,
+            std::span<const double> weights, const int* labels,
+            std::vector<CfVector>* cfs) const;
+
+  /// Rows per kernel call inside Label.
   static constexpr size_t kBlockRows = 256;
 
  private:

@@ -1,16 +1,20 @@
 // CSV input tests: the field tokenizer against a strtod reference, bit
 // for bit; separators, headers, comments, errors and pipes through
-// ReadCsvPoints; and CsvPointSource reporting why its stream stopped.
+// ReadCsvPoints; CsvPointSource reporting why its stream stopped; and
+// its blocks, its rows through Next() and a line-by-line reader agreeing
+// bit for bit across block boundaries, errors and slow pipes.
 #include "birch/dataset_io.h"
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <random>
 #include <string>
 #include <thread>
@@ -277,6 +281,214 @@ TEST(CsvPointSourceStatusTest, MalformedRowStopsTheStreamWithItsLine) {
     ASSERT_TRUE(source.Rewind().ok());
   }
   std::remove(path.c_str());
+}
+
+/// The reference reader: getline over the file, each line through
+/// ParseCsvNumericRow, headers skipped before the first data row. Returns
+/// the values of the rows before the first bad line, if any.
+std::vector<double> LineByLineRows(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  std::vector<double> values, row;
+  size_t dim = 0;
+  while (std::getline(in, line)) {
+    const bool parsed = ParseCsvNumericRow(line, &row);
+    if (!parsed && dim == 0) continue;  // header
+    if (!parsed || (!row.empty() && row.size() != dim && dim != 0)) break;
+    if (row.empty()) continue;
+    dim = row.size();
+    values.insert(values.end(), row.begin(), row.end());
+  }
+  return values;
+}
+
+/// Drains `source` through Next(); `*status` is why it stopped.
+std::vector<double> DrainNext(CsvPointSource* source, Status* status) {
+  std::vector<double> values, row(source->dim());
+  double w = 0.0;
+  while (source->Next(row, &w)) {
+    EXPECT_EQ(w, 1.0);
+    values.insert(values.end(), row.begin(), row.end());
+  }
+  *status = source->status();
+  return values;
+}
+
+/// Drains `source` through ReadBlock() and DecodeBlock(); `*status` is
+/// the first failed decode's, else the source's; `*blocks` counts them.
+std::vector<double> DrainBlocks(CsvPointSource* source, Status* status,
+                                size_t* blocks) {
+  std::vector<double> values;
+  PointBlock block;
+  *blocks = 0;
+  while (source->ReadBlock(&block)) {
+    ++*blocks;
+    const Status decoded = source->DecodeBlock(&block);
+    EXPECT_EQ(block.values.size(), block.size() * source->dim());
+    values.insert(values.end(), block.values.begin(), block.values.end());
+    if (!decoded.ok()) {
+      *status = decoded;
+      return values;
+    }
+  }
+  *status = source->status();
+  return values;
+}
+
+// Rows cut into blocks come out as a line-by-line reader gives them, bit
+// for bit, through Next() and through the block calls, on the first pass
+// and after Rewind(). The file spans more than four blocks: lines
+// straddle block boundaries, one two-field line padded with spaces is
+// longer than a block, and the last line has no newline.
+TEST(CsvPointSourceBlockTest, BlocksAndNextMatchALineByLineReader) {
+  std::mt19937_64 rng(20261017);
+  const char* const specials[] = {"0x1.8p3",  "+2.5",  "1e400", "-1e-400",
+                                  "nan(123)", "-nan",  "+inf",  "+0x10",
+                                  "4.9e-324", "-0x1p-3"};
+  std::string text = "x,y\n# header then a comment\n\n";
+  char buf[96];
+  for (size_t i = 0; text.size() < 4 * PointSource::kBlockBytes + 4096; ++i) {
+    const double a = std::bit_cast<double>(rng() >> 2);  // finite
+    const double b = static_cast<double>(rng() % 100000) / 7.0;
+    switch (i % 8) {
+      case 0: text += "\n"; break;
+      case 1: text += "# a comment line\n"; break;
+      case 2:
+        std::snprintf(buf, sizeof(buf), "%.17g,%.17g\r\n", a, b);
+        text += buf;
+        break;
+      case 3:
+        text += specials[rng() % 10];
+        text += ",";
+        text += specials[rng() % 10];
+        text += " # tail\n";
+        break;
+      default:
+        std::snprintf(buf, sizeof(buf), "%.17g, %.6e\n", b, a);
+        text += buf;
+    }
+    if (i == 5000) {
+      text += "1.5" + std::string(PointSource::kBlockBytes + 100, ' ') +
+              ",2.5\n";
+    }
+  }
+  text += "7,8";
+  const std::string path = TempCsv("birch_blocks");
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << text;
+  }
+  const std::vector<uint64_t> want = Bits(LineByLineRows(path));
+  ASSERT_GT(want.size(), 40000u);
+
+  auto source_or = CsvPointSource::Open(path);
+  ASSERT_TRUE(source_or.ok()) << source_or.status().ToString();
+  CsvPointSource& source = *source_or.value();
+  ASSERT_EQ(source.dim(), 2u);
+  Status status;
+  size_t blocks = 0;
+  EXPECT_EQ(Bits(DrainBlocks(&source, &status, &blocks)), want);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GE(blocks, 4u);
+  ASSERT_TRUE(source.Rewind().ok());
+  EXPECT_EQ(Bits(DrainNext(&source, &status)), want);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(source.Rewind().ok());
+  EXPECT_EQ(Bits(DrainBlocks(&source, &status, &blocks)), want);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+
+  auto next_first = CsvPointSource::Open(path);
+  ASSERT_TRUE(next_first.ok()) << next_first.status().ToString();
+  EXPECT_EQ(Bits(DrainNext(next_first.value().get(), &status)), want);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::remove(path.c_str());
+}
+
+// A bad line past the first block names its line, counted from the
+// start of the file, on the first pass and on a block drain after
+// Rewind(); the rows before it are still delivered.
+TEST(CsvPointSourceBlockTest, ABadLinePastTheFirstBlockNamesItsLine) {
+  const std::pair<const char*, const char*> bad_lines[] = {
+      {"1.5,oops", "unparsable row at line "},
+      {"1,2,3", "row arity changed at line "}};
+  for (const auto& [bad, message] : bad_lines) {
+    std::string text = "x,y\n";
+    size_t line = 1;
+    char buf[64];
+    for (size_t i = 0; text.size() < 2 * PointSource::kBlockBytes; ++i) {
+      std::snprintf(buf, sizeof(buf), "%zu.25,%zu\n", i, i % 97);
+      text += buf;
+      ++line;
+    }
+    text += bad;
+    text += "\n5,6\n";
+    const std::string want_message =
+        message + std::to_string(line + 1) +
+        (std::string(bad) == "1,2,3" ? " (3 vs 2)" : "");
+    const std::string path = TempCsv("birch_bad_block");
+    {
+      std::ofstream f(path, std::ios::binary);
+      f << text;
+    }
+    const std::vector<uint64_t> want = Bits(LineByLineRows(path));
+    ASSERT_EQ(want.size(), 2 * (line - 1));
+    auto source_or = CsvPointSource::Open(path);
+    ASSERT_TRUE(source_or.ok()) << source_or.status().ToString();
+    CsvPointSource& source = *source_or.value();
+    Status status;
+    EXPECT_EQ(Bits(DrainNext(&source, &status)), want);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), want_message);
+    ASSERT_TRUE(source.Rewind().ok());
+    size_t blocks = 0;
+    EXPECT_EQ(Bits(DrainBlocks(&source, &status, &blocks)), want);
+    EXPECT_GE(blocks, 2u);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), want_message);
+    std::remove(path.c_str());
+  }
+}
+
+// Over a pipe, Open() and Next() give the rows that have arrived without
+// waiting for a block to fill. The writer holds back the rest until the
+// reader has the first two rows, or for 10 s, which fails the test
+// rather than hanging it.
+TEST(CsvPointSourceBlockTest, SlowPipeGivesRowsAsTheyArrive) {
+  const std::string path = TempCsv("birch_slow_fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::promise<void> have_rows;
+  std::future<void> reader_has_rows = have_rows.get_future();
+  bool writer_timed_out = false;
+  std::thread writer([&] {
+    std::ofstream f(path);  // blocks until the reader opens the pipe
+    f << "x,y\n1,2\n3,4\n" << std::flush;
+    writer_timed_out = reader_has_rows.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::timeout;
+    f << "5,6\n7,8\n";
+  });
+  std::vector<double> values;
+  Status status;
+  auto source_or = CsvPointSource::Open(path);
+  if (source_or.ok()) {
+    std::vector<double> row(2);
+    double w = 0.0;
+    for (int i = 0; i < 2 && source_or.value()->Next(row, &w); ++i) {
+      values.insert(values.end(), row.begin(), row.end());
+    }
+  }
+  have_rows.set_value();
+  if (source_or.ok()) {
+    const std::vector<double> rest = DrainNext(source_or.value().get(),
+                                               &status);
+    values.insert(values.end(), rest.begin(), rest.end());
+  }
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(source_or.ok()) << source_or.status().ToString();
+  EXPECT_FALSE(writer_timed_out)
+      << "Open() or Next() waited for more than the lines that arrived";
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(values, (std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -231,10 +233,25 @@ std::vector<uint64_t> CfBits(const std::vector<CfVector>& cfs) {
   return bits;
 }
 
+/// Writes `data` to `path` as "%.17g" rows, which read back bit for bit.
+void WriteCsv(const Dataset& data, const std::string& path) {
+  std::ofstream f(path);
+  char field[32];
+  for (size_t i = 0; i < data.size(); ++i) {
+    for (size_t j = 0; j < data.dim(); ++j) {
+      std::snprintf(field, sizeof(field), "%.17g", data.Row(i)[j]);
+      f << (j == 0 ? "" : ",") << field;
+    }
+    f << "\n";
+  }
+}
+
 TEST(ClusterSourceTest, StreamingRefineMatchesInMemoryBitwise) {
-  // The streaming Phase 4 (a source re-scan) and the in-memory one
-  // (RefineClusters over the Dataset) share one assignment routine, so
-  // on the same rows they must produce the same cluster CFs.
+  // The streaming Phase 4 (a source re-scan, its blocks labelled on the
+  // run's pool) and the in-memory one (RefineClusters over the Dataset)
+  // share one assignment routine and fold rows in row order, so on the
+  // same rows they produce the same cluster CFs at each thread count,
+  // whether the rows come from a Dataset or from a CSV of them.
   for (size_t dim : {2, 16}) {
     GeneratorOptions g;
     g.dim = dim;
@@ -246,26 +263,120 @@ TEST(ClusterSourceTest, StreamingRefineMatchesInMemoryBitwise) {
     auto gen = Generate(g);
     ASSERT_TRUE(gen.ok());
     const Dataset& data = gen.value().data;
-    for (int passes : {1, 2}) {
-      for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kBatch}) {
-        BirchOptions b;
-        b.dim = dim;
-        b.k = 8;
-        b.resources.memory_bytes = 24 * 1024;
-        b.refine.passes = passes;
-        b.exec.kernel = kernel;
-        auto in_memory = ClusterDataset(data, b);
-        ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-        DatasetSource source(&data);
-        auto streamed = ClusterSource(&source, b);
-        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-        EXPECT_FALSE(streamed.value().clusters.empty());
-        EXPECT_EQ(CfBits(streamed.value().clusters),
-                  CfBits(in_memory.value().clusters))
-            << "dim=" << dim << " passes=" << passes
-            << " kernel=" << KernelName(kernel);
+    const std::string csv = TempCsv("birch_refine_rows");
+    WriteCsv(data, csv);
+    auto csv_data = ReadCsvPoints(csv);
+    ASSERT_TRUE(csv_data.ok()) << csv_data.status().ToString();
+    for (int threads : {0, 3}) {
+      for (int passes : {1, 2}) {
+        for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kBatch}) {
+          SCOPED_TRACE(testing::Message()
+                       << "dim=" << dim << " threads=" << threads
+                       << " passes=" << passes
+                       << " kernel=" << KernelName(kernel));
+          BirchOptions b;
+          b.dim = dim;
+          b.k = 8;
+          b.resources.memory_bytes = 24 * 1024;
+          b.refine.passes = passes;
+          b.exec.kernel = kernel;
+          b.exec.num_threads = threads;
+          // A CSV source gives no size hint; the Phase-1 threshold
+          // heuristic must see the same count on every path.
+          b.expected_points = data.size();
+          auto in_memory = ClusterDataset(data, b);
+          ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+          const std::vector<uint64_t> want = CfBits(in_memory.value().clusters);
+          EXPECT_FALSE(in_memory.value().clusters.empty());
+
+          auto csv_in_memory = ClusterDataset(csv_data.value(), b);
+          ASSERT_TRUE(csv_in_memory.ok())
+              << csv_in_memory.status().ToString();
+          EXPECT_EQ(CfBits(csv_in_memory.value().clusters), want);
+
+          DatasetSource source(&data);
+          auto streamed = ClusterSource(&source, b);
+          ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+          EXPECT_EQ(CfBits(streamed.value().clusters), want);
+
+          auto csv_source = CsvPointSource::Open(csv);
+          ASSERT_TRUE(csv_source.ok()) << csv_source.status().ToString();
+          auto csv_streamed = ClusterSource(csv_source.value().get(), b);
+          ASSERT_TRUE(csv_streamed.ok()) << csv_streamed.status().ToString();
+          EXPECT_EQ(CfBits(csv_streamed.value().clusters), want);
+        }
       }
     }
+    std::remove(csv.c_str());
+  }
+}
+
+// A block that fails to decode fails the re-scan with its status,
+// serial and pooled. With two bad blocks the earlier one in stream
+// order gives the status, even when the later one fails first.
+TEST(ClusterSourceTest, FailedDecodeFailsTheRescan) {
+  /// Blocks of 64 rows, numbered from 1 after each Rewind(). Blocks 5
+  /// and 7 fail to decode; with `pooled`, block 5 fails only after
+  /// block 7 has (or after 2 s).
+  class FailingDecode : public DatasetSource {
+   public:
+    FailingDecode(const Dataset* data, bool pooled)
+        : DatasetSource(data), pooled_(pooled) {}
+    Status Rewind() override {
+      blocks_ = 0;
+      return DatasetSource::Rewind();
+    }
+    bool ReadBlock(PointBlock* block) override {
+      const size_t d = dim();
+      block->values.assign(64 * d, 0.0);
+      block->weights.assign(64, 0.0);
+      size_t n = 0;
+      while (n < 64 &&
+             Next(std::span<double>(block->values).subspan(n * d, d),
+                  &block->weights[n])) {
+        ++n;
+      }
+      block->values.resize(n * d);
+      block->weights.resize(n);
+      block->first_line = ++blocks_;
+      return n > 0;
+    }
+    Status DecodeBlock(PointBlock* block) const override {
+      if (block->first_line == 7) {
+        seven_failed_.store(true);
+        return Status::DataLoss("block 7 is bad");
+      }
+      if (block->first_line == 5) {
+        for (int ms = 0; pooled_ && ms < 2000 && !seven_failed_.load();
+             ++ms) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return Status::DataLoss("block 5 is bad");
+      }
+      return Status::OK();
+    }
+
+   private:
+    const bool pooled_;
+    uint64_t blocks_ = 0;
+    mutable std::atomic<bool> seven_failed_{false};
+  };
+  GeneratorOptions g;
+  g.k = 4;
+  g.n_low = g.n_high = 250;
+  g.seed = 50;
+  auto gen = Generate(g);
+  ASSERT_TRUE(gen.ok());
+  for (int threads : {0, 3}) {
+    FailingDecode source(&gen.value().data, threads > 0);
+    BirchOptions b;
+    b.k = 4;
+    b.exec.num_threads = threads;
+    auto result = ClusterSource(&source, b);
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+        << "threads=" << threads << ": " << result.status().ToString();
+    EXPECT_EQ(result.status().message(), "block 5 is bad")
+        << "threads=" << threads;
   }
 }
 

@@ -1,10 +1,17 @@
 // Phase-4 tests: redistribution must assign points to the nearest
 // seed, move centroids toward the true centers, discard far outliers
-// when asked, and converge (stop when stable).
+// when asked, converge (stop when stable), and give the serial result
+// bit for bit on a worker pool.
 #include "birch/refine.h"
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -118,6 +125,59 @@ TEST(RefineTest, InvalidInputsRejected) {
   RefineOptions o2;
   EXPECT_EQ(RefineClusters(data, bad, o2).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Every double of every CF, as raw bits.
+std::vector<uint64_t> CfBits(const std::vector<CfVector>& cfs) {
+  std::vector<uint64_t> bits;
+  std::vector<double> buf;
+  for (const CfVector& cf : cfs) {
+    buf.clear();
+    cf.SerializeTo(&buf);
+    for (double v : buf) bits.push_back(std::bit_cast<uint64_t>(v));
+  }
+  return bits;
+}
+
+// A pool only labels: every cluster CF still receives its rows in row
+// order, so labels and CF bits equal the null-pool run at every pool
+// size.
+TEST(RefineTest, PooledPassesEqualTheSerialRunBitwise) {
+  for (size_t dim : {2, 16}) {
+    Dataset data(dim);
+    Rng rng(56);
+    std::vector<double> p(dim);
+    for (int i = 0; i < 5000; ++i) {
+      for (double& x : p) x = rng.Gaussian(10.0 * (i % 4), 2.0);
+      data.AppendWeighted(p, i % 7 == 0 ? 2.5 : 1.0);
+    }
+    std::vector<std::vector<double>> centers;
+    for (int c = 0; c < 4; ++c) centers.emplace_back(dim, 10.0 * c + 1.0);
+    const std::vector<CfVector> seeds = SeedsAt(centers);
+    for (int passes : {1, 2}) {
+      RefineOptions o;
+      o.passes = passes;
+      o.stop_when_stable = false;
+      o.outlier_distance = 3.0 * std::sqrt(static_cast<double>(dim));
+      auto serial = RefineClusters(data, seeds, o);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      EXPECT_GT(serial.value().points_discarded, 0u);
+      for (int workers = 1; workers <= 4; ++workers) {
+        exec::ThreadPool pool(workers);
+        o.pool = &pool;
+        auto pooled = RefineClusters(data, seeds, o);
+        o.pool = nullptr;
+        ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+        SCOPED_TRACE(testing::Message() << "dim=" << dim << " passes="
+                                        << passes << " workers=" << workers);
+        EXPECT_EQ(pooled.value().labels, serial.value().labels);
+        EXPECT_EQ(CfBits(pooled.value().clusters),
+                  CfBits(serial.value().clusters));
+        EXPECT_EQ(pooled.value().points_discarded,
+                  serial.value().points_discarded);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -132,7 +132,10 @@ int Run(int argc, char** argv) {
                  "seed, thread count, and\n"
                  "  splitter seed); points route to shards by spatial "
                  "region via a sampled\n"
-                 "  splitter seeded by --splitter-seed.\n"
+                 "  splitter seeded by --splitter-seed. With --stream "
+                 "the workers also decode\n"
+                 "  and label the Phase-4 re-scan's blocks, still folded "
+                 "into the clusters in\n  file order.\n"
                  "  --kernel batch (default) scans each CF node's column "
                  "block in one pass; scalar\n"
                  "  is the per-entry oracle — the two are bitwise "
