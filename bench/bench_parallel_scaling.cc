@@ -5,8 +5,9 @@
 // prints per run: wall time, Phase-1 / Phase-3+4 split, quality D,
 // matched clusters, the speedup over the serial run of the same
 // dataset, and the parallel efficiency (speedup / threads). Threads = 1
-// exposes the sharding overhead (channel hops plus the merge pass) in
-// isolation; the higher counts show scaling on multi-core hosts — on a
+// exposes the sharding overhead (block and batch hand-offs through the
+// pool plus the merge pass) in isolation; the higher counts show
+// scaling on multi-core hosts — on a
 // single-core container every speedup sits near or below 1.0 by
 // construction, while quality and determinism hold regardless.
 #include <cstdio>

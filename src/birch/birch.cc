@@ -1,12 +1,10 @@
 #include "birch/birch.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 
+#include "birch/block_scan.h"
 #include "birch/checkpoint.h"
 #include "birch/phase1_parallel.h"
 #include "birch/run_report.h"
@@ -105,32 +103,19 @@ Status ReadRows(PointSource* source, size_t max, std::span<double> rows,
 }
 
 /// Streamed Phase 4: re-scans `source`, already rewound, once per pass,
-/// moving `centers` to the centroids of the points they drew. This
-/// thread reads the source's blocks in stream order and folds them into
-/// the cluster CFs in that order; `pool` decodes and labels them, with
-/// up to two blocks per worker in flight (inline, one block at a time,
-/// when null). The CFs are therefore the serial pass's bit for bit at
-/// every thread count, in O(k + workers * block) memory. Keeping no
-/// labels, it stops when the centers stop moving rather than when no
-/// label changes. The first failing block in stream order, else a
-/// failed read, fails the pass once every block in flight is done.
+/// moving `centers` to the centroids of the points they drew. The pass
+/// is one ScanBlocks(): `pool` decodes and labels the source's blocks,
+/// and this thread folds them into the cluster CFs in stream order, so
+/// the CFs are the serial pass's bit for bit at every thread count, in
+/// O(k + workers * block) memory. Keeping no labels, it stops when the
+/// centers stop moving rather than when no label changes. The first
+/// failing block in stream order, else a failed read, fails the pass.
 /// Returns the last pass's cluster CFs, empty ones included.
 StatusOr<std::vector<CfVector>> StreamingRefine(
     PointSource* source, const BirchOptions& opts,
     std::vector<std::vector<double>> centers, exec::ThreadPool* pool) {
   TRACE_SPAN("phase4/refine");
-  struct Slot {
-    PointBlock block;
-    std::vector<int> labels;
-    Status status;
-    bool done = false;  // guarded by `mu`
-  };
-  // A ring: slots [head, head + in_flight) are in flight, oldest first.
-  const size_t window = pool == nullptr ? 1 : 2 * static_cast<size_t>(
-                                                      pool->size());
-  std::vector<Slot> slots(window);
-  std::mutex mu;
-  std::condition_variable finished;
+  std::vector<std::vector<int>> labels(BlockScanWindow(pool));
   std::vector<CfVector> sums;
   for (int pass = 0; pass < opts.refine.passes; ++pass) {
     if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
@@ -138,67 +123,22 @@ StatusOr<std::vector<CfVector>> StreamingRefine(
                                 opts.exec.kernel);
     sums.assign(centers.size(),
                 CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
-    auto decode_and_label = [&](Slot* slot) {
-      Status st = source->DecodeBlock(&slot->block);
-      slot->labels.resize(slot->block.size());
-      assigner.Label(slot->block.values, slot->block.size(),
-                     slot->labels.data());
-      std::lock_guard<std::mutex> lock(mu);
-      slot->status = std::move(st);
-      slot->done = true;
-      finished.notify_one();
-    };
-    size_t head = 0;
-    size_t in_flight = 0;
-    bool reading = true;
-    Status status;  // the first failing block's, in stream order
-    Status read_status;
-    uint64_t blocks = 0;
-    std::chrono::steady_clock::duration waited{};
-    for (;;) {
-      while (reading && status.ok() && in_flight < window) {
-        Slot& slot = slots[(head + in_flight) % window];
-        if (!source->ReadBlock(&slot.block)) {
-          reading = false;
-          read_status = source->status();
-          break;
-        }
-        slot.done = false;  // no task holds a slot that is not in flight
-        ++in_flight;
-        ++blocks;
-        if (pool == nullptr) {
-          decode_and_label(&slot);
-        } else {
-          pool->Submit([&decode_and_label, &slot] {
-            decode_and_label(&slot);
-          });
-        }
-      }
-      if (in_flight == 0) break;
-      Slot& oldest = slots[head];
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        if (!oldest.done) {
-          const auto start = std::chrono::steady_clock::now();
-          finished.wait(lock, [&oldest] { return oldest.done; });
-          waited += std::chrono::steady_clock::now() - start;
-        }
-      }
-      if (status.ok()) {
-        // A bad block still holds the rows before its bad line.
-        assigner.Fold(oldest.block.values, oldest.block.size(),
-                      oldest.block.weights, oldest.labels.data(), &sums);
-        status = oldest.status;
-      }
-      head = (head + 1) % window;
-      --in_flight;
-    }
-    OBS_COUNTER_ADD("phase4/blocks", blocks);
-    const auto wait_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(waited);
-    OBS_COUNTER_ADD("phase4/wait_us", static_cast<uint64_t>(wait_us.count()));
-    BIRCH_RETURN_IF_ERROR(status);
-    BIRCH_RETURN_IF_ERROR(read_status);
+    BlockScanStats scan;
+    const Status scanned = ScanBlocks(
+        source, pool,
+        [&](size_t slot, const PointBlock& block) {
+          labels[slot].resize(block.size());
+          assigner.Label(block.values, block.size(), labels[slot].data());
+        },
+        [&](size_t slot, const PointBlock& block) {
+          assigner.Fold(block.values, block.size(), block.weights,
+                        labels[slot].data(), &sums);
+          return Status::OK();
+        },
+        &scan);
+    OBS_COUNTER_ADD("phase4/blocks", scan.blocks);
+    OBS_COUNTER_ADD("phase4/wait_us", scan.wait_us);
+    BIRCH_RETURN_IF_ERROR(scanned);
     double moved = 0.0;
     for (size_t c = 0; c < centers.size(); ++c) {
       if (sums[c].empty()) continue;

@@ -80,7 +80,7 @@ struct BirchOptions {
     /// write a durable checkpoint of the live Phase-1 state to
     /// `checkpoint_path` (atomically replacing the previous one). 0
     /// disables. Works on both the serial streaming path and the
-    /// sharded Cluster() path (shards quiesce at a barrier so the file
+    /// sharded Cluster() path (every shard goes idle first, so the file
     /// is one coherent image). See birch/checkpoint.h for the format
     /// and BirchClusterer::Restore for the resume side.
     uint64_t checkpoint_every_n = 0;

@@ -1,8 +1,11 @@
 #include "birch/phase1_parallel.h"
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
@@ -11,9 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "birch/block_scan.h"
 #include "birch/kernel/kernel.h"
 #include "birch/threshold.h"
-#include "exec/channel.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,70 +25,175 @@ namespace birch {
 
 namespace {
 
-/// Points per hand-off batch (amortizes channel locking).
+/// Points per hand-off batch.
 constexpr size_t kBatchPoints = 256;
-/// Batches buffered per shard channel before the reader blocks.
-constexpr size_t kChannelCapacity = 4;
-
-/// Quiesce barrier for a cadence boundary: each worker arrives (after
-/// consuming every batch dealt before the sync marker) and parks until
-/// released; the dealer waits for all arrivals, snapshots the builders
-/// while nothing touches them, then releases. The mutex hand-off also
-/// publishes each worker's writes to the dealer and vice versa.
-///
-/// Shared ownership is load-bearing: the dealer may start the next
-/// quiesce before a released worker has fully left Arrive(), so each
-/// barrier must be a distinct object that outlives its slowest waiter
-/// (a reused stack slot would hand that waiter a recycled, un-released
-/// barrier).
-struct SyncPoint {
-  std::mutex mu;
-  std::condition_variable cv;
-  const int expected;
-  int arrived = 0;
-  bool released = false;
-
-  explicit SyncPoint(int n) : expected(n) {}
-  void Arrive() {
-    std::unique_lock<std::mutex> lock(mu);
-    if (++arrived == expected) cv.notify_all();
-    cv.wait(lock, [this] { return released; });
-  }
-  void AwaitAll() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return arrived == expected; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu);
-    released = true;
-    cv.notify_all();
-  }
-};
+/// Batches a shard's queue holds before the dealer waits for room; it
+/// resumes once the queue is down to half, so the two threads trade one
+/// wakeup per kQueueBatches / 2 batches rather than one per batch.
+constexpr size_t kQueueBatches = 64;
 
 /// One hand-off unit: `xs` holds batch points flattened dim-major.
-/// A batch with `sync` set carries no points — it tells the worker to
-/// park at the barrier.
 struct PointBatch {
   std::vector<double> xs;
   std::vector<double> ws;
-  std::shared_ptr<SyncPoint> sync;
 };
 
-/// Completion latch for the shard workers.
-struct ShardLatch {
-  std::mutex mu;
-  std::condition_variable cv;
-  int pending;
+/// The shards' ingest queues. The dealer appends each point to its
+/// shard's pending batch; a full batch joins the shard's FIFO queue, and
+/// while a queue holds batches one pool task per shard ingests them in
+/// order. A worker whose shard has nothing to ingest is free to decode.
+/// Tasks never wait: the dealer waits for room in a queue, and for
+/// every shard to be idle (no queued batch, no task) around a cadence
+/// boundary and at the end. The mutex hand-offs publish each task's
+/// builder writes to the dealer and back.
+class ShardQueues {
+ public:
+  /// Shard s's task runs `ingest(s, batch)` on each of its batches in
+  /// order, and `finish(s)` once after the last (see Finish()).
+  ShardQueues(size_t shards, size_t dim, exec::ThreadPool* pool,
+              std::function<Status(size_t, const PointBatch&)> ingest,
+              std::function<Status(size_t)> finish)
+      : pool_(pool),
+        ingest_(std::move(ingest)),
+        finish_(std::move(finish)),
+        shards_(shards) {
+    for (Shard& sh : shards_) {
+      sh.pending.xs.reserve(kBatchPoints * dim);
+      sh.pending.ws.reserve(kBatchPoints);
+    }
+  }
+  ~ShardQueues() { AwaitIdle(); }
+  ShardQueues(const ShardQueues&) = delete;
+  ShardQueues& operator=(const ShardQueues&) = delete;
 
-  explicit ShardLatch(int n) : pending(n) {}
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--pending == 0) cv.notify_all();
+  /// Appends one point to shard `s`; a full batch joins its queue.
+  void Deal(size_t s, std::span<const double> p, double w) {
+    PointBatch& b = shards_[s].pending;
+    b.xs.insert(b.xs.end(), p.begin(), p.end());
+    b.ws.push_back(w);
+    if (b.ws.size() >= kBatchPoints) Push(s);
   }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return pending == 0; });
+
+  /// Queues every partial batch and waits until every shard has ingested
+  /// all it was dealt. On return no task touches a builder and every
+  /// shard's status is safe to read.
+  void Quiesce() {
+    QueuePending();
+    AwaitIdle();
   }
+
+  /// After the last deal: quiesces, with each shard that has not failed
+  /// running `finish` on the pool once its queue drains.
+  void Finish() {
+    QueuePending();
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      bool start = false;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        shards_[s].finish = true;
+        start = !std::exchange(shards_[s].busy, true);
+      }
+      if (start) Submit(s);
+    }
+    AwaitIdle();
+  }
+
+  /// The first failing shard's status (call while quiesced).
+  Status status() const {
+    for (const Shard& sh : shards_) BIRCH_RETURN_IF_ERROR(sh.status);
+    return Status::OK();
+  }
+
+  /// Microseconds the dealer waited for room in a queue.
+  uint64_t wait_us() const {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(waited_)
+            .count());
+  }
+
+ private:
+  struct Shard {
+    PointBatch pending;  // the dealer's
+    // Guarded by mu_: the shard's queue; whether a task is queued or
+    // running for it; whether that task runs Finish() once drained.
+    std::deque<PointBatch> queue;
+    bool busy = false;
+    bool finish = false;
+    // The shard task's; read by the dealer only while the shard is idle.
+    Status status;
+  };
+
+  void QueuePending() {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (!shards_[s].pending.ws.empty()) Push(s);
+    }
+  }
+
+  void Push(size_t s) {
+    Shard& sh = shards_[s];
+    bool start = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (sh.queue.size() >= kQueueBatches) {
+        const auto t0 = std::chrono::steady_clock::now();
+        changed_.wait(
+            lock, [&sh] { return sh.queue.size() <= kQueueBatches / 2; });
+        waited_ += std::chrono::steady_clock::now() - t0;
+      }
+      sh.queue.push_back(std::move(sh.pending));
+      start = !std::exchange(sh.busy, true);
+    }
+    sh.pending = PointBatch{};
+    if (start) Submit(s);
+  }
+
+  void Submit(size_t s) {
+    pool_->Submit([this, s] { Ingest(s); });
+  }
+
+  /// The shard's pool task: ingests its queue in order until it is empty.
+  void Ingest(size_t s) {
+    obs::SpanScope span("phase1/shard");
+    Shard& sh = shards_[s];
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (!sh.queue.empty()) {
+        PointBatch batch = std::move(sh.queue.front());
+        sh.queue.pop_front();
+        if (sh.queue.size() == kQueueBatches / 2) changed_.notify_one();
+        lock.unlock();
+        // After a failure the queue still drains, so the dealer never
+        // stalls.
+        if (sh.status.ok()) sh.status = ingest_(s, batch);
+        lock.lock();
+      } else if (sh.finish) {
+        sh.finish = false;
+        lock.unlock();
+        if (sh.status.ok()) sh.status = finish_(s);
+        lock.lock();
+      } else {
+        sh.busy = false;
+        changed_.notify_one();  // idle
+        return;
+      }
+    }
+  }
+
+  void AwaitIdle() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this] {
+      return std::none_of(shards_.begin(), shards_.end(),
+                          [](const Shard& sh) { return sh.busy; });
+    });
+  }
+
+  exec::ThreadPool* const pool_;
+  const std::function<Status(size_t, const PointBatch&)> ingest_;
+  const std::function<Status(size_t)> finish_;
+  std::vector<Shard> shards_;
+  std::mutex mu_;
+  std::condition_variable changed_;  // a queue popped or a shard went idle
+  std::chrono::steady_clock::duration waited_{};  // the dealer's
 };
 
 /// Divides the run's total budgets across `shards` builders. Each
@@ -250,10 +358,7 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
 
   // --- 1. Scan: deal points to one builder per shard. ---
   std::vector<std::unique_ptr<Phase1Builder>> builders;
-  std::vector<std::unique_ptr<exec::Channel<PointBatch>>> channels;
-  std::vector<Status> shard_status(static_cast<size_t>(shards));
   builders.reserve(static_cast<size_t>(shards));
-  channels.reserve(static_cast<size_t>(shards));
   const Phase1Options shard_opts = ShardOptions(options.phase1, shards);
   if (options.resume != nullptr &&
       options.resume->size() != static_cast<size_t>(shards)) {
@@ -270,35 +375,6 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
     } else {
       builders.push_back(std::make_unique<Phase1Builder>(shard_opts));
     }
-    channels.push_back(
-        std::make_unique<exec::Channel<PointBatch>>(kChannelCapacity));
-  }
-
-  ShardLatch latch(shards);
-  for (int s = 0; s < shards; ++s) {
-    Phase1Builder* builder = builders[static_cast<size_t>(s)].get();
-    exec::Channel<PointBatch>* ch = channels[static_cast<size_t>(s)].get();
-    Status* st = &shard_status[static_cast<size_t>(s)];
-    pool->Submit([builder, ch, st, &latch] {
-      obs::SpanScope span("phase1/shard");
-      PointBatch batch;
-      // After a failure keep draining: a stalled consumer would wedge
-      // the reader on a full channel.
-      while (ch->Pop(&batch)) {
-        if (batch.sync != nullptr) {
-          // Boundary barrier. Arrive even after a failure — the
-          // dealer is waiting on every shard.
-          batch.sync->Arrive();
-          continue;
-        }
-        if (!st->ok()) continue;
-        // Whole-batch ingest: arithmetic-identical to a per-point Add
-        // loop; the dealer validated every point it dealt.
-        *st = builder->Ingest(batch.xs, batch.ws.size(), batch.ws);
-      }
-      if (st->ok()) *st = builder->Finish();
-      latch.Done();
-    });
   }
 
   // The splitter routes once armed; during warmup (and with one shard,
@@ -309,27 +385,62 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
         std::make_unique<AffinitySplitter>(dim, shards, options.splitter_seed);
   }
 
-  Status deal_status;
   {
     TRACE_SPAN("phase1/scan");
-    std::vector<PointBatch> pending(static_cast<size_t>(shards));
+    // Whole-batch ingest: arithmetic-identical to a per-point Add loop;
+    // the dealer validates every point it deals.
+    ShardQueues queues(
+        static_cast<size_t>(shards), dim, pool,
+        [&builders](size_t s, const PointBatch& b) {
+          return builders[s]->Ingest(b.xs, b.ws.size(), b.ws);
+        },
+        [&builders](size_t s) { return builders[s]->Finish(); });
     IngestCadence cadence = options.cadence;
-    std::vector<double> p(dim);
-    double w = 1.0;
     uint64_t i = 0;
-    // Resume: skip what the checkpointed run already consumed; dealing
+    // Deals one decoded block, row by row in stream order. Resume: the
+    // rows the checkpointed run already consumed are skipped; dealing
     // continues at the original index — and the affinity splitter is
     // re-fitted from the skipped prefix — so shard assignment matches
     // the uninterrupted run point for point.
-    while (i < options.resume_skip_points && source->Next(p, &w)) {
-      if (splitter != nullptr && !splitter->armed()) {
-        deal_status = ValidatePoint(p, w, i);
-        if (!deal_status.ok()) break;
-        splitter->Observe(p);
+    auto deal = [&](size_t, const PointBlock& block) -> Status {
+      for (size_t r = 0; r < block.size(); ++r) {
+        const std::span<const double> p(block.values.data() + r * dim, dim);
+        const double w = block.weights[r];
+        const bool skip = i < options.resume_skip_points;
+        if (skip && (splitter == nullptr || splitter->armed())) {
+          ++i;
+          continue;
+        }
+        // The splitter must never see a NaN or infinite coordinate.
+        BIRCH_RETURN_IF_ERROR(ValidatePoint(p, w, i));
+        size_t s;
+        if (splitter != nullptr && splitter->armed()) {
+          s = splitter->Route(p);
+        } else {
+          s = static_cast<size_t>(i % static_cast<uint64_t>(shards));
+          // The point that completes the sample is still dealt i mod S;
+          // affinity routing starts at the next one.
+          if (splitter != nullptr) splitter->Observe(p);
+        }
+        ++i;
+        if (skip) continue;
+        queues.Deal(s, p, w);
+        const CadenceDue due = cadence.Advance(1);
+        if (due.any()) {
+          // Quiesce: every shard ingests what it was dealt, then the
+          // boundary sees all builders idle. Decodes run on meanwhile;
+          // they touch no builder. Don't checkpoint or publish from a
+          // failed run.
+          TRACE_SPAN("phase1/quiesce");
+          queues.Quiesce();
+          BIRCH_RETURN_IF_ERROR(queues.status());
+          BIRCH_RETURN_IF_ERROR(options.on_boundary(due, i, builders));
+        }
       }
-      ++i;
-    }
-    if (deal_status.ok()) deal_status = source->status();
+      return Status::OK();
+    };
+    BlockScanStats scan;
+    Status deal_status = ScanBlocks(source, pool, nullptr, deal, &scan);
     if (deal_status.ok() && i < options.resume_skip_points) {
       deal_status = Status::InvalidArgument(
           "source ended before the checkpoint's resume offset (" +
@@ -337,71 +448,16 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
           std::to_string(options.resume_skip_points) +
           "); pass the same stream the checkpointed run consumed");
     }
-    while (deal_status.ok() && source->Next(p, &w)) {
-      // The splitter must never see a NaN or infinite coordinate.
-      deal_status = ValidatePoint(p, w, i);
-      if (!deal_status.ok()) break;
-      size_t s;
-      if (splitter != nullptr && splitter->armed()) {
-        s = splitter->Route(p);
-      } else {
-        s = static_cast<size_t>(i % static_cast<uint64_t>(shards));
-        // The point that completes the sample is still dealt i mod S;
-        // affinity routing starts at the next one.
-        if (splitter != nullptr) splitter->Observe(p);
-      }
-      PointBatch& b = pending[s];
-      b.xs.insert(b.xs.end(), p.begin(), p.end());
-      b.ws.push_back(w);
-      if (b.ws.size() >= kBatchPoints) {
-        channels[s]->Push(std::move(b));
-        b = PointBatch{};
-      }
-      ++i;
-      const CadenceDue due = cadence.Advance(1);
-      if (due.any()) {
-        // Quiesce: flush partial batches so every dealt point is in its
-        // shard's channel, then park all workers at a barrier. FIFO
-        // channels guarantee each worker consumed everything before the
-        // marker by the time it arrives.
-        TRACE_SPAN("phase1/quiesce");
-        for (int q = 0; q < shards; ++q) {
-          PointBatch& pb = pending[static_cast<size_t>(q)];
-          if (!pb.ws.empty()) {
-            channels[static_cast<size_t>(q)]->Push(std::move(pb));
-            pb = PointBatch{};
-          }
-        }
-        auto sync = std::make_shared<SyncPoint>(shards);
-        for (int q = 0; q < shards; ++q) {
-          PointBatch marker;
-          marker.sync = sync;
-          channels[static_cast<size_t>(q)]->Push(std::move(marker));
-        }
-        sync->AwaitAll();
-        // Workers are parked; their builders and statuses are safe to
-        // read. Don't checkpoint or publish from a failed run.
-        for (const Status& st : shard_status) {
-          if (!st.ok()) deal_status = st;
-        }
-        if (deal_status.ok()) {
-          deal_status = options.on_boundary(due, i, builders);
-        }
-        sync->Release();
-      }
+    // A failed run skips Finish(); ~ShardQueues waits for its tasks.
+    if (deal_status.ok()) {
+      queues.Finish();
+      deal_status = queues.status();
     }
-    if (deal_status.ok()) deal_status = source->status();
-    for (int s = 0; s < shards; ++s) {
-      if (!pending[static_cast<size_t>(s)].ws.empty()) {
-        channels[static_cast<size_t>(s)]->Push(
-            std::move(pending[static_cast<size_t>(s)]));
-      }
-      channels[static_cast<size_t>(s)]->Close();
-    }
-    latch.Wait();
+    OBS_COUNTER_ADD("phase1/blocks", scan.blocks);
+    OBS_COUNTER_ADD("phase1/wait_us", scan.wait_us);
+    OBS_COUNTER_ADD("phase1/shard_wait_us", queues.wait_us());
+    BIRCH_RETURN_IF_ERROR(deal_status);
   }
-  BIRCH_RETURN_IF_ERROR(deal_status);
-  for (const Status& st : shard_status) BIRCH_RETURN_IF_ERROR(st);
 
   ShardedPhase1Result result;
   for (int s = 0; s < shards; ++s) {

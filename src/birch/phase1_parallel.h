@@ -2,21 +2,26 @@
 // vector is additive, so partitioned builds merge exactly at
 // subcluster granularity) made concrete:
 //
-//   1. The calling thread scans the PointSource once and deals each
-//      point to a shard, handing whole batches to each shard worker
-//      through a bounded exec::Channel (backpressure, O(S * batch)
-//      transient memory). The head of the stream is dealt i mod S
-//      while it accumulates into a sample; a shallow seeded k-means
-//      fitted on that sample then owns the routing — each point goes
-//      to the shard holding its nearest splitter center (centers are
-//      packed onto shards greedily by sample mass, heaviest first), so
-//      shard trees cover mostly disjoint regions and the final merge
-//      is near-trivial. Routing is a deterministic function of the
-//      stream prefix (plus splitter_seed), never of thread timing.
-//   2. Each of the S pool workers runs a private, fully serial
-//      Phase1Builder (its own CF tree, memory tracker, outlier disk)
-//      over its shard of the stream, ingesting via the batch path
-//      (Phase1Builder::AddBatch) so kernel scratch stays hot.
+//   1. The calling thread scans the PointSource once, in blocks
+//      (ScanBlocks, birch/block_scan.h): it reads them in stream
+//      order, pool workers decode them, and it deals each decoded
+//      block's rows to shards in stream order. The head of the stream
+//      is dealt i mod S while it accumulates into a sample; a shallow
+//      seeded k-means fitted on that sample then owns the routing —
+//      each point goes to the shard holding its nearest splitter
+//      center (centers are packed onto shards greedily by sample mass,
+//      heaviest first), so shard trees cover mostly disjoint regions
+//      and the final merge is near-trivial. Routing is a deterministic
+//      function of the stream prefix (plus splitter_seed), never of
+//      thread timing.
+//   2. Each shard has a private, fully serial Phase1Builder (its own
+//      CF tree, memory tracker, outlier disk). Dealt points travel in
+//      whole batches through a bounded per-shard FIFO queue
+//      (backpressure: O(S * queue * batch) transient memory), and while
+//      a queue holds batches one pool task ingests them in order
+//      through the builder's batch path, so kernel scratch stays hot.
+//      Ingest and decode share the pool: a worker whose shard has
+//      nothing to ingest decodes instead.
 //   3. The shard trees are folded pairwise (parallel rounds on the
 //      pool; destination = the pair member with the larger threshold)
 //      via CfTree::AbsorbTree, then absorbed into a final tree charged
@@ -53,8 +58,9 @@ struct ShardedPhase1Options {
   /// Template configuration; memory_budget_bytes, disk_budget_bytes
   /// and expected_points are totals that get divided across shards.
   Phase1Options phase1;
-  /// Number of shards; clamped to [1, pool->size()] (each shard
-  /// occupies one pool worker for the duration of the scan).
+  /// Number of shards; clamped to [1, pool->size()] (at most one
+  /// ingest task per shard runs at a time, so S shards keep at most S
+  /// workers ingesting).
   int num_shards = 1;
   /// Seed of the affinity splitter's shallow k-means; part of the
   /// determinism contract (routing is a pure function of the stream
@@ -64,10 +70,12 @@ struct ShardedPhase1Options {
   // --- Checkpoint / publish boundaries ---
   /// Advanced once per dealt point; positioned at `resume_skip_points`.
   /// When a point lands on a boundary the dealer quiesces the stream:
-  /// every shard parks at a barrier after consuming everything dealt so
-  /// far, then `on_boundary(due, points_dealt, builders)` runs with all
-  /// builders idle — one coherent image across the shards. A non-OK
-  /// return aborts the run. Required when the cadence has boundaries.
+  /// it waits until every shard has ingested everything dealt so far
+  /// and no ingest task runs, then `on_boundary(due, points_dealt,
+  /// builders)` runs with all builders idle — one coherent image across
+  /// the shards (block decodes may go on; they touch no builder). A
+  /// non-OK return aborts the run. Required when the cadence has
+  /// boundaries.
   IngestCadence cadence;
   std::function<Status(CadenceDue due, uint64_t points_dealt,
                        std::span<const std::unique_ptr<Phase1Builder>>
@@ -108,7 +116,13 @@ struct ShardedPhase1Result {
 };
 
 /// Runs sharded Phase 1 over `source` on `pool`. The pool must outlive
-/// the call; `options.phase1.tree.dim` must match the source.
+/// the call; `options.phase1.tree.dim` must match the source. The run
+/// fails with the first failure in stream order (a block that fails to
+/// decode, once the rows before its bad line are dealt; a point
+/// ValidatePoint() rejects, named by its index in the whole stream; a
+/// failed read), else with the first failing shard's status, after
+/// every decode and ingest task has finished. Each shard's Finish()
+/// runs on the pool after the last deal.
 StatusOr<ShardedPhase1Result> RunShardedPhase1(
     PointSource* source, const ShardedPhase1Options& options,
     exec::ThreadPool* pool);

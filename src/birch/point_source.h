@@ -4,8 +4,10 @@
 // generators, cursors) can be clustered inside the fixed memory
 // budget — the paper's "very large databases" setting made concrete.
 // (Phase 4 refinement needs a second scan; the clusterer rewinds the
-// source for it when the source is rewindable, and reads that scan in
-// blocks so a worker pool can decode and label them.)
+// source for it when the source is rewindable.) The sharded Phase-1
+// scan and the Phase-4 re-scan both read the source in blocks, so a
+// worker pool can decode them (ScanBlocks, birch/block_scan.h); the
+// serial Phase-1 scan reads it through Next().
 #ifndef BIRCH_BIRCH_POINT_SOURCE_H_
 #define BIRCH_BIRCH_POINT_SOURCE_H_
 
@@ -43,11 +45,20 @@ struct PointBlock {
 /// ReadBlock(). Reading every block and decoding each gives the rows
 /// Next() gives, in the same order. Between two Rewind()s a caller reads
 /// through Next() or through ReadBlock(), not both.
+///
+/// Pipes: a ReadBlock() over a pipe may block until its writer sends
+/// more. Before each ReadBlock(), a block scan takes every block whose
+/// decode has already finished, in stream order, so over an idle pipe
+/// only the blocks still decoding wait for the next read.
 class PointSource {
  public:
-  /// Bytes a block aims at: a text block's size, or the default
-  /// ReadBlock()'s rows * dim * sizeof(double).
+  /// Bytes a text block aims at (CsvPointSource).
   static constexpr size_t kBlockBytes = 256 * 1024;
+  /// Rows the default ReadBlock() reads. A source that decodes while it
+  /// reads gains nothing from large blocks, and a scan reads a live
+  /// stream (one whose end comes from outside) only a few blocks ahead
+  /// of the rows it has taken.
+  static constexpr size_t kBlockRows = 256;
 
   virtual ~PointSource() = default;
 
@@ -73,15 +84,14 @@ class PointSource {
 
   /// Reads the next run of the stream into `block` (its previous
   /// contents replaced); false at the end of the stream or on an error,
-  /// and status() says which. The default reads kBlockBytes worth of
-  /// rows through Next() and leaves nothing to decode.
+  /// and status() says which. The default reads kBlockRows rows through
+  /// Next() and leaves nothing to decode.
   virtual bool ReadBlock(PointBlock* block) {
     const size_t d = dim();
-    const size_t rows = std::max<size_t>(1, kBlockBytes / (sizeof(double) * d));
-    block->values.resize(rows * d);
-    block->weights.resize(rows);
+    block->values.resize(kBlockRows * d);
+    block->weights.resize(kBlockRows);
     size_t n = 0;
-    while (n < rows &&
+    while (n < kBlockRows &&
            Next(std::span<double>(block->values).subspan(n * d, d),
                 &block->weights[n])) {
       ++n;

@@ -217,17 +217,18 @@ TEST(AdversarialTest, HeavyTailedClusterSizes) {
   EXPECT_LT(match.mean_centroid_displacement, 2.0);
 }
 
-/// Writes 5,000 generated 2-D rows to a CSV, with `bad_row` (a literal
-/// "x,y" line) before generated row i once per occurrence of i in `at`
-/// (ascending), and clusters it through
+/// Writes 5 * `per_cluster` generated 2-D rows to a CSV, with `bad_row`
+/// (a literal "x,y" line) before generated row i once per occurrence of
+/// i in `at` (ascending), and clusters it through
 /// ClusterSource(CsvPointSource) with `threads` shards (0 = serial).
 StatusOr<BirchResult> ClusterCsvWithBadRows(const std::string& name,
                                             const std::string& bad_row,
                                             const std::vector<size_t>& at,
-                                            int threads) {
+                                            int threads,
+                                            int per_cluster = 1000) {
   GeneratorOptions g;
   g.k = 5;
-  g.n_low = g.n_high = 1000;
+  g.n_low = g.n_high = per_cluster;
   g.r_low = g.r_high = 1.0;
   g.grid_spacing = 10.0;
   g.seed = 308;
@@ -334,6 +335,28 @@ TEST(AdversarialTest, MalformedStreamedRowFailsTheRunNamingItsLine) {
       EXPECT_EQ(result.status().message(), c.message)
           << c.row << " threads=" << threads;
     }
+  }
+}
+
+// Past the first block and the splitter's warmup, a sharded run's rows
+// come from blocks the workers decoded; a bad one still fails the run
+// naming its file line or its point, with one worker or three.
+TEST(AdversarialTest, BadRowsPastTheFirstBlockFailShardedRuns) {
+  for (int threads : {1, 3}) {
+    auto malformed = ClusterCsvWithBadRows("late_malformed", "1.5,oops",
+                                           {45000}, threads, 10000);
+    EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument)
+        << "threads=" << threads << ": " << malformed.status().ToString();
+    EXPECT_EQ(malformed.status().message(), "unparsable row at line 45001")
+        << "threads=" << threads;
+
+    auto nonfinite = ClusterCsvWithBadRows("late_nan", "nan,nan", {45000},
+                                           threads, 10000);
+    ASSERT_EQ(nonfinite.status().code(), StatusCode::kInvalidArgument)
+        << "threads=" << threads << ": " << nonfinite.status().ToString();
+    EXPECT_NE(nonfinite.status().message().find("point 45000"),
+              std::string::npos)
+        << "threads=" << threads << ": " << nonfinite.status().message();
   }
 }
 

@@ -1,10 +1,9 @@
-// src/exec primitives: ThreadPool, ParallelFor chunking, bounded
-// Channel. These are the foundation of the sharded Phase-1 / parallel
-// Phase-3/4 paths, so the tests pin down exactly the properties those
-// paths rely on: every submitted task runs, chunks tile [0, n) with
-// deterministic boundaries, the serial (nullptr pool) path is one
-// inline call, and the channel delivers everything in order with
-// backpressure. The same file runs under TSan (exec_test.tsan).
+// src/exec primitives: ThreadPool and ParallelFor chunking. These are
+// the foundation of the sharded Phase-1 / parallel Phase-3/4 paths, so
+// the tests pin down exactly the properties those paths rely on: every
+// submitted task runs, chunks tile [0, n) with deterministic
+// boundaries, and the serial (nullptr pool) path is one inline call.
+// The same file runs under TSan (exec_test.tsan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/channel.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 
@@ -142,50 +140,6 @@ TEST(ParallelForTest, PerChunkPartialsFoldDeterministically) {
   for (int rep = 0; rep < 5; ++rep) {
     ASSERT_EQ(chunked_sum(), first);  // bitwise: same chunking, same fold
   }
-}
-
-TEST(ChannelTest, DeliversInOrderAcrossThreads) {
-  Channel<int> ch(4);  // capacity << item count: exercises backpressure
-  std::vector<int> got;
-  std::thread consumer([&] {
-    int v = 0;
-    while (ch.Pop(&v)) got.push_back(v);
-  });
-  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(ch.Push(i));
-  ch.Close();
-  consumer.join();
-  ASSERT_EQ(got.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(got[i], i);
-}
-
-TEST(ChannelTest, CloseDeliversQueuedItemsThenStops) {
-  Channel<int> ch(8);
-  ASSERT_TRUE(ch.Push(1));
-  ASSERT_TRUE(ch.Push(2));
-  ch.Close();
-  ch.Close();  // idempotent
-  EXPECT_FALSE(ch.Push(3));  // dropped
-  int v = 0;
-  EXPECT_TRUE(ch.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(ch.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(ch.Pop(&v));  // drained
-}
-
-TEST(ChannelTest, CloseUnblocksAWaitingConsumer) {
-  Channel<int> ch(2);
-  std::thread consumer([&] {
-    int v = 0;
-    EXPECT_FALSE(ch.Pop(&v));  // blocks until Close, then false
-  });
-  ch.Close();
-  consumer.join();
-}
-
-TEST(ChannelTest, CapacityClampedToOne) {
-  Channel<int> ch(0);
-  EXPECT_EQ(ch.capacity(), 1u);
 }
 
 }  // namespace

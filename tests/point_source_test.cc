@@ -311,64 +311,146 @@ TEST(ClusterSourceTest, StreamingRefineMatchesInMemoryBitwise) {
   }
 }
 
-// A block that fails to decode fails the re-scan with its status,
-// serial and pooled. With two bad blocks the earlier one in stream
-// order gives the status, even when the later one fails first.
-TEST(ClusterSourceTest, FailedDecodeFailsTheRescan) {
-  /// Blocks of 64 rows, numbered from 1 after each Rewind(). Blocks 5
-  /// and 7 fail to decode; with `pooled`, block 5 fails only after
-  /// block 7 has (or after 2 s).
-  class FailingDecode : public DatasetSource {
-   public:
-    FailingDecode(const Dataset* data, bool pooled)
-        : DatasetSource(data), pooled_(pooled) {}
-    Status Rewind() override {
-      blocks_ = 0;
-      return DatasetSource::Rewind();
-    }
-    bool ReadBlock(PointBlock* block) override {
-      const size_t d = dim();
-      block->values.assign(64 * d, 0.0);
-      block->weights.assign(64, 0.0);
-      size_t n = 0;
-      while (n < 64 &&
-             Next(std::span<double>(block->values).subspan(n * d, d),
-                  &block->weights[n])) {
-        ++n;
-      }
-      block->values.resize(n * d);
-      block->weights.resize(n);
-      block->first_line = ++blocks_;
-      return n > 0;
-    }
-    Status DecodeBlock(PointBlock* block) const override {
-      if (block->first_line == 7) {
-        seven_failed_.store(true);
-        return Status::DataLoss("block 7 is bad");
-      }
-      if (block->first_line == 5) {
-        for (int ms = 0; pooled_ && ms < 2000 && !seven_failed_.load();
-             ++ms) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return Status::DataLoss("block 5 is bad");
-      }
-      return Status::OK();
-    }
+// The sharded Phase-1 scan decodes a CSV's blocks on the run's pool and
+// deals their rows in file order, so over a file of many blocks it
+// builds the trees a DatasetSource of the same rows builds, at every
+// thread count.
+TEST(ClusterSourceTest, ShardedCsvScanMatchesDatasetSourceBitwise) {
+  GeneratorOptions g;
+  g.k = 8;
+  g.n_low = g.n_high = 5000;
+  g.r_low = g.r_high = 1.0;
+  g.grid_spacing = 10.0;
+  g.seed = 48;
+  auto gen = Generate(g);
+  ASSERT_TRUE(gen.ok());
+  const Dataset& data = gen.value().data;
+  const std::string csv = TempCsv("birch_sharded_scan");
+  WriteCsv(data, csv);
+  struct stat st {};
+  ASSERT_EQ(::stat(csv.c_str(), &st), 0);
+  ASSERT_GE(static_cast<size_t>(st.st_size), 4 * PointSource::kBlockBytes);
+  for (int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    BirchOptions b;
+    b.dim = 2;
+    b.k = 8;
+    b.resources.memory_bytes = 24 * 1024;
+    b.exec.num_threads = threads;
+    b.expected_points = data.size();
+    // The run's clusters, and the leaf entries of the tree it kept.
+    auto run = [&b](PointSource* source, std::vector<CfVector>* leaves)
+        -> StatusOr<std::vector<CfVector>> {
+      auto c = BirchClusterer::Create(b);
+      if (!c.ok()) return c.status();
+      auto r = c.value()->Cluster(source);
+      if (!r.ok()) return r.status();
+      c.value()->tree().CollectLeafEntries(leaves);
+      return std::move(r.value().clusters);
+    };
+    DatasetSource rows(&data);
+    std::vector<CfVector> want_leaves;
+    auto want = run(&rows, &want_leaves);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_FALSE(want_leaves.empty());
 
-   private:
-    const bool pooled_;
-    uint64_t blocks_ = 0;
-    mutable std::atomic<bool> seven_failed_{false};
-  };
+    auto file = CsvPointSource::Open(csv);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    std::vector<CfVector> got_leaves;
+    auto got = run(file.value().get(), &got_leaves);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(CfBits(got.value()), CfBits(want.value()));
+    EXPECT_EQ(CfBits(got_leaves), CfBits(want_leaves));
+  }
+  std::remove(csv.c_str());
+}
+
+/// Blocks of 64 rows, numbered from 1 in each scan of the stream (a
+/// Rewind() starts the next scan). In scan `failing_scan`, blocks 5 and
+/// 7 fail to decode; with `pooled`, block 5 fails only after block 7
+/// has (or after 2 s).
+class FailingDecode : public DatasetSource {
+ public:
+  FailingDecode(const Dataset* data, int failing_scan, bool pooled)
+      : DatasetSource(data), failing_scan_(failing_scan), pooled_(pooled) {}
+  Status Rewind() override {
+    ++scan_;
+    blocks_ = 0;
+    return DatasetSource::Rewind();
+  }
+  bool ReadBlock(PointBlock* block) override {
+    const size_t d = dim();
+    block->values.assign(64 * d, 0.0);
+    block->weights.assign(64, 0.0);
+    size_t n = 0;
+    while (n < 64 &&
+           Next(std::span<double>(block->values).subspan(n * d, d),
+                &block->weights[n])) {
+      ++n;
+    }
+    block->values.resize(n * d);
+    block->weights.resize(n);
+    block->first_line = scan_ == failing_scan_ ? ++blocks_ : 0;
+    return n > 0;
+  }
+  Status DecodeBlock(PointBlock* block) const override {
+    if (block->first_line == 7) {
+      seven_failed_.store(true);
+      return Status::DataLoss("block 7 is bad");
+    }
+    if (block->first_line == 5) {
+      for (int ms = 0; pooled_ && ms < 2000 && !seven_failed_.load(); ++ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return Status::DataLoss("block 5 is bad");
+    }
+    return Status::OK();
+  }
+
+ private:
+  const int failing_scan_;
+  const bool pooled_;
+  int scan_ = 0;
+  uint64_t blocks_ = 0;
+  mutable std::atomic<bool> seven_failed_{false};
+};
+
+Dataset FailingDecodeData() {
   GeneratorOptions g;
   g.k = 4;
   g.n_low = g.n_high = 250;
   g.seed = 50;
   auto gen = Generate(g);
-  ASSERT_TRUE(gen.ok());
+  EXPECT_TRUE(gen.ok());
+  return std::move(gen.value().data);
+}
+
+// A block that fails to decode fails the re-scan with its status,
+// serial and pooled. With two bad blocks the earlier one in stream
+// order gives the status, even when the later one fails first.
+TEST(ClusterSourceTest, FailedDecodeFailsTheRescan) {
+  const Dataset data = FailingDecodeData();
   for (int threads : {0, 3}) {
-    FailingDecode source(&gen.value().data, threads > 0);
+    FailingDecode source(&data, /*failing_scan=*/1, threads > 0);
+    BirchOptions b;
+    b.k = 4;
+    b.exec.num_threads = threads;
+    auto result = ClusterSource(&source, b);
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+        << "threads=" << threads << ": " << result.status().ToString();
+    EXPECT_EQ(result.status().message(), "block 5 is bad")
+        << "threads=" << threads;
+  }
+}
+
+// The sharded Phase-1 scan reads the same blocks: the earlier bad block
+// fails the run even when the later one fails first, and the run ends.
+// (Two workers keep four blocks in flight, so block 7 is read while
+// block 5 waits for it.)
+TEST(ClusterSourceTest, FailedDecodeFailsTheShardedScan) {
+  const Dataset data = FailingDecodeData();
+  for (int threads : {2, 3}) {
+    FailingDecode source(&data, /*failing_scan=*/0, /*pooled=*/true);
     BirchOptions b;
     b.k = 4;
     b.exec.num_threads = threads;

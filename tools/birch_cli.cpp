@@ -134,8 +134,10 @@ int Run(int argc, char** argv) {
                  "region via a sampled\n"
                  "  splitter seeded by --splitter-seed. With --stream "
                  "the workers also decode\n"
-                 "  and label the Phase-4 re-scan's blocks, still folded "
-                 "into the clusters in\n  file order.\n"
+                 "  the file's blocks, in Phase 1 and in the Phase-4 "
+                 "re-scan (which they label\n"
+                 "  too); rows are still dealt to shards and folded into "
+                 "the clusters in file\n  order.\n"
                  "  --kernel batch (default) scans each CF node's column "
                  "block in one pass; scalar\n"
                  "  is the per-entry oracle — the two are bitwise "
