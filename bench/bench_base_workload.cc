@@ -22,9 +22,6 @@ int Run(int argc, char** argv) {
   // --smoke: scaled-down DS1 with metrics + trace export, fast enough
   // for `ctest -L smoke`. Exercises the full bench + obs pipeline.
   const bool smoke = bench::HasFlagArg(argc, argv, "--smoke");
-  // --scalar-kernel: A/B the batched kernels against the scalar oracle
-  // (identical output; Phase-1 wall time is the number to compare).
-  const KernelKind kernel = bench::KernelFromArgs(argc, argv);
   if (smoke) obs::Tracer::Default().StartRecording();
   std::printf(
       "E1 / Table 4: base workload (paper: BIRCH ~= 50s per dataset on "
@@ -54,7 +51,6 @@ int Run(int argc, char** argv) {
     }
     const auto& g = gen.value();
     BirchOptions opts = bench::PaperDefaults(k, g.data.size());
-    opts.exec.kernel = kernel;
     auto row_or = bench::RunBirch(g, opts);
     if (!row_or.ok()) {
       std::fprintf(stderr, "run failed: %s\n",

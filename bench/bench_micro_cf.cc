@@ -114,21 +114,17 @@ void BM_TreeInsertMetric(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeInsertMetric)->DenseRange(0, 4);
 
-// The tentpole A/B: identical insert workload through the scalar
-// per-entry oracle vs the batched SoA kernel scans. Steady-state
-// (warmed tree, fixed point set, pure absorb/descend traffic) so the
-// measured delta is the descent cost itself. The page size scales
-// with dim so node fan-out stays in the paper's regime (~dozens of
-// entries per node) instead of collapsing to B≈7 at dim=64, where
-// there is no scan left to batch.
+// Steady-state insert cost (warmed tree, fixed point set, pure
+// absorb/descend traffic) so the measured time is the descent scan
+// itself. The page size scales with dim so node fan-out stays in the
+// paper's regime (~dozens of entries per node) instead of collapsing to
+// B≈7 at dim=64, where there is little scan left to time.
 void BM_TreeInsertKernel(benchmark::State& state) {
-  const auto kernel = static_cast<KernelKind>(state.range(0));
-  const size_t dim = static_cast<size_t>(state.range(1));
+  const size_t dim = static_cast<size_t>(state.range(0));
   CfTreeOptions o;
   o.dim = dim;
   o.page_size = std::max<size_t>(4096, dim * 512);
   o.threshold = 0.5 * std::sqrt(static_cast<double>(dim));
-  o.kernel = kernel;
   Rng rng(4);
   MemoryTracker mem;
   CfTree tree(o, &mem);
@@ -144,14 +140,10 @@ void BM_TreeInsertKernel(benchmark::State& state) {
     i = (i + 1) % kPoints;
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string(KernelName(kernel)) + "/dim=" +
-                 std::to_string(dim) +
-                 (kernel == KernelKind::kBatch && kernel::Avx2Active()
-                      ? "/avx2"
-                      : ""));
+  state.SetLabel("dim=" + std::to_string(dim) +
+                 (kernel::Avx2Active() ? "/avx2" : ""));
 }
-BENCHMARK(BM_TreeInsertKernel)
-    ->ArgsProduct({{0, 1}, {2, 16, 64}});
+BENCHMARK(BM_TreeInsertKernel)->Arg(2)->Arg(16)->Arg(64);
 
 // The fused point->center argmin (CenterBatch::NearestSqRows) over k
 // centers at dim d, called with one row (serving descent, the Phase-3

@@ -9,15 +9,14 @@
 // the bench measures exactly what production telemetry would.
 //
 //   bench_serving [--smoke] [--readers N] [--seconds S] [--qps Q]
-//                 [--scalar-kernel] [--min-qps Q]
+//                 [--min-qps Q]
 //                 [--csv out.csv] [--json out.json] [--report out.json]
 //
 // --qps Q paces the readers to an aggregate target (0 = unpaced closed
 // loop); --min-qps Q makes the serial scenario's aggregate QPS a hard
 // gate (exit 1 below it; default 0 = report only, since wall-clock
-// throughput is hardware-dependent). The determinism checks (bitwise
-// repeatable queries on a pinned epoch, scalar == batch kernel) always
-// gate.
+// throughput is hardware-dependent). The determinism check (bitwise
+// repeatable queries on a pinned epoch) always gates.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -126,10 +125,8 @@ LoadResult DriveReaders(const serving::BirchServer* server,
   return out;
 }
 
-/// The acceptance-criteria determinism gates: a pinned epoch answers
-/// bitwise-identically on repeat, and the scalar and batch descent
-/// kernels agree bitwise. Returns false (after printing why) on any
-/// violation.
+/// The determinism gate: a pinned epoch answers bitwise-identically on
+/// repeat. Returns false (after printing why) on any violation.
 bool CheckDeterminism(const serving::BirchServer* server,
                       const Dataset& data) {
   auto epoch = server->Acquire();
@@ -142,18 +139,9 @@ bool CheckDeterminism(const serving::BirchServer* server,
     auto row = data.Row(i);
     serving::AssignResult a = epoch->Assign(row, &ws);
     serving::AssignResult b = epoch->Assign(row, &ws);
-    serving::AssignResult s =
-        epoch->AssignWith(row, KernelKind::kScalar, &ws);
     if (std::memcmp(&a.distance, &b.distance, sizeof(double)) != 0 ||
         a.leaf_entry != b.leaf_entry || a.cluster_id != b.cluster_id) {
       std::fprintf(stderr, "determinism: repeat query diverged (row %zu)\n",
-                   i);
-      return false;
-    }
-    if (std::memcmp(&a.distance, &s.distance, sizeof(double)) != 0 ||
-        a.leaf_entry != s.leaf_entry || a.cluster_id != s.cluster_id) {
-      std::fprintf(stderr,
-                   "determinism: scalar/batch kernels diverged (row %zu)\n",
                    i);
       return false;
     }
@@ -169,7 +157,6 @@ double HistQuantile(const obs::MetricsSnapshot& m, const std::string& name,
 
 int Run(int argc, char** argv) {
   const bool smoke = bench::HasFlagArg(argc, argv, "--smoke");
-  const KernelKind kernel = bench::KernelFromArgs(argc, argv);
   int readers = smoke ? 2 : 8;
   double seconds = smoke ? 0.3 : 2.0;
   double target_qps = 0.0;
@@ -185,12 +172,10 @@ int Run(int argc, char** argv) {
   if (readers < 1) readers = 1;
 
   std::printf(
-      "serving tier: %d reader threads vs live ingest on DS1 "
-      "(%s kernel%s)\n"
+      "serving tier: %d reader threads vs live ingest on DS1%s\n"
       "latency quantiles come from the serving/assign_us obs histogram "
       "delta.\n\n",
-      readers, kernel == KernelKind::kScalar ? "scalar" : "batch",
-      smoke ? ", smoke" : "");
+      readers, smoke ? " (smoke)" : "");
 
   const int k = smoke ? 25 : 100;
   auto gen = smoke ? GeneratePaperDataset(PaperDataset::kDS1, k,
@@ -226,7 +211,6 @@ int Run(int argc, char** argv) {
     BirchOptions o = bench::PaperDefaults(k, data.size());
     o.exec.num_threads = sc.threads;
     o.serving.publish_every_n = publish_every;
-    o.exec.kernel = kernel;
     if (sc.threads == 0) report_options = o;
     auto c_or = BirchClusterer::Create(o);
     if (!c_or.ok()) {

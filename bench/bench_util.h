@@ -124,14 +124,6 @@ inline std::string FlagValueFromArgs(int argc, char** argv,
   return fallback;
 }
 
-/// --scalar-kernel: run the per-entry scalar distance oracle instead of
-/// the batched SoA kernels. Results are bitwise identical; the flag
-/// exists so A/B timing runs need no rebuild.
-inline KernelKind KernelFromArgs(int argc, char** argv) {
-  return HasFlagArg(argc, argv, "--scalar-kernel") ? KernelKind::kScalar
-                                                   : KernelKind::kBatch;
-}
-
 /// Shared instrumentation dump: prints the summary table and optionally
 /// writes the metrics CSV and the Chrome trace (stops recording first
 /// so every open "B" has its "E"). Returns false if a write failed.

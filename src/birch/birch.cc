@@ -49,7 +49,6 @@ CfTreeOptions TreeOptionsFrom(const BirchOptions& o) {
   t.merging_refinement = o.tree.merging_refinement;
   t.cf = o.tree.cf;
   t.cf_storage = o.tree.cf_storage;
-  t.kernel = o.exec.kernel;
   return t;
 }
 
@@ -61,7 +60,6 @@ serving::SnapshotBuildOptions SnapshotOptionsFrom(const BirchOptions& o,
   s.algorithm = o.global_phase.algorithm;
   s.metric = o.global_phase.metric;
   s.seed = o.seed;
-  s.kernel = o.exec.kernel;
   s.points_ingested = points_ingested;
   return s;
 }
@@ -119,8 +117,7 @@ StatusOr<std::vector<CfVector>> StreamingRefine(
   std::vector<CfVector> sums;
   for (int pass = 0; pass < opts.refine.passes; ++pass) {
     if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
-    const SeedAssigner assigner(centers, opts.refine.outlier_distance,
-                                opts.exec.kernel);
+    const SeedAssigner assigner(centers, opts.refine.outlier_distance);
     sums.assign(centers.size(),
                 CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
     BlockScanStats scan;
@@ -225,7 +222,6 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
   g.metric = options.global_phase.metric;
   g.seed = options.seed;
   g.pool = pool;
-  g.kernel = options.exec.kernel;
   auto clustering_or = GlobalCluster(entries, g);
   if (!clustering_or.ok()) return clustering_or.status();
   GlobalClustering& clustering = clustering_or.value();
@@ -243,7 +239,6 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
     r.stop_when_stable = true;
     r.outlier_distance = options.refine.outlier_distance;
     r.pool = pool;
-    r.kernel = options.exec.kernel;
     auto refined_or = RefineClusters(*for_refinement, result.clusters, r);
     if (!refined_or.ok()) return refined_or.status();
     result.labels = std::move(refined_or.value().labels);
@@ -566,7 +561,6 @@ StatusOr<BirchResult> BirchClusterer::Snapshot(int k) const {
   g.k = k;
   g.metric = options_.global_phase.metric;
   g.seed = options_.seed;
-  g.kernel = options_.exec.kernel;
   // Large live trees fall back to k-means (no Phase 2 available here).
   g.algorithm = entries.size() > g.max_hierarchical_inputs
                     ? GlobalAlgorithm::kKMeans

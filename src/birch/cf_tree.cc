@@ -87,46 +87,23 @@ CfVector CfTree::Summary(const CfNode& node) const {
   return sum;
 }
 
-size_t CfTree::ClosestIndex(const CfNode& node, const CfVector& cf,
+size_t CfTree::ClosestIndex(const CfNode& node,
                             const kernel::CfQuery& query) const {
   stats_.distance_comparisons += node.size();
   OBS_COUNTER_ADD("tree/distance_comps", node.size());
   if (node.size() == 0) return kNone;
-  if (IsBatchKernel(options_.kernel)) {
-    return kernel::NearestEntry(node.rows, query, options_.metric, &ws_)
-        .index;
-  }
-  size_t best = kNone;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node.size(); ++i) {
-    node.rows.Load(i, &row_);
-    double d = Distance(options_.metric, cf, row_);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
+  return kernel::NearestEntry(node.rows, query, options_.metric, &ws_).index;
 }
 
 double CfTree::MergedThresholdValue(const CfVector& a,
                                     const CfVector& b) const {
-  CfVector merged = CfVector::Merged(a, b);
   return options_.threshold_kind == ThresholdKind::kDiameter
-             ? merged.Diameter()
-             : merged.Radius();
+             ? kernel::MergedDiameter(a, b)
+             : kernel::MergedRadius(a, b);
 }
 
 bool CfTree::CanAbsorb(const CfVector& existing,
                        const CfVector& incoming) const {
-  if (IsBatchKernel(options_.kernel)) {
-    // Allocation-free merged statistic, bitwise equal to
-    // MergedThresholdValue (which materializes the merged CF).
-    double v = options_.threshold_kind == ThresholdKind::kDiameter
-                   ? kernel::MergedDiameter(existing, incoming)
-                   : kernel::MergedRadius(existing, incoming);
-    return v <= threshold_;
-  }
   return MergedThresholdValue(existing, incoming) <= threshold_;
 }
 
@@ -146,9 +123,7 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
   // Prepare serves every scan of the descent — bitwise identical to
   // preparing per node, minus the repeated O(d) work.
   kernel::CfQuery query;
-  if (IsBatchKernel(options_.kernel)) {
-    query.Prepare(entry, options_.metric, &ws_.query_centroid);
-  }
+  query.Prepare(entry, options_.metric, &ws_.query_centroid);
 
   // Descend to the closest leaf, recording the path (reused member
   // buffer; InsertEntry is not reentrant).
@@ -157,7 +132,7 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
   CfNode* node = root_;
   while (!node->is_leaf) {
     // Child 0 when no row compares below +inf (CF sums that overflow).
-    size_t ci = ClosestIndex(*node, entry, query);
+    size_t ci = ClosestIndex(*node, query);
     if (ci == kNone) ci = 0;
     path.push_back({node, ci});
     node = node->children[ci];
@@ -165,7 +140,7 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
 
   // Try to absorb into the closest leaf entry; every path node then
   // gets the same CF addition, in place, on the row it descended through.
-  size_t ei = ClosestIndex(*node, entry, query);
+  size_t ei = ClosestIndex(*node, query);
   if (ei != kNone) {
     node->rows.Load(ei, &row_);
     if (CanAbsorb(row_, entry)) {

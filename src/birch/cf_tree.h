@@ -42,10 +42,8 @@ struct CfTreeOptions {
   /// Stored precision of CF components. kF32 (BETULA only) doubles the
   /// per-page entry capacities B and L.
   CfStorage cf_storage = CfStorage::kF64;
-  /// Distance-scan implementation for descent and absorption tests.
-  /// kBatch scans each node's column block in one pass; kScalar is the
-  /// per-entry oracle over the same rows; the two are bitwise
-  /// identical.
+  /// Has no effect: descent and absorption tests always scan each
+  /// node's column block (kernel/kernel.h).
   KernelKind kernel = KernelKind::kBatch;
 };
 
@@ -138,8 +136,8 @@ class CfTree {
   void CollectLeafEntries(std::vector<CfVector>* out) const;
 
   /// The threshold statistic (diameter or radius per options) the merge
-  /// of `a` and `b` would have. Rebuilding with a threshold >= this
-  /// value allows the pair to merge.
+  /// of `a` and `b` would have, computed without building the merged CF.
+  /// Absorbing `b` into `a` needs a threshold >= this value.
   double MergedThresholdValue(const CfVector& a, const CfVector& b) const;
 
   /// d_min of Sec. 5.1.3: the smallest merged threshold value among
@@ -190,13 +188,12 @@ class CfTree {
   /// Sum of every row of `node` = CF of everything beneath it.
   CfVector Summary(const CfNode& node) const;
 
-  /// Index of the entry of `node` closest to `cf` (metric distance).
+  /// Index of the entry of `node` closest to the CF `query` was
+  /// prepared from (metric distance), by one scan of the node's block.
   /// Returns SIZE_MAX if the node is empty or no distance compares
-  /// below +inf. `query` is `cf` prepared for the batch kernels, once
-  /// per insert and reused down the whole descent; the scalar oracle
-  /// does not read it.
-  size_t ClosestIndex(const CfNode& node, const CfVector& cf,
-                      const kernel::CfQuery& query) const;
+  /// below +inf. `query` is prepared once per insert and reused down the
+  /// whole descent.
+  size_t ClosestIndex(const CfNode& node, const kernel::CfQuery& query) const;
 
   bool CanAbsorb(const CfVector& existing, const CfVector& incoming) const;
 
@@ -237,8 +234,8 @@ class CfTree {
   /// cost a malloc/free pair on every insert.
   CfVector point_cf_;
   std::vector<PathStep> path_;
-  /// The one row an absorb test, move, summary or scalar scan loads
-  /// (mutable for the const lookups, like ws_).
+  /// The one row an absorb test, move or summary loads (mutable for the
+  /// const lookups, like ws_).
   mutable CfVector row_;
 };
 

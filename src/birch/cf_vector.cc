@@ -111,42 +111,6 @@ void CfVector::AddInto(CfRepresentation rep, CfStorage storage,
   Quantize(storage, vec, dim, stride, scalar);
 }
 
-void CfVector::Subtract(const CfVector& other) {
-  assert(dim() == other.dim());
-  assert(rep_ == other.rep_);
-  if (rep_ == CfRepresentation::kClassic) {
-    n_ -= other.n_;
-    for (size_t i = 0; i < vec_.size(); ++i) vec_[i] -= other.vec_[i];
-    scalar_ -= other.scalar_;
-    if (n_ < 0) n_ = 0;
-    if (scalar_ < 0) scalar_ = 0;
-  } else {
-    // Inverse of the Chan merge: recover (na, mean_a, S_a) from the
-    // merged CF and the removed part b.
-    const double nm = n_;
-    const double na = nm - other.n_;
-    if (na <= 0.0) {
-      std::fill(vec_.begin(), vec_.end(), 0.0);
-      n_ = 0.0;
-      scalar_ = 0.0;
-      return;
-    }
-    const double f = other.n_ / na;
-    double dsq = 0.0;
-    for (size_t i = 0; i < vec_.size(); ++i) {
-      const double d = vec_[i] - other.vec_[i];
-      vec_[i] += f * d;  // mean_a = mean_m + (nb/na)*(mean_m - mean_b)
-      const double da = vec_[i] - other.vec_[i];
-      dsq += da * da;
-    }
-    const double coef = na * (other.n_ / nm);  // na*nb/nm
-    scalar_ -= other.scalar_ + coef * dsq;
-    if (scalar_ < 0) scalar_ = 0;
-    n_ = na;
-  }
-  QuantizeStorage();
-}
-
 void CfVector::AddPoint(std::span<const double> x, double weight) {
   if (vec_.empty()) vec_.assign(x.size(), 0.0);
   assert(dim() == x.size());

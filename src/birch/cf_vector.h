@@ -43,8 +43,8 @@ class CfBatch;
 }  // namespace kernel
 
 /// Which CF algebra a CfVector (and everything built from it: node
-/// column blocks, tree pages, checkpoints) uses. A runtime policy like
-/// KernelKind: the two variants never mix within one pipeline.
+/// column blocks, tree pages, checkpoints) uses. A runtime policy, set
+/// once per pipeline: the two variants never mix within one.
 enum class CfRepresentation { kClassic = 0, kBetula };
 
 /// Precision of the stored vector/scalar components. kF32 is only
@@ -119,11 +119,6 @@ class CfVector {
   /// the other's representation and storage policies (so accumulators
   /// constructed default-classic merge correctly into either world).
   void Add(const CfVector& other);
-
-  /// Remove a CF previously added. No pipeline step calls it; the CF
-  /// algebra property tests pin it. Caller guarantees `other` is a
-  /// subset.
-  void Subtract(const CfVector& other);
 
   /// Accumulate a single weighted point.
   void AddPoint(std::span<const double> x, double weight = 1.0);

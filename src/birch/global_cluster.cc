@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
@@ -34,47 +35,26 @@ GlobalClustering HierarchicalCluster(std::span<const CfVector> entries,
                                      int k) {
   const size_t m = entries.size();
   std::vector<CfVector> cfs(entries.begin(), entries.end());
-  std::vector<bool> active(m, true);
   std::vector<std::vector<int>> members(m);
   for (size_t i = 0; i < m; ++i) members[i] = {static_cast<int>(i)};
 
-  // Nearest active neighbour per active cluster. The batch kernel
-  // keeps an SoA mirror of `cfs` (updated after each merge) and a
-  // uint8_t activity mask; the masked one-pass scan visits candidates
-  // in the same order with the same first-wins comparison as the
-  // scalar loop, so both paths pick identical neighbours.
-  const bool use_batch = IsBatchKernel(options.kernel);
+  // Nearest active neighbour per active cluster, by a masked one-pass
+  // scan over a column block of `cfs` (updated after each merge);
+  // `active` is the scan's mask.
   kernel::CfBatch batch;
-  std::vector<uint8_t> amask;
-  if (use_batch) {
-    batch.Init(cfs.empty() ? 0 : cfs[0].dim(), m,
-               kernel::CfBatch::Needs::For(
-                   options.metric, cfs.empty() ? CfRepresentation::kClassic
-                                               : cfs[0].rep()));
-    batch.Assign(cfs);
-    amask.assign(m, 1);
-  }
+  batch.Init(cfs[0].dim(), m,
+             kernel::CfBatch::Needs::For(options.metric, cfs[0].rep()));
+  batch.Assign(cfs);
+  std::vector<uint8_t> active(m, 1);
   std::vector<size_t> nn(m, 0);
   std::vector<double> nn_dist(m, kInf);
   auto recompute_nn = [&](size_t i, kernel::Workspace* ws) {
-    if (use_batch) {
-      kernel::CfQuery query;
-      query.Prepare(cfs[i], options.metric, &ws->query_centroid);
-      kernel::ScanResult r = kernel::NearestEntry(
-          batch, query, options.metric, ws, amask.data(), /*exclude=*/i);
-      nn_dist[i] = r.distance;
-      if (r.index != static_cast<size_t>(-1)) nn[i] = r.index;
-      return;
-    }
-    nn_dist[i] = kInf;
-    for (size_t j = 0; j < m; ++j) {
-      if (j == i || !active[j]) continue;
-      double d = Distance(options.metric, cfs[i], cfs[j]);
-      if (d < nn_dist[i]) {
-        nn_dist[i] = d;
-        nn[i] = j;
-      }
-    }
+    kernel::CfQuery query;
+    query.Prepare(cfs[i], options.metric, &ws->query_centroid);
+    kernel::ScanResult r = kernel::NearestEntry(
+        batch, query, options.metric, ws, active.data(), /*exclude=*/i);
+    nn_dist[i] = r.distance;
+    if (r.index != static_cast<size_t>(-1)) nn[i] = r.index;
   };
   // Each slot only writes its own nn/nn_dist entry, so the initial
   // O(m^2) scan parallelizes without synchronization.
@@ -106,11 +86,8 @@ GlobalClustering HierarchicalCluster(std::span<const CfVector> entries,
     size_t b = nn[a];
     // Merge b into a.
     cfs[a].Add(cfs[b]);
-    active[b] = false;
-    if (use_batch) {
-      batch.Update(a, cfs[a]);
-      amask[b] = 0;
-    }
+    active[b] = 0;
+    batch.Update(a, cfs[a]);
     members[a].insert(members[a].end(), members[b].begin(),
                       members[b].end());
     members[b].clear();
@@ -226,16 +203,15 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
       KMeansPlusPlusSeeds(entries, k, &rng);
 
   std::vector<int> assign(m, -1);
-  const bool use_batch = IsBatchKernel(options.kernel);
   const size_t num_chunks = exec::ParallelForNumChunks(options.pool, m,
                                                        /*min_per_chunk=*/64);
   kernel::CenterBatch cbatch;
+  std::vector<CfVector> sums;
   for (int iter = 0; iter < kKMeansMaxIterations; ++iter) {
     // Assignment sweep: each point is independent; chunks report
-    // whether they changed any label. The batch path scans an SoA
-    // block over the centers; per-dimension arithmetic and first-wins
-    // argmin order match CentroidSqDist exactly.
-    if (use_batch) cbatch.Assign(centers);
+    // whether they changed any label. The scan's per-dimension
+    // arithmetic and first-wins argmin order match CentroidSqDist.
+    cbatch.Assign(centers);
     std::vector<uint8_t> chunk_changed(num_chunks, 0);
     exec::ParallelFor(
         options.pool, m,
@@ -243,25 +219,13 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
           bool local_changed = false;
           std::vector<double> centroid(dim);
           for (size_t i = begin; i < end; ++i) {
-            int best = 0;
-            if (use_batch) {
-              // Bitwise identical to CentroidSqDist's centroid for
-              // either representation.
-              entries[i].CentroidInto(&centroid);
-              kernel::ScanResult r = cbatch.NearestSq(centroid);
-              if (r.index != static_cast<size_t>(-1)) {
-                best = static_cast<int>(r.index);
-              }
-            } else {
-              double best_d = kInf;
-              for (int c = 0; c < k; ++c) {
-                double d = CentroidSqDist(entries[i], centers[c]);
-                if (d < best_d) {
-                  best_d = d;
-                  best = c;
-                }
-              }
-            }
+            // Bitwise identical to CentroidSqDist's centroid for either
+            // representation.
+            entries[i].CentroidInto(&centroid);
+            kernel::ScanResult r = cbatch.NearestSq(centroid);
+            const int best =
+                r.index == static_cast<size_t>(-1) ? 0
+                                                   : static_cast<int>(r.index);
             if (assign[i] != best) {
               assign[i] = best;
               local_changed = true;
@@ -275,32 +239,12 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
                     [](uint8_t c) { return c != 0; });
     if (!changed && iter > 0) break;
 
-    // Weighted centroid update. The single-chunk path accumulates
-    // directly (the exact serial arithmetic); the chunked path folds
-    // per-chunk partial CFs in chunk order, which is deterministic for
-    // a fixed chunk count.
-    std::vector<CfVector> sums(static_cast<size_t>(k), CfVector(dim));
-    if (num_chunks <= 1) {
-      for (size_t i = 0; i < m; ++i) {
-        sums[static_cast<size_t>(assign[i])].Add(entries[i]);
-      }
-    } else {
-      std::vector<std::vector<CfVector>> partial(num_chunks);
-      exec::ParallelFor(
-          options.pool, m,
-          [&](size_t begin, size_t end, size_t chunk) {
-            auto& local = partial[chunk];
-            local.assign(static_cast<size_t>(k), CfVector(dim));
-            for (size_t i = begin; i < end; ++i) {
-              local[static_cast<size_t>(assign[i])].Add(entries[i]);
-            }
-          },
-          /*min_per_chunk=*/64);
-      for (const auto& local : partial) {
-        for (int c = 0; c < k; ++c) {
-          sums[static_cast<size_t>(c)].Add(local[static_cast<size_t>(c)]);
-        }
-      }
+    // Weighted centroid update, folded in entry order at every pool
+    // size: O(m) against the sweep's O(m k d), and the serial
+    // arithmetic, so a pool changes no bit of the result.
+    sums.assign(static_cast<size_t>(k), CfVector(dim));
+    for (size_t i = 0; i < m; ++i) {
+      sums[static_cast<size_t>(assign[i])].Add(entries[i]);
     }
     for (int c = 0; c < k; ++c) {
       if (sums[static_cast<size_t>(c)].empty()) {
@@ -324,20 +268,17 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
     }
   }
 
+  // The loop ends after a sweep that changed no label or after its
+  // last update, so `sums` holds the CFs of the final assignment.
   GlobalClustering result;
   result.assignment = std::move(assign);
-  result.clusters.assign(static_cast<size_t>(k), CfVector(dim));
-  for (size_t i = 0; i < m; ++i) {
-    result.clusters[static_cast<size_t>(result.assignment[i])].Add(
-        entries[i]);
-  }
   // Drop empty clusters (possible when k-means leaves one starved).
   std::vector<int> remap(static_cast<size_t>(k), -1);
   std::vector<CfVector> kept;
   for (int c = 0; c < k; ++c) {
-    if (!result.clusters[static_cast<size_t>(c)].empty()) {
+    if (!sums[static_cast<size_t>(c)].empty()) {
       remap[static_cast<size_t>(c)] = static_cast<int>(kept.size());
-      kept.push_back(result.clusters[static_cast<size_t>(c)]);
+      kept.push_back(std::move(sums[static_cast<size_t>(c)]));
     }
   }
   for (auto& a : result.assignment) a = remap[static_cast<size_t>(a)];

@@ -41,13 +41,13 @@ struct GlobalClusterOptions {
   /// Guard: hierarchical input size limit (cost is quadratic).
   size_t max_hierarchical_inputs = 20000;
   /// Optional worker pool for the O(m^2) distance loops and the
-  /// k-means sweeps. nullptr runs the loops inline, bit-for-bit
-  /// identical to the serial implementation; with a pool the result is
-  /// deterministic for a fixed (seed, pool size).
+  /// k-means sweeps. nullptr runs the loops inline. Each pooled task
+  /// writes only its own entries' slots, and the k-means centroids are
+  /// folded in entry order, so the result is the serial one bit for bit
+  /// at every pool size.
   exec::ThreadPool* pool = nullptr;
-  /// Distance-scan implementation for the hierarchical
-  /// nearest-neighbour sweeps and the k-means assignment loop
-  /// (kernel/kernel.h). kScalar and kBatch are bitwise identical.
+  /// Has no effect: the nearest-neighbour and k-means sweeps always run
+  /// the column scans (kernel/kernel.h).
   KernelKind kernel = KernelKind::kBatch;
 };
 

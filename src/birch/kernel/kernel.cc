@@ -11,14 +11,6 @@
 
 namespace birch {
 
-const char* KernelName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kScalar: return "scalar";
-    case KernelKind::kBatch: return "batch";
-  }
-  return "?";
-}
-
 namespace kernel {
 
 namespace detail {
@@ -552,17 +544,6 @@ void CenterBatch::NearestSqRows(std::span<const double> rows, size_t n,
                    dim_, size_, index, dist);
     for (size_t t = 0; t < tile; ++t) out[r + t] = {index[t], dist[t]};
   }
-}
-
-double CenterBatch::SquaredDistanceTo(std::span<const double> point,
-                                      size_t j) const {
-  assert(point.size() == dim_ && j < size_);
-  double s = 0.0;
-  for (size_t k = 0; k < dim_; ++k) {
-    const double d = point[k] - comps_[k * capacity_ + j];
-    s += d * d;
-  }
-  return s;
 }
 
 bool Avx2Active() {

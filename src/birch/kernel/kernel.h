@@ -17,19 +17,23 @@
 // best. Point->center scans (CenterBatch) fuse the distance and the
 // argmin too, up to four points at a time.
 //
-// Equivalence contract: for every metric the batch path performs the
-// SAME floating-point operations in the SAME order per candidate as
-// the scalar oracle in metrics.cc / cf_vector.cc (the AVX2 pass uses
-// separate mul+add, never FMA), and every argmin is first-wins strict
-// `<` from +inf, so scalar and batch kernels agree bitwise — same
-// winners, same distances. The CF argmin compares the distances the
-// oracle compares: sqrt is monotone, so a key at or above the best key
-// cannot win and skips its sqrt, and a smaller key wins only if its
-// sqrt is smaller. Two keys one ulp apart can share a sqrt; the earlier
-// candidate keeps the win there, as in the oracle, where an argmin over
-// the raw keys would pick the later. An argmin with no candidate below
-// +inf returns index SIZE_MAX. tests/kernel_test.cc holds this line
-// across metrics D0-D4, both threshold kinds, and dims.
+// Equivalence contract: tree descent, the absorb test, the Phase-3
+// sweeps and Phase-4 / serving assignment run only these scans, and for
+// every metric they perform the SAME floating-point operations in the
+// SAME order per candidate as the per-CF formulas in metrics.cc /
+// cf_vector.cc (the AVX2 pass uses separate mul+add, never FMA). Every argmin is first-wins strict
+// `<` from +inf over the distances those formulas give, so a scan and
+// a loop over them agree bitwise — same winners, same distances. The
+// CF argmin takes sqrt only where it can matter: sqrt is monotone, so
+// a key at or above the best key cannot win and skips its sqrt, and a
+// smaller key wins only if its sqrt is smaller. Two keys one ulp apart
+// can share a sqrt; the earlier candidate keeps the win there, as in
+// the loop, where an argmin over the raw keys would pick the later. An
+// argmin with no candidate below +inf returns index SIZE_MAX. The
+// per-entry argmin loops are kept as test code: tests/kernel_test.cc
+// (with tests/cf_batch_cases.h and tests/center_batch_cases.h) holds
+// every scan to them across metrics D0-D4, the merged diameter and
+// radius, both CF representations and storages, and dims.
 #ifndef BIRCH_BIRCH_KERNEL_KERNEL_H_
 #define BIRCH_BIRCH_KERNEL_KERNEL_H_
 
@@ -44,20 +48,10 @@
 
 namespace birch {
 
-/// Which distance-scan implementation the pipeline uses. kScalar is the
-/// per-CfVector oracle (metrics.cc); kBatch is the column scan below.
-/// They produce bitwise-identical results; kScalar exists as the
-/// equivalence oracle the tests hold kBatch to.
-enum class KernelKind { kScalar = 0, kBatch };
-
-/// Parse/format helper for CLI flags and bench labels.
-const char* KernelName(KernelKind kind);
-
-/// True for the kinds that use the column scans (everything except
-/// the scalar oracle).
-inline bool IsBatchKernel(KernelKind kind) {
-  return kind != KernelKind::kScalar;
-}
+/// Has no effect: the column scans below are the only distance
+/// implementation. Kept, with its one value, only as the type of the
+/// option fields the end-to-end benchmark still assigns.
+enum class KernelKind { kBatch = 1 };
 
 namespace kernel {
 
@@ -188,17 +182,17 @@ struct ScanResult {
 };
 
 /// Computes Distance(metric, query, batch[i]) for every i in
-/// [0, batch.size()) into ws->dist (resized), bitwise-equal to the
-/// scalar oracle: the scan's keys, then one sqrt pass (none for D1).
-/// The per-candidate view of NearestEntry()'s scan, which the tests
-/// hold to the oracle.
+/// [0, batch.size()) into ws->dist (resized), bitwise-equal to
+/// Distance(): the scan's keys, then one sqrt pass (none for D1). The
+/// per-candidate view of NearestEntry()'s scan, which the tests hold to
+/// Distance().
 void FillDistances(const CfBatch& batch, const CfQuery& query,
                    DistanceMetric metric, Workspace* ws);
 
 /// One-pass batch scan: nearest entry of `batch` to `query` under
 /// `metric`, and its distance. `active` (nullable) masks candidates;
 /// `exclude` (or SIZE_MAX) skips one index. First-wins on ties, exactly
-/// like the scalar loop. Writes the keys into ws->dist (grown, never
+/// like a loop over Distance(). Writes the keys into ws->dist (grown, never
 /// shrunk: its size is not the batch's).
 ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
                         DistanceMetric metric, Workspace* ws,
@@ -210,7 +204,7 @@ namespace detail {
 /// NearestEntry()'s argmin step over precomputed keys: candidate j's
 /// distance is sqrt(key[j]) when `root`, key[j] otherwise, and the
 /// winner is the first candidate with the smallest distance under
-/// strict `<` from +inf, as in the scalar loop. sqrt is taken only for
+/// strict `<` from +inf, as in a loop over Distance(). sqrt is taken only for
 /// a key below the best key so far. `active` and `exclude` as in
 /// NearestEntry().
 ScanResult NearestKey(const double* key, size_t m, bool root,
@@ -253,11 +247,6 @@ class CenterBatch {
     NearestSqRows(point, 1, &r);
     return r;
   }
-
-  /// Squared Euclidean distance from `point` to center `j`, one center
-  /// at a time in the scan's operation order: the scalar oracle over
-  /// the same columns.
-  double SquaredDistanceTo(std::span<const double> point, size_t j) const;
 
  private:
   size_t dim_ = 0;

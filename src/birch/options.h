@@ -147,10 +147,8 @@ struct BirchOptions {
     /// determinism contract: fixed (seed, num_threads, splitter_seed)
     /// implies a bitwise-reproducible run.
     uint64_t splitter_seed = 0xb1c5;
-    /// Distance-scan implementation for the hot paths (tree descent,
-    /// Phase-3 sweeps, Phase-4 assignment). kScalar and kBatch are
-    /// bitwise identical; kBatch is the one-pass column scan
-    /// (kernel/kernel.h), kScalar the per-entry oracle.
+    /// Has no effect: tree descent, the Phase-3 sweeps and Phase-4
+    /// assignment always run the column scans (kernel/kernel.h).
     KernelKind kernel = KernelKind::kBatch;
   };
 
@@ -329,7 +327,6 @@ class BirchOptions::Builder {
   // --- Execution ---
   Builder& NumThreads(int v) { o_.exec.num_threads = v; return *this; }
   Builder& SplitterSeed(uint64_t v) { o_.exec.splitter_seed = v; return *this; }
-  Builder& Kernel(KernelKind v) { o_.exec.kernel = v; return *this; }
 
   // --- Observability ---
   Builder& SampleEveryMs(uint64_t v) { o_.obs.sample_every_ms = v; return *this; }

@@ -1,14 +1,12 @@
 #include "birch/refine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/math.h"
 
 namespace birch {
 
@@ -17,36 +15,22 @@ constexpr size_t kNoWinner = static_cast<size_t>(-1);
 }  // namespace
 
 SeedAssigner::SeedAssigner(const std::vector<std::vector<double>>& centers,
-                           double outlier_distance, KernelKind kernel)
-    : centers_(centers),
-      dim_(centers.empty() ? 0 : centers[0].size()),
-      limit_sq_(outlier_distance > 0.0
+                           double outlier_distance)
+    : limit_sq_(outlier_distance > 0.0
                     ? outlier_distance * outlier_distance
-                    : std::numeric_limits<double>::infinity()),
-      use_batch_(IsBatchKernel(kernel)) {
-  if (use_batch_) batch_.Assign(centers);
+                    : std::numeric_limits<double>::infinity()) {
+  batch_.Assign(centers);
 }
 
 uint64_t SeedAssigner::Label(std::span<const double> rows, size_t n,
                              int* labels) const {
+  const size_t dim = batch_.dim();
   uint64_t discarded = 0;
   kernel::ScanResult nearest[kBlockRows];
   for (size_t begin = 0; begin < n; begin += kBlockRows) {
     const size_t count = std::min(kBlockRows, n - begin);
-    if (use_batch_) {
-      batch_.NearestSqRows(rows.subspan(begin * dim_, count * dim_), count,
-                           nearest);
-    } else {
-      for (size_t t = 0; t < count; ++t) {
-        std::span<const double> row = rows.subspan((begin + t) * dim_, dim_);
-        kernel::ScanResult& r = nearest[t];
-        r = {kNoWinner, std::numeric_limits<double>::infinity()};
-        for (size_t c = 0; c < centers_.size(); ++c) {
-          const double d = SquaredDistance(row, centers_[c]);
-          if (d < r.distance) r = {c, d};
-        }
-      }
-    }
+    batch_.NearestSqRows(rows.subspan(begin * dim, count * dim), count,
+                         nearest);
     for (size_t t = 0; t < count; ++t) {
       const kernel::ScanResult& r = nearest[t];
       int label = r.index == kNoWinner ? -1 : static_cast<int>(r.index);
@@ -63,10 +47,11 @@ uint64_t SeedAssigner::Label(std::span<const double> rows, size_t n,
 void SeedAssigner::Fold(std::span<const double> rows, size_t n,
                         std::span<const double> weights, const int* labels,
                         std::vector<CfVector>* cfs) const {
+  const size_t dim = batch_.dim();
   for (size_t i = 0; i < n; ++i) {
     if (labels[i] < 0) continue;
     (*cfs)[static_cast<size_t>(labels[i])].AddPoint(
-        rows.subspan(i * dim_, dim_), weights.empty() ? 1.0 : weights[i]);
+        rows.subspan(i * dim, dim), weights.empty() ? 1.0 : weights[i]);
   }
 }
 
@@ -79,7 +64,7 @@ namespace {
 uint64_t AssignPass(const Dataset& data,
                     const std::vector<std::vector<double>>& centers,
                     double outlier_distance, exec::ThreadPool* pool,
-                    KernelKind kernel_kind, std::vector<int>* labels,
+                    std::vector<int>* labels,
                     std::vector<CfVector>* cluster_cfs,
                     uint64_t* discarded) {
   // Accumulators are fed point by point (AddPoint never adopts a
@@ -92,7 +77,7 @@ uint64_t AssignPass(const Dataset& data,
                                 ? CfStorage::kF64
                                 : (*cluster_cfs)[0].storage();
   for (auto& cf : *cluster_cfs) cf = CfVector(data.dim(), rep, storage);
-  const SeedAssigner assigner(centers, outlier_distance, kernel_kind);
+  const SeedAssigner assigner(centers, outlier_distance);
   std::span<const double> values = data.Values();
   std::span<const double> weights = data.Weights();
   const size_t dim = data.dim();
@@ -166,8 +151,7 @@ StatusOr<RefineResult> RefineClusters(const Dataset& data,
     uint64_t discarded = 0;
     uint64_t changes =
         AssignPass(data, centers, options.outlier_distance, options.pool,
-                   options.kernel, &result.labels, &result.clusters,
-                   &discarded);
+                   &result.labels, &result.clusters, &discarded);
     result.points_discarded = discarded;
     ++result.passes_run;
     OBS_COUNTER_INC("phase4/passes");

@@ -45,8 +45,8 @@ struct RefineOptions {
   /// rows are folded into the cluster CFs in row order, so labels and
   /// CFs are the serial pass's bit for bit at every pool size.
   exec::ThreadPool* pool = nullptr;
-  /// Distance-scan implementation for the point->center argmin
-  /// (kernel/kernel.h). kScalar and kBatch are bitwise identical.
+  /// Has no effect: the point->center argmin always runs the fused
+  /// scan (kernel/kernel.h).
   KernelKind kernel = KernelKind::kBatch;
 };
 
@@ -65,14 +65,14 @@ struct RefineResult {
 /// lies farther than `outlier_distance` (when > 0) is labelled -1 and
 /// counted as discarded; a point no center compares below +inf to (a
 /// NaN coordinate, or distances that overflow) is labelled -1 and added
-/// nowhere. kScalar runs the SquaredDistance loop, kBatch the fused
-/// kernel; both give the same labels and CFs bit for bit.
+/// nowhere. The argmin is the kernel's fused point->center scan, bitwise
+/// a SquaredDistance loop's.
 class SeedAssigner {
  public:
-  /// `centers` must outlive the assigner and stay unchanged while it is
-  /// used; build a new assigner when the centers move.
+  /// Copies `centers` into the scan's column block; build a new
+  /// assigner when the centers move.
   SeedAssigner(const std::vector<std::vector<double>>& centers,
-               double outlier_distance, KernelKind kernel);
+               double outlier_distance);
 
   /// Labels the `n` row-major points in `rows` (n * dim values): writes
   /// labels[0, n) and returns the number discarded by
@@ -91,10 +91,7 @@ class SeedAssigner {
   static constexpr size_t kBlockRows = 256;
 
  private:
-  const std::vector<std::vector<double>>& centers_;
-  size_t dim_;
   double limit_sq_;
-  bool use_batch_;
   kernel::CenterBatch batch_;
 };
 

@@ -78,7 +78,6 @@ void WriteOptions(JsonWriter* w, const BirchOptions& o) {
   w->Key("exec").BeginObject();
   w->KV("num_threads", static_cast<int64_t>(o.exec.num_threads));
   w->KV("splitter_seed", o.exec.splitter_seed);
-  w->KV("kernel", static_cast<int64_t>(o.exec.kernel));
   w->EndObject();
   w->Key("serving").BeginObject();
   w->KV("publish_every_n", o.serving.publish_every_n);
@@ -187,7 +186,6 @@ uint64_t OptionsFingerprint(const BirchOptions& o) {
   f.Mix(o.refine.outlier_distance);
   f.Mix(static_cast<int64_t>(o.exec.num_threads));
   f.Mix(o.exec.splitter_seed);
-  f.Mix(static_cast<int64_t>(o.exec.kernel));
   f.Mix(o.serving.publish_every_n);
   // options.obs deliberately excluded: telemetry cadence must never
   // make two otherwise-identical runs incomparable.

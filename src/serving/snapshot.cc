@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -63,7 +62,6 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
   std::shared_ptr<ServingSnapshot> snap(new ServingSnapshot());
   snap->dim_ = tree.options().dim;
   snap->threshold_ = tree.threshold();
-  snap->kernel_ = options.kernel;
   snap->cf_rep_ = tree.options().cf;
   snap->cf_storage_ = tree.options().cf_storage;
   snap->points_ingested_ = options.points_ingested;
@@ -82,7 +80,6 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
   g.distance_limit = g.k > 0 ? 0.0 : options.distance_limit;
   g.metric = options.metric;
   g.seed = options.seed;
-  g.kernel = options.kernel;
   // Large trees fall back to k-means (hierarchical cost is quadratic),
   // exactly like BirchClusterer::Snapshot(). With k == 0 (distance-
   // limited) there is no k-means form; the size guard then propagates.
@@ -106,37 +103,22 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
 
 size_t ServingSnapshot::NearestRow(const Node& node,
                                    std::span<const double> point,
-                                   KernelKind kernel,
                                    double* best_sq) const {
-  if (IsBatchKernel(kernel)) {
-    kernel::ScanResult r = node.centers.NearestSq(point);
-    *best_sq = r.distance;
-    return r.index == static_cast<size_t>(-1) ? 0 : r.index;
-  }
-  size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t r = 0; r < node.centers.size(); ++r) {
-    const double d = node.centers.SquaredDistanceTo(point, r);
-    if (d < best_d) {
-      best_d = d;
-      best = r;
-    }
-  }
-  *best_sq = best_d;
-  return best;
+  kernel::ScanResult r = node.centers.NearestSq(point);
+  *best_sq = r.distance;
+  return r.index == static_cast<size_t>(-1) ? 0 : r.index;
 }
 
-AssignResult ServingSnapshot::AssignWith(std::span<const double> point,
-                                         KernelKind kernel,
-                                         kernel::Workspace* /*ws*/) const {
+AssignResult ServingSnapshot::Assign(std::span<const double> point,
+                                     kernel::Workspace* /*ws*/) const {
   assert(point.size() == dim_);
   double best_sq = 0.0;
   const Node* node = &nodes_[0];
   while (!node->is_leaf) {
-    const size_t row = NearestRow(*node, point, kernel, &best_sq);
+    const size_t row = NearestRow(*node, point, &best_sq);
     node = &nodes_[node->children[row]];
   }
-  const size_t row = NearestRow(*node, point, kernel, &best_sq);
+  const size_t row = NearestRow(*node, point, &best_sq);
   const size_t entry = node->first_entry + row;
   AssignResult r;
   r.cluster_id = entry_cluster_[entry];
@@ -145,11 +127,6 @@ AssignResult ServingSnapshot::AssignWith(std::span<const double> point,
   r.radius = leaf_radius_[entry];
   r.epoch = epoch_;
   return r;
-}
-
-AssignResult ServingSnapshot::Assign(std::span<const double> point,
-                                     kernel::Workspace* ws) const {
-  return AssignWith(point, kernel_, ws);
 }
 
 std::vector<CentroidNeighbor> ServingSnapshot::KNearestCentroids(

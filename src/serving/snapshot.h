@@ -4,9 +4,9 @@
 // A ServingSnapshot is built once (from a quiesced CfTree) and never
 // mutated afterwards: the tree structure is flattened into contiguous
 // node records, each carrying its entry centroids once, as a
-// kernel::CenterBatch column block that both the batch scan and the
-// scalar oracle read, so point->cluster descent is a cache-friendly
-// argmin per level with zero pointer chasing into live tree pages.
+// kernel::CenterBatch column block the fused point->center scan reads,
+// so point->cluster descent is a cache-friendly argmin per level with
+// zero pointer chasing into live tree pages.
 // Leaf entries additionally keep their exact serialized CFs, which
 // lets a mid-stream Snapshot(k) re-cluster the published state at any
 // k without touching the live tree.
@@ -67,9 +67,6 @@ struct SnapshotBuildOptions {
   GlobalAlgorithm algorithm = GlobalAlgorithm::kHierarchical;
   DistanceMetric metric = DistanceMetric::kD2;
   uint64_t seed = 42;
-  /// Distance-scan implementation for descent (kScalar and kBatch are
-  /// bitwise identical; see kernel/kernel.h).
-  KernelKind kernel = KernelKind::kBatch;
   /// Stream position at capture time (metadata only).
   uint64_t points_ingested = 0;
 };
@@ -94,15 +91,12 @@ class ServingSnapshot {
   /// Greedy CF-tree descent (the paper's insertion walk, read-only):
   /// at each level pick the child whose entry centroid is nearest in
   /// squared Euclidean distance, then argmin over the landing leaf's
-  /// entry centroids. Deterministic: first-wins ties, strict `<`, and
-  /// the kScalar / kBatch paths agree bitwise. The scans keep no
-  /// scratch: `ws` is unused and may be null (the parameter stays so
-  /// existing callers compile).
+  /// entry centroids. Each level is one fused scan of the node's
+  /// centroid block, bitwise a SquaredDistance loop with first-wins
+  /// ties and strict `<`. The scans keep no scratch: `ws` is unused and
+  /// may be null (the parameter stays so existing callers compile).
   AssignResult Assign(std::span<const double> point,
                       kernel::Workspace* ws) const;
-  /// Assign with this snapshot's build-time kernel choice overridden.
-  AssignResult AssignWith(std::span<const double> point, KernelKind kernel,
-                          kernel::Workspace* ws) const;
 
   /// The `k` publish-time cluster centroids nearest to `point`
   /// (exact flat scan, ascending distance, ties by cluster id).
@@ -131,7 +125,6 @@ class ServingSnapshot {
   size_t leaf_entry_count() const { return leaf_radius_.size(); }
   size_t node_count() const { return nodes_.size(); }
   double threshold() const { return threshold_; }
-  KernelKind kernel() const { return kernel_; }
   CfRepresentation cf_rep() const { return cf_rep_; }
   CfStorage cf_storage() const { return cf_storage_; }
   /// Milliseconds since this snapshot was built (monotonic clock).
@@ -155,17 +148,16 @@ class ServingSnapshot {
   /// Appends `node` (and its subtree) to nodes_; `row` is a load buffer
   /// under the tree's CF policies.
   size_t Flatten(const CfNode& node, CfVector* row);
-  /// Argmin over `node`'s entry centroids under the chosen kernel.
-  /// First-wins ties, row 0 when none compares below +inf; fills
-  /// *best_sq with the winning squared distance.
+  /// Argmin over `node`'s entry centroids. First-wins ties, row 0 when
+  /// none compares below +inf; fills *best_sq with the winning squared
+  /// distance.
   size_t NearestRow(const Node& node, std::span<const double> point,
-                    KernelKind kernel, double* best_sq) const;
+                    double* best_sq) const;
 
   uint64_t epoch_ = 0;
   uint64_t points_ingested_ = 0;
   size_t dim_ = 0;
   double threshold_ = 0.0;
-  KernelKind kernel_ = KernelKind::kBatch;
   CfRepresentation cf_rep_ = CfRepresentation::kClassic;
   CfStorage cf_storage_ = CfStorage::kF64;
   std::chrono::steady_clock::time_point built_at_;

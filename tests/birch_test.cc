@@ -295,7 +295,6 @@ TEST(BirchTest, BuilderMatchesFieldConfiguration) {
   flat.tree.metric = DistanceMetric::kD4;
   flat.tree.threshold_kind = ThresholdKind::kRadius;
   flat.refine.passes = 2;
-  flat.exec.kernel = KernelKind::kBatch;
 
   auto built_or = BirchOptions::Builder()
                       .Dim(2)
@@ -306,7 +305,6 @@ TEST(BirchTest, BuilderMatchesFieldConfiguration) {
                       .Metric(DistanceMetric::kD4)
                       .ThresholdKind(ThresholdKind::kRadius)
                       .RefinementPasses(2)
-                      .Kernel(KernelKind::kBatch)
                       .Build();
   ASSERT_TRUE(built_or.ok()) << built_or.status().ToString();
   const BirchOptions& built = built_or.value();
@@ -314,7 +312,6 @@ TEST(BirchTest, BuilderMatchesFieldConfiguration) {
   // The Builder produced the same nested values.
   EXPECT_EQ(built.resources.memory_bytes, flat.resources.memory_bytes);
   EXPECT_EQ(built.tree.threshold_kind, flat.tree.threshold_kind);
-  EXPECT_EQ(built.exec.kernel, flat.exec.kernel);
 
   auto rf = ClusterDataset(gen.value().data, flat);
   auto rb = ClusterDataset(gen.value().data, built);

@@ -130,22 +130,6 @@ TEST_P(CfVectorPropertyTest, AdditivityTheorem) {
   }
 }
 
-TEST_P(CfVectorPropertyTest, SubtractInvertsAdd) {
-  auto [n, dim] = GetParam();
-  Rng rng(4000 + n * 31 + dim);
-  auto pts1 = RandomPoints(&rng, n, dim);
-  auto pts2 = RandomPoints(&rng, 5, dim);
-  CfVector cf1 = CfOf(pts1);
-  CfVector cf2 = CfOf(pts2);
-  CfVector merged = CfVector::Merged(cf1, cf2);
-  merged.Subtract(cf2);
-  EXPECT_NEAR(merged.n(), cf1.n(), 1e-9);
-  for (size_t i = 0; i < dim; ++i) {
-    EXPECT_NEAR(merged.ls()[i], cf1.ls()[i],
-                1e-8 * (1.0 + std::fabs(cf1.ls()[i])));
-  }
-}
-
 TEST_P(CfVectorPropertyTest, SerializeRoundTrip) {
   auto [n, dim] = GetParam();
   Rng rng(5000 + n * 31 + dim);
@@ -300,22 +284,6 @@ TEST_P(CfRepresentationPropertyTest, ClassicBetulaDivergenceBound) {
   EXPECT_NEAR(classic.SquaredRadius(), betula.SquaredRadius(), bound);
   EXPECT_NEAR(classic.SquaredDiameter(), betula.SquaredDiameter(),
               2.5 * bound);
-}
-
-TEST_P(CfRepresentationPropertyTest, BetulaSubtractInvertsAdd) {
-  auto [offset, dim] = GetParam();
-  Rng rng(7300 + dim);
-  auto a = CfOfRep(Cloud(&rng, 60, dim, offset), CfRepresentation::kBetula);
-  auto b = CfOfRep(Cloud(&rng, 9, dim, offset), CfRepresentation::kBetula);
-  CfVector merged = CfVector::Merged(a, b);
-  merged.Subtract(b);
-  EXPECT_NEAR(merged.n(), a.n(), 1e-9);
-  for (size_t t = 0; t < dim; ++t) {
-    EXPECT_NEAR(merged.mean()[t], a.mean()[t],
-                1e-9 * (1.0 + std::fabs(a.mean()[t])));
-  }
-  EXPECT_NEAR(merged.SumSquaredDeviation(), a.SumSquaredDeviation(),
-              1e-7 * (1.0 + a.SumSquaredDeviation()));
 }
 
 TEST_P(CfRepresentationPropertyTest, BetulaSerializeRoundTrip) {

@@ -5,10 +5,13 @@
 #include "birch/global_cluster.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.h"
 #include "util/random.h"
 
 namespace birch {
@@ -224,6 +227,62 @@ TEST(GlobalClusterTest, CentroidsAccessor) {
   ASSERT_EQ(centroids.size(), 1u);
   EXPECT_NEAR(centroids[0][0], 5.0, 1.0);
   EXPECT_NEAR(centroids[0][1], 5.0, 1.0);
+}
+
+/// The exact bits of every cluster CF (N, vector, scalar), in order.
+std::vector<uint64_t> CfBits(const std::vector<CfVector>& cfs) {
+  std::vector<uint64_t> bits;
+  std::vector<double> buf;
+  for (const CfVector& cf : cfs) {
+    buf.clear();
+    cf.SerializeTo(&buf);
+    for (double v : buf) bits.push_back(std::bit_cast<uint64_t>(v));
+  }
+  return bits;
+}
+
+// A pool only spreads the sweeps over threads: each task writes its own
+// entries' slots, and the k-means centroids are folded in entry order,
+// so every pool size gives the serial assignment and cluster CFs bit for
+// bit. 960 inputs split every ParallelFor into chunks at 2-4 threads.
+TEST(GlobalClusterTest, PooledRunsMatchSerialBitwise) {
+  for (CfRepresentation rep :
+       {CfRepresentation::kClassic, CfRepresentation::kBetula}) {
+    // 16 overlapping groups in 3-D, so k-means runs several rounds.
+    Rng rng(49);
+    std::vector<CfVector> cfs;
+    std::vector<double> x(3);
+    for (int i = 0; i < 960; ++i) {
+      CfVector cf(3, rep);
+      for (int p = 0; p <= i % 5; ++p) {
+        x = {10.0 * (i % 16) + rng.Gaussian(0, 6), rng.Gaussian(0, 6),
+             rng.Gaussian(0, 6)};
+        cf.AddPoint(x);
+      }
+      cfs.push_back(cf);
+    }
+    for (GlobalAlgorithm algorithm :
+         {GlobalAlgorithm::kKMeans, GlobalAlgorithm::kHierarchical}) {
+      GlobalClusterOptions o;
+      o.k = 12;
+      o.algorithm = algorithm;
+      auto serial = GlobalCluster(cfs, o);
+      ASSERT_TRUE(serial.ok());
+      for (int threads : {2, 3, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << CfRepresentationName(rep) << " algorithm="
+                     << static_cast<int>(algorithm)
+                     << " threads=" << threads);
+        exec::ThreadPool pool(threads);
+        o.pool = &pool;
+        auto pooled = GlobalCluster(cfs, o);
+        ASSERT_TRUE(pooled.ok());
+        EXPECT_EQ(pooled.value().assignment, serial.value().assignment);
+        EXPECT_EQ(CfBits(pooled.value().clusters),
+                  CfBits(serial.value().clusters));
+      }
+    }
+  }
 }
 
 }  // namespace

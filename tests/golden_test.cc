@@ -160,7 +160,6 @@ void HashTree(const CfTree& tree, const BirchOptions& o, const Dataset& data,
   serving::SnapshotBuildOptions s;
   s.k = o.k;
   s.seed = o.seed;
-  s.kernel = KernelKind::kBatch;
   auto snap_or = serving::ServingSnapshot::Build(tree, s);
   ASSERT_TRUE(snap_or.ok()) << snap_or.status().ToString();
   const serving::ServingSnapshot& snap = *snap_or.value();
@@ -168,9 +167,6 @@ void HashTree(const CfTree& tree, const BirchOptions& o, const Dataset& data,
   kernel::Workspace ws;
   for (const auto& p : Probes(data)) {
     serving::AssignResult a = snap.Assign(p, &ws);
-    serving::AssignResult b = snap.AssignWith(p, KernelKind::kScalar, &ws);
-    EXPECT_EQ(a.leaf_entry, b.leaf_entry);
-    EXPECT_EQ(a.distance, b.distance);
     assign.U64(static_cast<uint64_t>(a.cluster_id));
     assign.U64(a.leaf_entry);
     assign.F64(a.distance);
@@ -234,6 +230,23 @@ TEST(GoldenTest, ClassicD0Radius) {
   ExpectGolden(RunSerial(o), {0x22afc1a18138e34bULL, 0xd97a28f5c725fe8cULL,
                               0x6035fe4020a21b2aULL, 0xaf7355fb154e895fULL,
                               0x6e1881797ae77d55ULL});
+}
+
+TEST(GoldenTest, ClassicD1Diameter) {
+  BirchOptions o = BaseOptions();
+  o.tree.metric = DistanceMetric::kD1;
+  ExpectGolden(RunSerial(o), {0xd6903026f5410a79ULL, 0xda4ab790f2c347f7ULL,
+                              0xbe4043a75535fb44ULL, 0x3062003bb170bc14ULL,
+                              0x665b43a73685c452ULL});
+}
+
+TEST(GoldenTest, ClassicD3Radius) {
+  BirchOptions o = BaseOptions();
+  o.tree.metric = DistanceMetric::kD3;
+  o.tree.threshold_kind = ThresholdKind::kRadius;
+  ExpectGolden(RunSerial(o), {0xd1525b49ca431f72ULL, 0xfe06be198bc068daULL,
+                              0xcdc21acfee3e40edULL, 0xa172b88364f916aaULL,
+                              0x575099e996a2b104ULL});
 }
 
 TEST(GoldenTest, ClassicD4Radius) {

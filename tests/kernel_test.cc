@@ -1,9 +1,11 @@
-// Golden-equivalence tests for the batched SoA distance kernels: the
-// batch path must agree BITWISE with the scalar oracle (metrics.cc /
-// cf_vector.cc) — same distances, same winners — across metrics D0-D4,
-// both threshold kinds, a sweep of dimensionalities, and adversarial
-// near-ties. End-to-end, a kBatch pipeline must reproduce a kScalar
-// pipeline exactly (tree shape, stats, Phase-3/4 outputs).
+// Golden-equivalence tests for the column distance kernels, the only
+// distance implementation the pipeline runs: every scan must agree
+// BITWISE with the per-CF oracle kept here as test code (Distance() in
+// metrics.cc, the CfVector algebra, SquaredDistance loops) — same
+// distances, same winners — across metrics D0-D4, the merged diameter
+// and radius the absorb test reads, classic and BETULA CFs in f64 and
+// f32, a sweep of dimensionalities, and adversarial near-ties.
+// golden_test pins the end-to-end bits.
 #include "birch/kernel/kernel.h"
 
 #include <cmath>
@@ -12,13 +14,9 @@
 
 #include <gtest/gtest.h>
 
-#include "birch/cf_tree.h"
-#include "birch/global_cluster.h"
 #include "birch/metrics.h"
-#include "birch/refine.h"
 #include "center_batch_cases.h"
 #include "cf_batch_cases.h"
-#include "pagestore/memory_tracker.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -360,253 +358,6 @@ TEST(CenterBatchTest, NearestSqMatchesScalarLoop) {
     }
   }
   center_batch_cases::RunNearestSqCases(31);
-}
-
-/// Inserts the same random stream into a kScalar tree and a kBatch
-/// tree; every outcome, stat, and leaf CF must match exactly.
-void TreeEquivalenceCase(DistanceMetric metric, ThresholdKind kind,
-                         CfRepresentation rep = CfRepresentation::kClassic,
-                         CfStorage storage = CfStorage::kF64) {
-  CfTreeOptions base;
-  base.dim = 2;
-  base.page_size = 256;  // small fanout: plenty of splits + refinements
-  base.threshold = 0.4;
-  base.metric = metric;
-  base.threshold_kind = kind;
-  base.cf = rep;
-  base.cf_storage = storage;
-
-  CfTreeOptions scalar = base;
-  scalar.kernel = KernelKind::kScalar;
-  CfTreeOptions batch = base;
-  batch.kernel = KernelKind::kBatch;
-
-  MemoryTracker mem_s, mem_b;
-  CfTree tree_s(scalar, &mem_s);
-  CfTree tree_b(batch, &mem_b);
-
-  Rng rng(31);
-  std::vector<double> p(2);
-  for (int i = 0; i < 600; ++i) {
-    // Clustered with occasional far-flung singletons.
-    double cx = static_cast<double>(rng.UniformInt(5)) * 4.0;
-    p[0] = cx + rng.Uniform(-0.5, 0.5);
-    p[1] = rng.Uniform(-0.5, 0.5);
-    if (i % 97 == 0) p[0] += 100.0;
-    InsertOutcome a = tree_s.InsertPoint(p);
-    InsertOutcome b = tree_b.InsertPoint(p);
-    ASSERT_EQ(a, b) << MetricName(metric) << " i=" << i;
-  }
-
-  EXPECT_EQ(tree_s.leaf_entry_count(), tree_b.leaf_entry_count());
-  EXPECT_EQ(tree_s.node_count(), tree_b.node_count());
-  EXPECT_EQ(tree_s.height(), tree_b.height());
-  const CfTreeStats& ss = tree_s.stats();
-  const CfTreeStats& sb = tree_b.stats();
-  EXPECT_EQ(ss.absorbed, sb.absorbed);
-  EXPECT_EQ(ss.new_entries, sb.new_entries);
-  EXPECT_EQ(ss.leaf_splits, sb.leaf_splits);
-  EXPECT_EQ(ss.nonleaf_splits, sb.nonleaf_splits);
-  EXPECT_EQ(ss.merge_refinements, sb.merge_refinements);
-  EXPECT_EQ(ss.distance_comparisons, sb.distance_comparisons);
-
-  std::vector<CfVector> leaves_s, leaves_b;
-  tree_s.CollectLeafEntries(&leaves_s);
-  tree_b.CollectLeafEntries(&leaves_b);
-  ASSERT_EQ(leaves_s.size(), leaves_b.size());
-  for (size_t i = 0; i < leaves_s.size(); ++i) {
-    EXPECT_EQ(leaves_s[i], leaves_b[i]) << "leaf " << i;
-  }
-}
-
-TEST(TreeKernelEquivalenceTest, AllMetricsDiameterThreshold) {
-  for (DistanceMetric metric : kAllMetrics) {
-    TreeEquivalenceCase(metric, ThresholdKind::kDiameter);
-  }
-}
-
-TEST(TreeKernelEquivalenceTest, AllMetricsRadiusThreshold) {
-  for (DistanceMetric metric : kAllMetrics) {
-    TreeEquivalenceCase(metric, ThresholdKind::kRadius);
-  }
-}
-
-TEST(TreeKernelEquivalenceTest, BetulaAllMetricsDiameterThreshold) {
-  for (DistanceMetric metric : kAllMetrics) {
-    TreeEquivalenceCase(metric, ThresholdKind::kDiameter,
-                        CfRepresentation::kBetula);
-  }
-}
-
-TEST(TreeKernelEquivalenceTest, BetulaAllMetricsRadiusThreshold) {
-  for (DistanceMetric metric : kAllMetrics) {
-    TreeEquivalenceCase(metric, ThresholdKind::kRadius,
-                        CfRepresentation::kBetula);
-  }
-}
-
-TEST(TreeKernelEquivalenceTest, BetulaF32AllMetricsDiameterThreshold) {
-  // The f32 storage mode quantizes after every CF mutation; scalar and
-  // batch must still agree bitwise on the quantized values.
-  for (DistanceMetric metric : kAllMetrics) {
-    TreeEquivalenceCase(metric, ThresholdKind::kDiameter,
-                        CfRepresentation::kBetula, CfStorage::kF32);
-  }
-}
-
-GlobalClusterOptions GlobalOpts(GlobalAlgorithm algorithm,
-                                KernelKind kernel) {
-  GlobalClusterOptions g;
-  g.k = 5;
-  g.algorithm = algorithm;
-  g.seed = 99;
-  g.kernel = kernel;
-  return g;
-}
-
-TEST(GlobalKernelEquivalenceTest, HierarchicalScalarVsBatch) {
-  Rng rng(37);
-  auto cfs = RandomCfs(&rng, 3, 80);
-  for (DistanceMetric metric : kAllMetrics) {
-    auto s = GlobalOpts(GlobalAlgorithm::kHierarchical, KernelKind::kScalar);
-    auto b = GlobalOpts(GlobalAlgorithm::kHierarchical, KernelKind::kBatch);
-    s.metric = b.metric = metric;
-    auto rs = GlobalCluster(cfs, s);
-    auto rb = GlobalCluster(cfs, b);
-    ASSERT_TRUE(rs.ok() && rb.ok()) << MetricName(metric);
-    EXPECT_EQ(rs.value().assignment, rb.value().assignment)
-        << MetricName(metric);
-    ASSERT_EQ(rs.value().clusters.size(), rb.value().clusters.size());
-    for (size_t c = 0; c < rs.value().clusters.size(); ++c) {
-      EXPECT_EQ(rs.value().clusters[c], rb.value().clusters[c])
-          << MetricName(metric) << " cluster " << c;
-    }
-  }
-}
-
-TEST(GlobalKernelEquivalenceTest, KMeansScalarVsBatch) {
-  Rng rng(41);
-  auto cfs = RandomCfs(&rng, 3, 120);
-  auto rs = GlobalCluster(
-      cfs, GlobalOpts(GlobalAlgorithm::kKMeans, KernelKind::kScalar));
-  auto rb = GlobalCluster(
-      cfs, GlobalOpts(GlobalAlgorithm::kKMeans, KernelKind::kBatch));
-  ASSERT_TRUE(rs.ok() && rb.ok());
-  EXPECT_EQ(rs.value().assignment, rb.value().assignment);
-  ASSERT_EQ(rs.value().clusters.size(), rb.value().clusters.size());
-  for (size_t c = 0; c < rs.value().clusters.size(); ++c) {
-    EXPECT_EQ(rs.value().clusters[c], rb.value().clusters[c]);
-  }
-}
-
-TEST(GlobalKernelEquivalenceTest, BetulaHierarchicalScalarVsBatch) {
-  Rng rng(37);
-  auto cfs = RandomCfs(&rng, 3, 80, CfRepresentation::kBetula);
-  for (DistanceMetric metric : kAllMetrics) {
-    auto s = GlobalOpts(GlobalAlgorithm::kHierarchical, KernelKind::kScalar);
-    auto b = GlobalOpts(GlobalAlgorithm::kHierarchical, KernelKind::kBatch);
-    s.metric = b.metric = metric;
-    auto rs = GlobalCluster(cfs, s);
-    auto rb = GlobalCluster(cfs, b);
-    ASSERT_TRUE(rs.ok() && rb.ok()) << MetricName(metric);
-    EXPECT_EQ(rs.value().assignment, rb.value().assignment)
-        << MetricName(metric);
-    ASSERT_EQ(rs.value().clusters.size(), rb.value().clusters.size());
-    for (size_t c = 0; c < rs.value().clusters.size(); ++c) {
-      EXPECT_EQ(rs.value().clusters[c], rb.value().clusters[c])
-          << MetricName(metric) << " cluster " << c;
-    }
-  }
-}
-
-TEST(GlobalKernelEquivalenceTest, BetulaKMeansScalarVsBatch) {
-  Rng rng(41);
-  auto cfs = RandomCfs(&rng, 3, 120, CfRepresentation::kBetula);
-  auto rs = GlobalCluster(
-      cfs, GlobalOpts(GlobalAlgorithm::kKMeans, KernelKind::kScalar));
-  auto rb = GlobalCluster(
-      cfs, GlobalOpts(GlobalAlgorithm::kKMeans, KernelKind::kBatch));
-  ASSERT_TRUE(rs.ok() && rb.ok());
-  EXPECT_EQ(rs.value().assignment, rb.value().assignment);
-  ASSERT_EQ(rs.value().clusters.size(), rb.value().clusters.size());
-  for (size_t c = 0; c < rs.value().clusters.size(); ++c) {
-    EXPECT_EQ(rs.value().clusters[c], rb.value().clusters[c]);
-  }
-}
-
-TEST(RefineKernelEquivalenceTest, BetulaScalarVsBatch) {
-  Rng rng(43);
-  Dataset data(2);
-  std::vector<double> p(2);
-  for (int i = 0; i < 400; ++i) {
-    double cx = static_cast<double>(rng.UniformInt(3)) * 10.0;
-    p[0] = cx + rng.Gaussian(0.0, 1.0);
-    p[1] = rng.Gaussian(0.0, 1.0);
-    data.Append(p);
-  }
-  std::vector<CfVector> seeds;
-  for (double cx : {0.5, 9.0, 21.0}) {
-    std::vector<double> s = {cx, 0.3};
-    seeds.push_back(CfVector::FromPoint(s, 1.0, CfRepresentation::kBetula));
-  }
-  RefineOptions s;
-  s.passes = 4;
-  s.outlier_distance = 8.0;
-  s.kernel = KernelKind::kScalar;
-  RefineOptions b = s;
-  b.kernel = KernelKind::kBatch;
-  auto rs = RefineClusters(data, seeds, s);
-  auto rb = RefineClusters(data, seeds, b);
-  ASSERT_TRUE(rs.ok() && rb.ok());
-  EXPECT_EQ(rs.value().labels, rb.value().labels);
-  ASSERT_EQ(rs.value().clusters.size(), rb.value().clusters.size());
-  for (size_t c = 0; c < rs.value().clusters.size(); ++c) {
-    EXPECT_EQ(rs.value().clusters[c], rb.value().clusters[c]);
-    EXPECT_EQ(rs.value().clusters[c].rep(), CfRepresentation::kBetula);
-  }
-}
-
-TEST(RefineKernelEquivalenceTest, ScalarVsBatch) {
-  Rng rng(43);
-  Dataset data(2);
-  std::vector<double> p(2);
-  for (int i = 0; i < 400; ++i) {
-    double cx = static_cast<double>(rng.UniformInt(3)) * 10.0;
-    p[0] = cx + rng.Gaussian(0.0, 1.0);
-    p[1] = rng.Gaussian(0.0, 1.0);
-    data.Append(p);
-  }
-  std::vector<CfVector> seeds;
-  for (double cx : {0.5, 9.0, 21.0}) {
-    std::vector<double> s = {cx, 0.3};
-    seeds.push_back(CfVector::FromPoint(s));
-  }
-  RefineOptions s;
-  s.passes = 4;
-  s.outlier_distance = 8.0;
-  s.kernel = KernelKind::kScalar;
-  RefineOptions b = s;
-  b.kernel = KernelKind::kBatch;
-  auto rs = RefineClusters(data, seeds, s);
-  auto rb = RefineClusters(data, seeds, b);
-  ASSERT_TRUE(rs.ok() && rb.ok());
-  EXPECT_EQ(rs.value().labels, rb.value().labels);
-  EXPECT_EQ(rs.value().passes_run, rb.value().passes_run);
-  EXPECT_EQ(rs.value().points_discarded, rb.value().points_discarded);
-  ASSERT_EQ(rs.value().clusters.size(), rb.value().clusters.size());
-  for (size_t c = 0; c < rs.value().clusters.size(); ++c) {
-    EXPECT_EQ(rs.value().clusters[c], rb.value().clusters[c]);
-  }
-}
-
-TEST(KernelInfoTest, NamesAndDispatchAreSane) {
-  EXPECT_STREQ(KernelName(KernelKind::kScalar), "scalar");
-  EXPECT_STREQ(KernelName(KernelKind::kBatch), "batch");
-  EXPECT_FALSE(IsBatchKernel(KernelKind::kScalar));
-  EXPECT_TRUE(IsBatchKernel(KernelKind::kBatch));
-  // Whichever implementation the runtime dispatch picked, it must have
-  // produced oracle-identical results above; just record the lane.
-  (void)Avx2Active();
 }
 
 }  // namespace

@@ -269,42 +269,38 @@ TEST(ClusterSourceTest, StreamingRefineMatchesInMemoryBitwise) {
     ASSERT_TRUE(csv_data.ok()) << csv_data.status().ToString();
     for (int threads : {0, 3}) {
       for (int passes : {1, 2}) {
-        for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kBatch}) {
-          SCOPED_TRACE(testing::Message()
-                       << "dim=" << dim << " threads=" << threads
-                       << " passes=" << passes
-                       << " kernel=" << KernelName(kernel));
-          BirchOptions b;
-          b.dim = dim;
-          b.k = 8;
-          b.resources.memory_bytes = 24 * 1024;
-          b.refine.passes = passes;
-          b.exec.kernel = kernel;
-          b.exec.num_threads = threads;
-          // A CSV source gives no size hint; the Phase-1 threshold
-          // heuristic must see the same count on every path.
-          b.expected_points = data.size();
-          auto in_memory = ClusterDataset(data, b);
-          ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-          const std::vector<uint64_t> want = CfBits(in_memory.value().clusters);
-          EXPECT_FALSE(in_memory.value().clusters.empty());
+        SCOPED_TRACE(testing::Message()
+                     << "dim=" << dim << " threads=" << threads
+                     << " passes=" << passes);
+        BirchOptions b;
+        b.dim = dim;
+        b.k = 8;
+        b.resources.memory_bytes = 24 * 1024;
+        b.refine.passes = passes;
+        b.exec.num_threads = threads;
+        // A CSV source gives no size hint; the Phase-1 threshold
+        // heuristic must see the same count on every path.
+        b.expected_points = data.size();
+        auto in_memory = ClusterDataset(data, b);
+        ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+        const std::vector<uint64_t> want = CfBits(in_memory.value().clusters);
+        EXPECT_FALSE(in_memory.value().clusters.empty());
 
-          auto csv_in_memory = ClusterDataset(csv_data.value(), b);
-          ASSERT_TRUE(csv_in_memory.ok())
-              << csv_in_memory.status().ToString();
-          EXPECT_EQ(CfBits(csv_in_memory.value().clusters), want);
+        auto csv_in_memory = ClusterDataset(csv_data.value(), b);
+        ASSERT_TRUE(csv_in_memory.ok())
+            << csv_in_memory.status().ToString();
+        EXPECT_EQ(CfBits(csv_in_memory.value().clusters), want);
 
-          DatasetSource source(&data);
-          auto streamed = ClusterSource(&source, b);
-          ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-          EXPECT_EQ(CfBits(streamed.value().clusters), want);
+        DatasetSource source(&data);
+        auto streamed = ClusterSource(&source, b);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        EXPECT_EQ(CfBits(streamed.value().clusters), want);
 
-          auto csv_source = CsvPointSource::Open(csv);
-          ASSERT_TRUE(csv_source.ok()) << csv_source.status().ToString();
-          auto csv_streamed = ClusterSource(csv_source.value().get(), b);
-          ASSERT_TRUE(csv_streamed.ok()) << csv_streamed.status().ToString();
-          EXPECT_EQ(CfBits(csv_streamed.value().clusters), want);
-        }
+        auto csv_source = CsvPointSource::Open(csv);
+        ASSERT_TRUE(csv_source.ok()) << csv_source.status().ToString();
+        auto csv_streamed = ClusterSource(csv_source.value().get(), b);
+        ASSERT_TRUE(csv_streamed.ok()) << csv_streamed.status().ToString();
+        EXPECT_EQ(CfBits(csv_streamed.value().clusters), want);
       }
     }
     std::remove(csv.c_str());

@@ -177,34 +177,6 @@ TEST(ServingTest, PinnedEpochIsImmutableUnderConcurrentIngest) {
   EXPECT_EQ(pinned->Assign(data.Row(0), &ws).epoch, pinned_epoch);
 }
 
-// Assign's descent must agree bitwise between the scalar oracle and
-// the batched SoA kernel, and the landing leaf entry must be the same
-// entry the live tree's own insertion walk (the Phase-1 code path)
-// would choose for that point on the frozen tree.
-TEST(ServingTest, AssignKernelsAgreeBitwiseOnFrozenTree) {
-  Dataset data = MakeData(8, 40, 34);
-  BirchOptions o = ServingOpts(data.dim(), 8, 0);
-  o.serving.publish_every_n = 10000;  // manual publish only
-  auto c = BirchClusterer::Create(o);
-  ASSERT_TRUE(c.ok());
-  ASSERT_TRUE(c.value()->AddDataset(data).ok());
-  ASSERT_TRUE(c.value()->PublishSnapshot().ok());
-  auto epoch = c.value()->server()->Acquire();
-  ASSERT_NE(epoch, nullptr);
-  kernel::Workspace ws;
-  for (size_t i = 0; i < data.size(); ++i) {
-    serving::AssignResult batch =
-        epoch->AssignWith(data.Row(i), KernelKind::kBatch, &ws);
-    serving::AssignResult scalar =
-        epoch->AssignWith(data.Row(i), KernelKind::kScalar, &ws);
-    ASSERT_EQ(batch.leaf_entry, scalar.leaf_entry) << "row " << i;
-    ASSERT_EQ(batch.cluster_id, scalar.cluster_id) << "row " << i;
-    ASSERT_EQ(
-        std::memcmp(&batch.distance, &scalar.distance, sizeof(double)), 0)
-        << "row " << i;
-  }
-}
-
 // KNearestCentroids against a brute-force oracle over the publish-time
 // centroid table: same ids, ascending distances, ties by cluster id.
 TEST(ServingTest, KNearestCentroidsMatchesBruteForce) {

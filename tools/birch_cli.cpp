@@ -77,14 +77,6 @@ StatusOr<GlobalAlgorithm> ParseAlgorithm(const std::string& name) {
                                  "' (want hc|kmeans|medoids)");
 }
 
-StatusOr<KernelKind> ParseKernel(const std::string& name) {
-  for (auto k : {KernelKind::kScalar, KernelKind::kBatch}) {
-    if (name == KernelName(k)) return k;
-  }
-  return Status::InvalidArgument("unknown kernel '" + name +
-                                 "' (want scalar|batch)");
-}
-
 int Run(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   Status known = flags.CheckKnown(
@@ -93,7 +85,7 @@ int Run(int argc, char** argv) {
        "threshold", "algorithm",
        "refine-passes",
        "discard-distance", "no-outliers", "no-delay-split", "stream",
-       "seed", "threads", "splitter-seed", "kernel",
+       "seed", "threads", "splitter-seed",
        "fault-read", "fault-write", "fault-lose",
        "fault-flip", "fault-seed", "io-attempts", "metrics", "metrics-csv",
        "trace-out", "report", "sample-every-ms", "checkpoint",
@@ -111,7 +103,7 @@ int Run(int argc, char** argv) {
                  "[--refine-passes N] [--discard-distance D] "
                  "[--no-outliers] [--no-delay-split] [--stream] "
                  "[--seed S] [--threads N] "
-                 "[--splitter-seed S] [--kernel scalar|batch]\n"
+                 "[--splitter-seed S]\n"
                  "       [--disk-kb R] [--page-codec none|delta-rle] "
                  "[--hot-tier-kb N] [--fault-read P] [--fault-write P] "
                  "[--fault-lose P] [--fault-flip P] [--fault-seed S] "
@@ -138,10 +130,6 @@ int Run(int argc, char** argv) {
                  "re-scan (which they label\n"
                  "  too); rows are still dealt to shards and folded into "
                  "the clusters in file\n  order.\n"
-                 "  --kernel batch (default) scans each CF node's column "
-                 "block in one pass; scalar\n"
-                 "  is the per-entry oracle — the two are bitwise "
-                 "identical.\n"
                  "  --disk-kb 0 disables the outlier disk (in-tree "
                  "fallback); --page-codec delta-rle\n"
                  "  compresses outlier pages transparently (each page is "
@@ -189,6 +177,17 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
+  // Size flags are cast to size_t below, where a negative value would
+  // wrap to a budget near 2^64 bytes.
+  for (const char* name : {"memory-kb", "disk-kb", "page", "hot-tier-kb"}) {
+    const int64_t v = flags.GetInt(name, 0);
+    if (v < 0) {
+      std::fprintf(stderr, "--%s must be >= 0, got %lld\n", name,
+                   static_cast<long long>(v));
+      return 2;
+    }
+  }
+
   BirchOptions o;
   o.k = static_cast<int>(flags.GetInt("k", 0));
   o.global_phase.distance_limit = flags.GetDouble("distance-limit", 0.0);
@@ -231,12 +230,6 @@ int Run(int argc, char** argv) {
   o.exec.num_threads = static_cast<int>(threads);
   o.exec.splitter_seed = static_cast<uint64_t>(flags.GetInt(
       "splitter-seed", static_cast<int64_t>(o.exec.splitter_seed)));
-  auto kernel_or = ParseKernel(flags.GetString("kernel", "batch"));
-  if (!kernel_or.ok()) {
-    std::fprintf(stderr, "%s\n", kernel_or.status().ToString().c_str());
-    return 2;
-  }
-  o.exec.kernel = kernel_or.value();
 
   int64_t publish_every = flags.GetInt("publish-every", 0);
   double serve_seconds = flags.GetDouble("serve-seconds", 0.0);
