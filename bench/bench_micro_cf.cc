@@ -216,18 +216,16 @@ void BM_TreeInsertObs(benchmark::State& state) {
 BENCHMARK(BM_TreeInsertObs)->Arg(0)->Arg(1);
 
 // Representation A/B on the insert path: classic (N, LS, SS) vs
-// BETULA (N, mean, S) f64 vs BETULA f32 storage, steady-state absorb
-// traffic (same harness as BM_TreeInsertKernel).
+// BETULA (N, mean, S), steady-state absorb traffic (same harness as
+// BM_TreeInsertKernel).
 void BM_TreeInsertCf(benchmark::State& state) {
   const auto rep = static_cast<CfRepresentation>(state.range(0));
-  const auto storage = static_cast<CfStorage>(state.range(1));
-  const size_t dim = static_cast<size_t>(state.range(2));
+  const size_t dim = static_cast<size_t>(state.range(1));
   CfTreeOptions o;
   o.dim = dim;
   o.page_size = std::max<size_t>(4096, dim * 512);
   o.threshold = 0.5 * std::sqrt(static_cast<double>(dim));
   o.cf = rep;
-  o.cf_storage = storage;
   Rng rng(4);
   MemoryTracker mem;
   CfTree tree(o, &mem);
@@ -243,16 +241,14 @@ void BM_TreeInsertCf(benchmark::State& state) {
     i = (i + 1) % kPoints;
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string(CfRepresentationName(rep)) + "/" +
-                 CfStorageName(storage) + "/dim=" + std::to_string(dim));
+  state.SetLabel(std::string(CfRepresentationName(rep)) + "/dim=" +
+                 std::to_string(dim));
 }
 BENCHMARK(BM_TreeInsertCf)
-    ->Args({0, 0, 2})
-    ->Args({1, 0, 2})
-    ->Args({1, 1, 2})
-    ->Args({0, 0, 16})
-    ->Args({1, 0, 16})
-    ->Args({1, 1, 16});
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->Args({0, 16})
+    ->Args({1, 16});
 
 // Batch-first ingest A/B: the same steady-state stream through the
 // per-point Add() loop vs one AddBatch() call over the whole block.

@@ -12,9 +12,7 @@
 //
 // Quality is measured offset-invariantly: cluster CFs are rebuilt from
 // the result labels over a *centered* copy of the data (offset
-// subtracted), so "D" is comparable across offsets. The float32 leg
-// runs BETULA with f32 CF storage on float32-quantized points at a
-// moderate offset (classic+f32 is rejected by options validation).
+// subtracted), so "D" is comparable across offsets.
 //
 // --smoke shrinks the point count; --json <path> appends nothing but
 // rewrites the whole trajectory record (used for BENCH_numerics.json).
@@ -75,11 +73,9 @@ int Run(int argc, char** argv) {
   std::vector<LegResult> results;
 
   auto run_leg = [&](const std::string& leg, CfRepresentation rep,
-                     CfStorage storage, double offset,
-                     bool quantize_points) -> bool {
+                     double offset) -> bool {
     GeneratorOptions g = IllConditionedOptions(dim, k, offset, /*seed=*/7);
     g.n_low = g.n_high = points_per_cluster;
-    g.quantize_points_f32 = quantize_points;
     auto gen = Generate(g);
     if (!gen.ok()) {
       std::fprintf(stderr, "generate failed: %s\n",
@@ -89,7 +85,6 @@ int Run(int argc, char** argv) {
     BirchOptions opts = bench::PaperDefaults(k, gen.value().data.size());
     opts.dim = dim;
     opts.tree.cf = rep;
-    opts.tree.cf_storage = storage;
     auto row_or = bench::RunBirch(gen.value(), opts);
     if (!row_or.ok()) {
       std::fprintf(stderr, "run failed (%s): %s\n", leg.c_str(),
@@ -131,20 +126,8 @@ int Run(int argc, char** argv) {
   };
 
   for (double offset : offsets) {
-    if (!run_leg("classic", CfRepresentation::kClassic, CfStorage::kF64,
-                 offset, /*quantize_points=*/false)) {
-      return 1;
-    }
-    if (!run_leg("betula", CfRepresentation::kBetula, CfStorage::kF64,
-                 offset, /*quantize_points=*/false)) {
-      return 1;
-    }
-  }
-  // Float32 legs: f32-quantized points, moderate offsets (1e8 is not
-  // even representable spread in float32 — that regime needs f64).
-  for (double offset : {0.0, 1e4}) {
-    if (!run_leg("betula-f32", CfRepresentation::kBetula, CfStorage::kF32,
-                 offset, /*quantize_points=*/true)) {
+    if (!run_leg("classic", CfRepresentation::kClassic, offset) ||
+        !run_leg("betula", CfRepresentation::kBetula, offset)) {
       return 1;
     }
   }

@@ -48,7 +48,6 @@ CfTreeOptions TreeOptionsFrom(const BirchOptions& o) {
   t.threshold_kind = o.tree.threshold_kind;
   t.merging_refinement = o.tree.merging_refinement;
   t.cf = o.tree.cf;
-  t.cf_storage = o.tree.cf_storage;
   return t;
 }
 
@@ -118,8 +117,7 @@ StatusOr<std::vector<CfVector>> StreamingRefine(
   for (int pass = 0; pass < opts.refine.passes; ++pass) {
     if (pass > 0) BIRCH_RETURN_IF_ERROR(source->Rewind());
     const SeedAssigner assigner(centers, opts.refine.outlier_distance);
-    sums.assign(centers.size(),
-                CfVector(opts.dim, opts.tree.cf, opts.tree.cf_storage));
+    sums.assign(centers.size(), CfVector(opts.dim, opts.tree.cf));
     BlockScanStats scan;
     const Status scanned = ScanBlocks(
         source, pool,

@@ -14,24 +14,14 @@
 
 namespace birch {
 
-/// Derives node capacities from page size, dimension and CF storage
-/// width. BETULA CFs under CfStorage::kF32 keep their vector/scalar
-/// state in 4-byte floats, so twice as many entries fit a page.
+/// Derives node capacities from page size and dimension.
 struct CfLayout {
   size_t page_size = 1024;
   size_t dim = 2;
-  CfStorage storage = CfStorage::kF64;
 
-  /// Bytes of a serialized CF. N is always a full double (counts are
-  /// never quantized); under kF32 the d+1 vector/scalar components are
-  /// 4-byte floats. Rounded up to an 8-byte boundary — the on-page
-  /// entry payload is framed in doubles (see tree_io.h), and this
-  /// matches that serialized size exactly.
+  /// Bytes of a serialized CF: the on-page entry payload (tree_io.h).
   size_t CfBytes() const {
-    size_t bytes = storage == CfStorage::kF32
-                       ? sizeof(double) + (dim + 1) * sizeof(float)
-                       : (dim + 2) * sizeof(double);
-    return (bytes + sizeof(double) - 1) / sizeof(double) * sizeof(double);
+    return CfVector::SerializedDoubles(dim) * sizeof(double);
   }
 
   /// Fixed per-node overhead we account for: type/count + parent

@@ -20,7 +20,7 @@ constexpr size_t kNone = static_cast<size_t>(-1);
 
 CfTree::CfTree(const CfTreeOptions& options, MemoryTracker* mem)
     : options_(options),
-      layout_{options.page_size, options.dim, options.cf_storage},
+      layout_{options.page_size, options.dim},
       threshold_(options.threshold),
       mem_(mem),
       needs_(kernel::CfBatch::Needs::For(options.metric, options.cf)),
@@ -55,6 +55,7 @@ CfNode* CfTree::AllocNode(bool leaf) {
   const size_t rows = Capacity(leaf) + 1;
   node->rows.Init(options_.dim, rows, needs_);
   if (!leaf) node->children.reserve(rows);
+  OBS_GAUGE_ADD("tree/heap_bytes", NodeHeapBytes(*node));
   return node;
 }
 
@@ -62,7 +63,13 @@ void CfTree::FreeNode(CfNode* node) {
   mem_->Free(options_.page_size);
   --node_count_;
   OBS_GAUGE_ADD("tree/nodes", -1);
+  OBS_GAUGE_ADD("tree/heap_bytes", -static_cast<double>(NodeHeapBytes(*node)));
   delete node;
+}
+
+size_t CfTree::NodeHeapBytes(const CfNode& node) {
+  return sizeof(CfNode) + node.rows.block_doubles() * sizeof(double) +
+         node.children.capacity() * sizeof(CfNode*);
 }
 
 void CfTree::FreeNonleafSkeleton(CfNode* node) {
@@ -528,11 +535,8 @@ bool NearlyEqual(double a, double b, double tol) {
 bool CfNearlyEqual(const CfVector& a, const CfVector& b) {
   if (a.dim() != b.dim() || a.rep() != b.rep()) return false;
   // Incrementally-maintained parent CFs drift from recomputed child
-  // summaries by accumulated rounding. Under f32 storage every
-  // mutation quantizes through float, so the drift floor is float
-  // ulps (~1.2e-7 per op) instead of double ulps — the tolerance must
-  // scale with the storage width or healthy f32 trees flunk.
-  double tol = a.storage() == CfStorage::kF32 ? 1e-3 : 1e-6;
+  // summaries by accumulated rounding.
+  const double tol = 1e-6;
   if (!NearlyEqual(a.n(), b.n(), tol)) return false;
   if (!NearlyEqual(a.raw_scalar(), b.raw_scalar(), tol)) return false;
   for (size_t i = 0; i < a.dim(); ++i) {

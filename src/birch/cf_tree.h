@@ -28,6 +28,11 @@ namespace birch {
 /// Which cluster statistic the absorption threshold T bounds.
 enum class ThresholdKind { kDiameter = 0, kRadius };
 
+/// Has no effect: every CF component is stored as a double. Kept, with
+/// its one value, only as the type of the option fields the end-to-end
+/// benchmark still assigns.
+enum class CfStorage { kF64 = 0 };
+
 /// Static configuration of a CF tree.
 struct CfTreeOptions {
   size_t dim = 2;
@@ -39,8 +44,7 @@ struct CfTreeOptions {
   /// CF algebra for every entry in the tree (see cf_vector.h). All CFs
   /// inserted via InsertEntry/AbsorbTree must carry the same policy.
   CfRepresentation cf = CfRepresentation::kClassic;
-  /// Stored precision of CF components. kF32 (BETULA only) doubles the
-  /// per-page entry capacities B and L.
+  /// Has no effect: CF components are always stored as doubles.
   CfStorage cf_storage = CfStorage::kF64;
   /// Has no effect: descent and absorption tests always scan each
   /// node's column block (kernel/kernel.h).
@@ -174,16 +178,19 @@ class CfTree {
     std::vector<CfNode*> children;
   };
 
+  /// Allocate and free one node, charging `mem_` its page and keeping
+  /// the "tree/nodes" and "tree/heap_bytes" gauges.
   CfNode* AllocNode(bool leaf);
   void FreeNode(CfNode* node);
+  /// Heap bytes `node` holds: the CfNode itself, its column block and
+  /// its reserved children array.
+  static size_t NodeHeapBytes(const CfNode& node);
   void FreeNonleafSkeleton(CfNode* node);
 
   size_t Capacity(bool leaf) const { return leaf ? layout_.L() : layout_.B(); }
 
-  /// An empty CF under the tree's policies (a row buffer).
-  CfVector EmptyCf() const {
-    return CfVector(options_.dim, options_.cf, options_.cf_storage);
-  }
+  /// An empty CF under the tree's representation (a row buffer).
+  CfVector EmptyCf() const { return CfVector(options_.dim, options_.cf); }
 
   /// Sum of every row of `node` = CF of everything beneath it.
   CfVector Summary(const CfNode& node) const;

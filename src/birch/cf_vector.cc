@@ -45,17 +45,9 @@ const char* CfRepresentationName(CfRepresentation rep) {
   return "?";
 }
 
-const char* CfStorageName(CfStorage storage) {
-  switch (storage) {
-    case CfStorage::kF64: return "f64";
-    case CfStorage::kF32: return "f32";
-  }
-  return "?";
-}
-
 CfVector CfVector::FromPoint(std::span<const double> x, double weight,
-                             CfRepresentation rep, CfStorage storage) {
-  CfVector cf(x.size(), rep, storage);
+                             CfRepresentation rep) {
+  CfVector cf(x.size(), rep);
   cf.AddPoint(x, weight);
   return cf;
 }
@@ -71,18 +63,17 @@ void CfVector::Add(const CfVector& other) {
   if (vec_.empty()) vec_.assign(other.dim(), 0.0);
   assert(dim() == other.dim());
   if (n_ <= 0.0) {
-    // An empty accumulator adopts the incoming policies; with matching
-    // policies the general paths below then reduce to an exact copy.
+    // An empty accumulator adopts the incoming representation; the
+    // general paths below then reduce to an exact copy.
     rep_ = other.rep_;
-    storage_ = other.storage_;
   }
   assert(rep_ == other.rep_);
-  AddInto(rep_, storage_, other, &n_, vec_.data(), 1, &scalar_);
+  AddInto(rep_, other, &n_, vec_.data(), 1, &scalar_);
 }
 
-void CfVector::AddInto(CfRepresentation rep, CfStorage storage,
-                       const CfVector& other, double* n, double* vec,
-                       size_t stride, double* scalar) {
+void CfVector::AddInto(CfRepresentation rep, const CfVector& other,
+                       double* n, double* vec, size_t stride,
+                       double* scalar) {
   const size_t dim = other.dim();
   if (rep == CfRepresentation::kClassic) {
     *n += other.n_;
@@ -108,7 +99,6 @@ void CfVector::AddInto(CfRepresentation rep, CfStorage storage,
     *scalar += other.scalar_ + coef * dsq;
     *n = nm;
   }
-  Quantize(storage, vec, dim, stride, scalar);
 }
 
 void CfVector::AddPoint(std::span<const double> x, double weight) {
@@ -137,7 +127,6 @@ void CfVector::AddPoint(std::span<const double> x, double weight) {
     scalar_ += weight * s;
     n_ = np;
   }
-  QuantizeStorage();
 }
 
 CfVector CfVector::Merged(const CfVector& a, const CfVector& b) {
@@ -210,9 +199,9 @@ void CfVector::SerializeTo(std::vector<double>* out) const {
 }
 
 CfVector CfVector::Deserialize(std::span<const double> in, size_t dim,
-                               CfRepresentation rep, CfStorage storage) {
+                               CfRepresentation rep) {
   assert(in.size() >= dim + 2);
-  CfVector cf(dim, rep, storage);
+  CfVector cf(dim, rep);
   cf.n_ = in[0];
   for (size_t i = 0; i < dim; ++i) cf.vec_[i] = in[1 + i];
   cf.scalar_ = in[dim + 1];

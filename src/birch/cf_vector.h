@@ -17,17 +17,9 @@
 // of the union), so the whole BIRCH pipeline works unchanged on
 // either; they serialize to the same (N, vec[d], scalar) wire layout.
 //
-// Storage policy: kF64 keeps full doubles. kF32 rounds the vector and
-// scalar components through float after every mutation ("quantize
-// after mutate"), so a CF behaves exactly as if its state were stored
-// in 4-byte floats — half the node memory (CfLayout doubles B and L).
-// Only accepted with kBetula: mean/deviation survive float rounding
-// gracefully (relative error ~1e-7 of local values), whereas float32
-// (N, LS, SS) would lose the radius entirely to cancellation.
-//
-// N is stored as a double so that weighted points (e.g. the paper's
-// image application, which weights the two bands) are supported; it is
-// never quantized.
+// Every component is stored as a double. N is a double too, so that
+// weighted points (e.g. the paper's image application, which weights
+// the two bands) are supported.
 #ifndef BIRCH_BIRCH_CF_VECTOR_H_
 #define BIRCH_BIRCH_CF_VECTOR_H_
 
@@ -47,36 +39,27 @@ class CfBatch;
 /// once per pipeline: the two variants never mix within one.
 enum class CfRepresentation { kClassic = 0, kBetula };
 
-/// Precision of the stored vector/scalar components. kF32 is only
-/// valid together with CfRepresentation::kBetula (see above).
-enum class CfStorage { kF64 = 0, kF32 };
-
-/// Parse/format helpers for CLI flags, bench labels and error text.
+/// Parse/format helper for CLI flags, bench labels and error text.
 const char* CfRepresentationName(CfRepresentation rep);
-const char* CfStorageName(CfStorage storage);
 
 /// Additive summary of a set of d-dimensional points.
 class CfVector {
  public:
   CfVector() = default;
 
-  /// Empty CF of dimension `dim` under the given policies.
+  /// Empty CF of dimension `dim` under the given representation.
   explicit CfVector(size_t dim,
-                    CfRepresentation rep = CfRepresentation::kClassic,
-                    CfStorage storage = CfStorage::kF64)
-      : vec_(dim, 0.0), rep_(rep), storage_(storage) {
-    assert(storage == CfStorage::kF64 || rep == CfRepresentation::kBetula);
-  }
+                    CfRepresentation rep = CfRepresentation::kClassic)
+      : vec_(dim, 0.0), rep_(rep) {}
 
   /// CF of a single (optionally weighted) point.
   static CfVector FromPoint(std::span<const double> x, double weight = 1.0,
-                            CfRepresentation rep = CfRepresentation::kClassic,
-                            CfStorage storage = CfStorage::kF64);
+                            CfRepresentation rep = CfRepresentation::kClassic);
 
   /// Re-initializes this CF to a single (optionally weighted) point,
-  /// reusing the existing storage and keeping the representation and
-  /// storage policies: the allocation-free FromPoint, bitwise-identical
-  /// result. Used on the per-point insert hot path.
+  /// reusing the existing storage and keeping the representation: the
+  /// allocation-free FromPoint, bitwise-identical result. Used on the
+  /// per-point insert hot path.
   void AssignPoint(std::span<const double> x, double weight = 1.0);
 
   /// Dimensionality (0 for a default-constructed CF).
@@ -86,7 +69,6 @@ class CfVector {
   double n() const { return n_; }
 
   CfRepresentation rep() const { return rep_; }
-  CfStorage storage() const { return storage_; }
 
   /// Linear sum per dimension (classic representation only).
   std::span<const double> ls() const {
@@ -116,8 +98,8 @@ class CfVector {
   bool empty() const { return n_ <= 0.0; }
 
   /// CF Additivity Theorem: accumulate another CF. An empty CF adopts
-  /// the other's representation and storage policies (so accumulators
-  /// constructed default-classic merge correctly into either world).
+  /// the other's representation (so accumulators constructed
+  /// default-classic merge correctly into either world).
   void Add(const CfVector& other);
 
   /// Accumulate a single weighted point.
@@ -165,10 +147,9 @@ class CfVector {
   void SerializeTo(std::vector<double>* out) const;
 
   /// Reads a CF of dimension `dim` from `in` (must have dim+2
-  /// doubles) under the given policies.
+  /// doubles) under the given representation.
   static CfVector Deserialize(std::span<const double> in, size_t dim,
-                              CfRepresentation rep = CfRepresentation::kClassic,
-                              CfStorage storage = CfStorage::kF64);
+                              CfRepresentation rep = CfRepresentation::kClassic);
 
   bool operator==(const CfVector& other) const = default;
 
@@ -179,34 +160,17 @@ class CfVector {
 
   // Raw-state forms of Add() and SumSquaredDeviation(), shared with the
   // column blocks: the state is (*n, *scalar) and other.dim() (or `dim`)
-  // vector components `stride` doubles apart, and `rep` / `storage` are
-  // its policies.
+  // vector components `stride` doubles apart, and `rep` is its
+  // representation.
 
   /// The CF addition: adds `other` into the state.
-  static void AddInto(CfRepresentation rep, CfStorage storage,
-                      const CfVector& other, double* n, double* vec,
-                      size_t stride, double* scalar);
+  static void AddInto(CfRepresentation rep, const CfVector& other,
+                      double* n, double* vec, size_t stride, double* scalar);
 
   /// The total squared deviation of the state.
   static double SumSquaredDeviationOf(CfRepresentation rep, double n,
                                       const double* vec, size_t dim,
                                       size_t stride, double scalar);
-
-  /// kF32 storage: round the stored components through float after a
-  /// mutation, as if the backing arrays were 4-byte floats. N is
-  /// exempt (counts stay exact).
-  static void Quantize(CfStorage storage, double* vec, size_t dim,
-                       size_t stride, double* scalar) {
-    if (storage != CfStorage::kF32) return;
-    for (size_t i = 0; i < dim; ++i) {
-      double& v = vec[i * stride];
-      v = static_cast<double>(static_cast<float>(v));
-    }
-    *scalar = static_cast<double>(static_cast<float>(*scalar));
-  }
-  void QuantizeStorage() {
-    Quantize(storage_, vec_.data(), vec_.size(), 1, &scalar_);
-  }
 
   double n_ = 0.0;
   /// LS (classic) or the running mean (BETULA).
@@ -214,7 +178,6 @@ class CfVector {
   /// SS (classic) or the sum of squared deviations S (BETULA).
   double scalar_ = 0.0;
   CfRepresentation rep_ = CfRepresentation::kClassic;
-  CfStorage storage_ = CfStorage::kF64;
 };
 
 }  // namespace birch

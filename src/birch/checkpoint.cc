@@ -108,7 +108,7 @@ void EncodeFreeze(const Phase1Freeze& f, ByteWriter* w) {
   w->U64(f.image.leaf_entries);
   w->U64(f.image.height);
   w->U32(static_cast<uint32_t>(f.image.cf));
-  w->U32(f.image.cf_storage == CfStorage::kF32 ? 32 : 64);
+  w->U32(64);  // CF component width in bits
   w->U64(f.image.leaf_chain.size());
   for (PageId id : f.image.leaf_chain) w->U64(id);
   w->U64(f.tree_pages.size());
@@ -184,8 +184,7 @@ bool DecodeFreeze(ByteReader* r, Phase1Freeze* f) {
   uint32_t rep = 0, width = 0;
   if (!r->U32(&rep) || rep > 1) return false;
   f->image.cf = static_cast<CfRepresentation>(rep);
-  if (!r->U32(&width) || (width != 32 && width != 64)) return false;
-  f->image.cf_storage = width == 32 ? CfStorage::kF32 : CfStorage::kF64;
+  if (!r->U32(&width) || width != 64) return false;
   uint64_t count = 0;
   if (!r->U64(&count) || r->remaining() / 8 < count) return false;
   f->image.leaf_chain.resize(static_cast<size_t>(count));
@@ -218,7 +217,7 @@ bool DecodeFreeze(ByteReader* r, Phase1Freeze* f) {
     if (!r->Doubles(cf_doubles, &cf_buf)) return false;
     f->final_outliers.push_back(CfVector::Deserialize(
         std::span<const double>(cf_buf.data(), cf_doubles), f->image.dim,
-        f->image.cf, f->image.cf_storage));
+        f->image.cf));
   }
   if (!r->U64(&f->stats.points_added)) return false;
   if (!r->U64(&f->stats.rebuilds)) return false;
@@ -277,7 +276,6 @@ CheckpointImage CheckpointImage::For(const BirchOptions& options) {
   img.metric = static_cast<uint32_t>(options.tree.metric);
   img.threshold_kind = static_cast<uint32_t>(options.tree.threshold_kind);
   img.cf_representation = static_cast<uint32_t>(options.tree.cf);
-  img.scalar_width = options.tree.cf_storage == CfStorage::kF32 ? 32 : 64;
   img.page_codec = static_cast<uint32_t>(options.resources.page_codec);
   return img;
 }
@@ -294,7 +292,6 @@ Status CheckpointImage::MatchesOptions(const BirchOptions& options) const {
       {"distance metric", metric, want.metric},
       {"threshold kind", threshold_kind, want.threshold_kind},
       {"CF representation", cf_representation, want.cf_representation},
-      {"CF storage width (bits)", scalar_width, want.scalar_width},
   };
   for (const auto& f : fields) {
     if (f.written != f.configured) {
@@ -478,8 +475,12 @@ StatusOr<CheckpointImage> ReadCheckpointFile(const std::string& path) {
     if (!h.done() && (!h.U32(&image.page_codec) || !h.done())) {
       return Status::Corruption("checkpoint header payload malformed");
     }
-    if (image.cf_representation > 1 ||
-        (image.scalar_width != 32 && image.scalar_width != 64)) {
+    if (image.scalar_width == 32) {
+      return Status::InvalidArgument(
+          "checkpoint was written with float32 CF storage, which this "
+          "build no longer supports (CFs are stored as doubles)");
+    }
+    if (image.cf_representation > 1 || image.scalar_width != 64) {
       return Status::Corruption(
           "checkpoint header carries an impossible CF fingerprint");
     }

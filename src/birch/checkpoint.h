@@ -33,8 +33,10 @@ namespace birch {
 /// Current on-disk format version. Readers reject versions they do not
 /// know (InvalidArgument, not Corruption: the file is fine, we are old).
 /// v2 added the CF-representation and scalar-width fingerprint fields
-/// to the header and the tree image (BETULA / float32 storage); v1
-/// files predate them and are rejected as unsupported.
+/// to the header and the tree image; v1 files predate them and are
+/// rejected as unsupported. The width is always 64 now: a v2 file with
+/// width 32 was written under the retired float32 CF storage and is
+/// rejected the same way (InvalidArgument naming float32 storage).
 ///
 /// Still v2: a trailing `page_codec` header field and compressed
 /// freeze sections. The field is optional on read — v2 files written
@@ -58,8 +60,7 @@ struct CheckpointImage {
   /// this CF algebra. Restoring a checkpoint under the other
   /// representation is rejected (kInvalidArgument), never misread.
   uint32_t cf_representation = 0;
-  /// Stored CF component width in bits: 64 (CfStorage::kF64) or 32
-  /// (kF32). Part of the fingerprint for the same reason.
+  /// Stored CF component width in bits: always 64 (doubles).
   uint32_t scalar_width = 64;
   /// static_cast of PageCodecKind: 0 = raw freeze sections (and the
   /// run's outlier disk was uncompressed); != 0 means the freeze

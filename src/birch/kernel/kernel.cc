@@ -214,8 +214,7 @@ void CfBatch::Init(size_t dim, size_t capacity, Needs needs) {
   capacity_ = static_cast<uint32_t>(capacity);
   needs_ = needs;
   size_ = 0;
-  block_ = std::make_unique<double[]>((SsdColumn() + (needs.ssd ? 1 : 0)) *
-                                      capacity);
+  block_ = std::make_unique<double[]>(block_doubles());
 }
 
 void CfBatch::Assign(std::span<const CfVector> entries) {
@@ -244,8 +243,8 @@ void CfBatch::Update(size_t i, const CfVector& entry) {
 void CfBatch::Add(size_t i, const CfVector& cf) {
   assert(i < size_);
   assert(cf.dim() == dim_);
-  CfVector::AddInto(cf.rep(), cf.storage(), cf, column(0) + i,
-                    column(3) + i, capacity_, column(1) + i);
+  CfVector::AddInto(cf.rep(), cf, column(0) + i, column(3) + i, capacity_,
+                    column(1) + i);
   RefreshDerived(i, cf.rep());
 }
 
@@ -277,8 +276,7 @@ void CfBatch::Load(size_t i, CfVector* out) const {
 
 void CfBatch::Erase(size_t i) {
   assert(i < size_);
-  const size_t columns = SsdColumn() + (needs_.ssd ? 1 : 0);
-  for (size_t c = 0; c < columns; ++c) {
+  for (size_t c = 0; c < ColumnCount(); ++c) {
     double* col = column(c);
     std::copy(col + i + 1, col + size_, col + i);
   }
@@ -321,10 +319,8 @@ void FillKeys(const CfBatch& batch, const CfQuery& query,
         break;
       }
       case DistanceMetric::kD3: {
-        // The Chan merge S_m = S_q + (S_j + coef*dsq), quantized like
-        // the scalar Merged CF would be under f32 storage.
+        // The Chan merge S_m = S_q + (S_j + coef*dsq).
         const double* ss = batch.ss();
-        const bool f32 = query.cf->storage() == CfStorage::kF32;
         for (size_t j = 0; j < m; ++j) {
           double nm = query.n + n[j];
           if (nm <= 1.0) {
@@ -334,7 +330,6 @@ void FillKeys(const CfBatch& batch, const CfQuery& query,
           double f = n[j] / nm;
           double coef = query.n * f;
           double sm = query.ss + (ss[j] + coef * key[j]);
-          if (f32) sm = static_cast<double>(static_cast<float>(sm));
           key[j] = ClampNonNegative(2.0 * sm / (nm - 1.0));
         }
         break;
@@ -459,8 +454,8 @@ ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
 namespace {
 
 /// S of the Chan merge of two BETULA CFs, replicating CfVector::Add's
-/// operation order (and its f32 quantize-after-mutate) exactly so the
-/// result is bitwise equal to Merged(a, b).raw_scalar().
+/// operation order exactly so the result is bitwise equal to
+/// Merged(a, b).raw_scalar().
 double BetulaMergedS(const CfVector& a, const CfVector& b) {
   double nm = a.n() + b.n();
   double f = b.n() / nm;
@@ -472,11 +467,7 @@ double BetulaMergedS(const CfVector& a, const CfVector& b) {
     double d = bm[k] - am[k];
     dsq += d * d;
   }
-  double sm = a.raw_scalar() + (b.raw_scalar() + coef * dsq);
-  if (a.storage() == CfStorage::kF32) {
-    sm = static_cast<double>(static_cast<float>(sm));
-  }
-  return sm;
+  return a.raw_scalar() + (b.raw_scalar() + coef * dsq);
 }
 
 }  // namespace

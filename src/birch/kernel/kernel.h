@@ -33,7 +33,7 @@
 // per-entry argmin loops are kept as test code: tests/kernel_test.cc
 // (with tests/cf_batch_cases.h and tests/center_batch_cases.h) holds
 // every scan to them across metrics D0-D4, the merged diameter and
-// radius, both CF representations and storages, and dims.
+// radius, both CF representations, and dims.
 #ifndef BIRCH_BIRCH_KERNEL_KERNEL_H_
 #define BIRCH_BIRCH_KERNEL_KERNEL_H_
 
@@ -106,6 +106,8 @@ class CfBatch {
   size_t capacity() const { return capacity_; }
   size_t dim() const { return dim_; }
   bool empty() const { return size_ == 0; }
+  /// Doubles the block allocates: capacity() rows of every column.
+  size_t block_doubles() const { return ColumnCount() * capacity_; }
 
   /// Replaces the rows with `entries` (which must fit the capacity).
   void Assign(std::span<const CfVector> entries);
@@ -117,14 +119,14 @@ class CfBatch {
   void Update(size_t i, const CfVector& entry);
 
   /// Adds `cf` into row `i` in place (the CF Additivity Theorem) under
-  /// `cf`'s representation and storage policies, which every row of a
-  /// block shares: bitwise equal, in every column, to Load() into a CF
-  /// of those policies, CfVector::Add(cf), then Update().
+  /// `cf`'s representation, which every row of a block shares: bitwise
+  /// equal, in every column, to Load() into a CF of that
+  /// representation, CfVector::Add(cf), then Update().
   void Add(size_t i, const CfVector& cf);
 
-  /// Loads row `i` into `out`, which keeps its representation and
-  /// storage policies: the exact stored values, no allocation once
-  /// `out` has this block's dimension.
+  /// Loads row `i` into `out`, which keeps its representation: the
+  /// exact stored values, no allocation once `out` has this block's
+  /// dimension.
   void Load(size_t i, CfVector* out) const;
 
   /// Removes row `i`; later rows move down by one.
@@ -149,6 +151,7 @@ class CfBatch {
   size_t SsdColumn() const {
     return CentroidColumn() + (needs_.centroid ? dim_ : 0);
   }
+  size_t ColumnCount() const { return SsdColumn() + (needs_.ssd ? 1 : 0); }
   const double* column(size_t c) const {
     return block_.get() + c * capacity_;
   }

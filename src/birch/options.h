@@ -97,10 +97,7 @@ struct BirchOptions {
     /// paper's (N, LS, SS) triple, or the numerically stable BETULA
     /// (N, mean, S) variant.
     CfRepresentation cf = CfRepresentation::kClassic;
-    /// Stored precision of CF components. kF32 halves per-entry CF
-    /// memory (doubling the tree's B and L) and is only valid with
-    /// cf == kBetula — float32 (LS, SS) would lose the radius to
-    /// cancellation entirely.
+    /// Has no effect: CF components are always stored as doubles.
     CfStorage cf_storage = CfStorage::kF64;
   };
 
@@ -209,20 +206,10 @@ struct BirchOptions {
             "global algorithm");
       }
     }
-    if (tree.cf_storage == CfStorage::kF32 &&
-        tree.cf != CfRepresentation::kBetula) {
+    const CfLayout layout{resources.page_size, dim};
+    if (resources.page_size < layout.CfBytes() + 64) {
       return Status::InvalidArgument(
-          "float32 CF storage requires the betula representation "
-          "(classic (N, LS, SS) loses the radius to cancellation in "
-          "float32)");
-    }
-    {
-      CfLayout probe{resources.page_size, dim,
-                     tree.cf_storage};
-      if (resources.page_size < probe.CfBytes() + 64) {
-        return Status::InvalidArgument(
-            "page_size too small for this dimensionality");
-      }
+          "page_size too small for this dimensionality");
     }
     if (resources.memory_bytes != 0 &&
         resources.memory_bytes < 4 * resources.page_size) {
@@ -306,7 +293,6 @@ class BirchOptions::Builder {
   Builder& ThresholdKind(birch::ThresholdKind v) { o_.tree.threshold_kind = v; return *this; }
   Builder& MergingRefinement(bool v) { o_.tree.merging_refinement = v; return *this; }
   Builder& Cf(CfRepresentation v) { o_.tree.cf = v; return *this; }
-  Builder& CfStorage(birch::CfStorage v) { o_.tree.cf_storage = v; return *this; }
 
   // --- Outliers ---
   Builder& OutlierHandling(bool v) { o_.outliers.handling = v; return *this; }

@@ -27,7 +27,7 @@ Phase1Builder::Phase1Builder(const Phase1Options& options)
                       options.retry),
       tree_(std::make_unique<CfTree>(options.tree, &mem_)),
       heuristic_(options.tree.dim, options.expected_points),
-      point_cf_(options.tree.dim, options.tree.cf, options.tree.cf_storage),
+      point_cf_(options.tree.dim, options.tree.cf),
       disk_enabled_(options.disk_budget_bytes > 0) {
   robust_.outlier_disk_disabled = !disk_enabled_;
 }
@@ -273,7 +273,7 @@ Status Phase1Builder::Drain(SpillFile* file, bool note_loss,
   for (size_t off = 0; off + rec <= drained.size(); off += rec) {
     BIRCH_RETURN_IF_ERROR(each(CfVector::Deserialize(
         std::span<const double>(drained.data() + off, rec),
-        options_.tree.dim, options_.tree.cf, options_.tree.cf_storage)));
+        options_.tree.dim, options_.tree.cf)));
   }
   return Status::OK();
 }

@@ -68,15 +68,12 @@ uint64_t AssignPass(const Dataset& data,
                     std::vector<CfVector>* cluster_cfs,
                     uint64_t* discarded) {
   // Accumulators are fed point by point (AddPoint never adopts a
-  // policy), so they must be constructed under the pipeline's CF
-  // policies — carried by the caller-sized cluster_cfs.
+  // representation), so they must be constructed under the pipeline's
+  // CF representation — carried by the caller-sized cluster_cfs.
   const CfRepresentation rep = cluster_cfs->empty()
                                    ? CfRepresentation::kClassic
                                    : (*cluster_cfs)[0].rep();
-  const CfStorage storage = cluster_cfs->empty()
-                                ? CfStorage::kF64
-                                : (*cluster_cfs)[0].storage();
-  for (auto& cf : *cluster_cfs) cf = CfVector(data.dim(), rep, storage);
+  for (auto& cf : *cluster_cfs) cf = CfVector(data.dim(), rep);
   const SeedAssigner assigner(centers, outlier_distance);
   std::span<const double> values = data.Values();
   std::span<const double> weights = data.Weights();
@@ -143,9 +140,7 @@ StatusOr<RefineResult> RefineClusters(const Dataset& data,
 
   RefineResult result;
   result.labels.assign(data.size(), -2);  // -2: unassigned sentinel
-  result.clusters.assign(
-      seeds.size(),
-      CfVector(data.dim(), seeds[0].rep(), seeds[0].storage()));
+  result.clusters.assign(seeds.size(), CfVector(data.dim(), seeds[0].rep()));
 
   for (int pass = 0; pass < options.passes; ++pass) {
     uint64_t discarded = 0;

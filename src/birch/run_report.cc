@@ -56,7 +56,6 @@ void WriteOptions(JsonWriter* w, const BirchOptions& o) {
   w->KV("threshold_kind", static_cast<int64_t>(o.tree.threshold_kind));
   w->KV("merging_refinement", o.tree.merging_refinement);
   w->KV("cf", static_cast<int64_t>(o.tree.cf));
-  w->KV("cf_storage", static_cast<int64_t>(o.tree.cf_storage));
   w->EndObject();
   w->Key("outliers").BeginObject();
   w->KV("handling", o.outliers.handling);
@@ -173,7 +172,6 @@ uint64_t OptionsFingerprint(const BirchOptions& o) {
   f.Mix(static_cast<int64_t>(o.tree.threshold_kind));
   f.Mix(o.tree.merging_refinement);
   f.Mix(static_cast<int64_t>(o.tree.cf));
-  f.Mix(static_cast<int64_t>(o.tree.cf_storage));
   f.Mix(o.outliers.handling);
   f.Mix(o.outliers.fraction);
   f.Mix(o.outliers.delay_split);
@@ -327,6 +325,7 @@ StatusOr<JsonValue> ReadRunReport(const std::string& path) {
 
 void RegisterBirchProbes(obs::StatsSampler* sampler) {
   sampler->AddGaugeProbe("tree/nodes");
+  sampler->AddGaugeProbe("tree/heap_bytes");
   sampler->AddGaugeProbe("tree/leaf_entries");
   sampler->AddGaugeProbe("tree/threshold");
   sampler->AddGaugeProbe("phase1/threshold");

@@ -69,8 +69,10 @@ Status WriteRunReport(const std::string& path, const RunReportInputs& in);
 StatusOr<JsonValue> ReadRunReport(const std::string& path);
 
 /// Registers the standard BIRCH probe set on `sampler`: tree occupancy
-/// (nodes, leaf entries), threshold T, memory bytes, page-store and
-/// spill I/O volume, points ingested. Metric handles resolve in
+/// (nodes, leaf entries), the tree's heap bytes ("tree/heap_bytes",
+/// against the pages "mem/used_bytes" charges), threshold T, memory
+/// bytes, page-store and spill I/O volume, points ingested. Metric
+/// handles resolve in
 /// Registry::Default(), so the probes are TSAN-safe against concurrent
 /// ingest (relaxed atomics all the way down).
 void RegisterBirchProbes(obs::StatsSampler* sampler);

@@ -24,47 +24,6 @@ std::vector<double> GetDoubles(const std::vector<uint8_t>& page) {
   return v;
 }
 
-/// Doubles one serialized CF occupies on a page under `storage`. kF32
-/// packs the d+1 float components (vec + scalar) two per double after
-/// the exact-double N; see tree_io.h.
-size_t EntryDoubles(size_t dim, CfStorage storage) {
-  if (storage == CfStorage::kF32) return 1 + (dim + 1 + 1) / 2;
-  return CfVector::SerializedDoubles(dim);
-}
-
-void SerializeEntry(const CfVector& e, CfStorage storage,
-                    std::vector<double>* buf) {
-  if (storage == CfStorage::kF64) {
-    e.SerializeTo(buf);
-    return;
-  }
-  buf->push_back(e.n());
-  std::vector<float> f;
-  f.reserve(e.dim() + 2);
-  for (double v : e.raw_vec()) f.push_back(static_cast<float>(v));
-  f.push_back(static_cast<float>(e.raw_scalar()));
-  if (f.size() % 2 != 0) f.push_back(0.0f);  // pad to a whole double
-  const size_t k = f.size() / 2;
-  const size_t base = buf->size();
-  buf->resize(base + k);
-  std::memcpy(buf->data() + base, f.data(), k * sizeof(double));
-}
-
-CfVector DeserializeEntry(const double* p, size_t dim, CfRepresentation rep,
-                          CfStorage storage) {
-  if (storage == CfStorage::kF64) {
-    return CfVector::Deserialize(std::span<const double>(p, dim + 2), dim,
-                                 rep, storage);
-  }
-  const size_t nf = dim + 1;
-  std::vector<float> f((nf + 1) / 2 * 2);
-  std::memcpy(f.data(), p + 1, f.size() / 2 * sizeof(double));
-  std::vector<double> tmp(dim + 2);
-  tmp[0] = p[0];
-  for (size_t i = 0; i < nf; ++i) tmp[1 + i] = static_cast<double>(f[i]);
-  return CfVector::Deserialize(tmp, dim, rep, storage);
-}
-
 /// Largest PageId a double can carry exactly. Ids above this would
 /// round-trip corrupted through the all-doubles page format, so Write
 /// rejects them and Read treats them as corruption.
@@ -94,7 +53,7 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
   Status failure = Status::OK();
   std::vector<PageId> allocated;  // every page we own, for error cleanup
   std::unordered_map<const CfNode*, PageId> page_of;  // leaf-chain lookup
-  CfVector row(dim, tree.options().cf, tree.options().cf_storage);
+  CfVector row(dim, tree.options().cf);
   std::function<PageId(const CfNode*)> write_node =
       [&](const CfNode* node) -> PageId {
     if (!failure.ok()) return kInvalidPageId;
@@ -104,7 +63,7 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
     buf.push_back(static_cast<double>(node->size()));
     for (size_t i = 0; i < node->size(); ++i) {
       node->rows.Load(i, &row);
-      SerializeEntry(row, tree.options().cf_storage, &buf);
+      row.SerializeTo(&buf);
       if (!node->is_leaf) {
         PageId child = write_node(node->children[i]);
         if (!failure.ok()) return kInvalidPageId;
@@ -163,7 +122,6 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
   image.dim = dim;
   image.page_size = tree.options().page_size;
   image.cf = tree.options().cf;
-  image.cf_storage = tree.options().cf_storage;
   image.threshold = tree.threshold();
   image.node_count = tree.node_count();
   image.leaf_entries = tree.leaf_entry_count();
@@ -178,13 +136,11 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
   if (image.root == kInvalidPageId) {
     return Status::InvalidArgument("invalid tree image");
   }
-  if (options.cf != image.cf || options.cf_storage != image.cf_storage) {
+  if (options.cf != image.cf) {
     return Status::InvalidArgument(
         std::string("tree image was written with cf=") +
-        CfRepresentationName(image.cf) + "/" +
-        CfStorageName(image.cf_storage) + " but the caller configured cf=" +
-        CfRepresentationName(options.cf) + "/" +
-        CfStorageName(options.cf_storage));
+        CfRepresentationName(image.cf) + " but the caller configured cf=" +
+        CfRepresentationName(options.cf));
   }
   CfTreeOptions opts = options;
   opts.dim = image.dim;
@@ -228,7 +184,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
       return nullptr;
     }
     const bool is_leaf = buf[1] != 0.0;
-    const size_t cf_doubles = EntryDoubles(image.dim, image.cf_storage);
+    const size_t cf_doubles = CfVector::SerializedDoubles(image.dim);
     const size_t per_entry = cf_doubles + (is_leaf ? 0 : 1);
     // Validate the entry count before casting: a corrupt double here
     // must not become an out-of-range size_t (UB) or an overflowing
@@ -249,8 +205,9 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
     allocated.push_back(node);
     size_t off = 3;
     for (size_t i = 0; i < count; ++i) {
-      node->rows.Append(DeserializeEntry(buf.data() + off, image.dim,
-                                         image.cf, image.cf_storage));
+      node->rows.Append(CfVector::Deserialize(
+          std::span<const double>(buf.data() + off, cf_doubles), image.dim,
+          image.cf));
       off += cf_doubles;
       if (!is_leaf) {
         PageId child;
@@ -358,7 +315,7 @@ Status TreeIO::Release(const TreeImage& image, PageStore* store) {
       return;
     }
     const bool is_leaf = buf[1] != 0.0;
-    const size_t cf_doubles = EntryDoubles(image.dim, image.cf_storage);
+    const size_t cf_doubles = CfVector::SerializedDoubles(image.dim);
     const size_t per_entry = cf_doubles + (is_leaf ? 0 : 1);
     const size_t max_count = (buf.size() - 3) / per_entry;
     if (!std::isfinite(buf[2]) || buf[2] < 0.0 ||

@@ -13,13 +13,8 @@
 //   then c entries of:
 //     leaf:     CF payload
 //     nonleaf:  CF payload, child PageId
-// The CF payload depends on the tree's storage policy:
-//   kF64: N, vec[0..d), scalar — d+2 doubles (vec/scalar are LS/SS
-//         classic, mean/S betula).
-//   kF32: N as a double (counts stay exact), then vec[0..d) and scalar
-//         as d+1 packed floats, zero-padded to a whole number of
-//         doubles. Exact round-trip: kF32 CFs quantize after every
-//         mutation, so each component is already a float value.
+// The CF payload is CfVector::SerializeTo's N, vec[0..d), scalar — d+2
+// doubles (vec/scalar are LS/SS classic, mean/S betula).
 #ifndef BIRCH_BIRCH_TREE_IO_H_
 #define BIRCH_BIRCH_TREE_IO_H_
 
@@ -38,12 +33,11 @@ struct TreeImage {
   PageId root = kInvalidPageId;
   size_t dim = 0;
   size_t page_size = 0;
-  /// CF policies the pages were written under. Part of the persistent
-  /// fingerprint: Read rejects an image whose policies differ from the
-  /// caller's options (kInvalidArgument) — decoding classic pages as
-  /// betula (or f64 as f32) would silently misread every statistic.
+  /// CF representation the pages were written under. Part of the
+  /// persistent fingerprint: Read rejects an image whose representation
+  /// differs from the caller's options (kInvalidArgument) — decoding
+  /// classic pages as betula would silently misread every statistic.
   CfRepresentation cf = CfRepresentation::kClassic;
-  CfStorage cf_storage = CfStorage::kF64;
   double threshold = 0.0;
   size_t node_count = 0;
   size_t leaf_entries = 0;

@@ -143,9 +143,6 @@ StatusOr<GeneratedData> Generate(const GeneratorOptions& o) {
         double limit = o.max_distance_radii * a.radius_param;
         if (SquaredDistance(p, a.center) <= limit * limit) break;
       }
-      if (o.quantize_points_f32) {
-        for (auto& v : p) v = static_cast<double>(static_cast<float>(v));
-      }
       out.data.Append(p);
       out.truth.push_back(c);
       a.cf.AddPoint(p);
@@ -155,9 +152,6 @@ StatusOr<GeneratedData> Generate(const GeneratorOptions& o) {
   // Noise points, appended after the clusters.
   for (size_t i = 0; i < noise_points; ++i) {
     for (size_t t = 0; t < o.dim; ++t) p[t] = rng.Uniform(lo[t], hi[t]);
-    if (o.quantize_points_f32) {
-      for (auto& v : p) v = static_cast<double>(static_cast<float>(v));
-    }
     out.data.Append(p);
     out.truth.push_back(-1);
   }

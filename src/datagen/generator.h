@@ -48,10 +48,6 @@ struct GeneratorOptions {
   /// classic (N, LS, SS) CF representation: SS and ||LS||^2/N agree to
   /// ~16 digits and their difference (the actual spread) cancels.
   double center_offset = 0.0;
-  /// Round every emitted coordinate through float32 (the "float32
-  /// leg"): models single-precision sensor data and exercises the
-  /// float32 CF storage mode.
-  bool quantize_points_f32 = false;
   uint64_t seed = 42;
 };
 

@@ -63,9 +63,8 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
   snap->dim_ = tree.options().dim;
   snap->threshold_ = tree.threshold();
   snap->cf_rep_ = tree.options().cf;
-  snap->cf_storage_ = tree.options().cf_storage;
   snap->points_ingested_ = options.points_ingested;
-  CfVector row(snap->dim_, snap->cf_rep_, snap->cf_storage_);
+  CfVector row(snap->dim_, snap->cf_rep_);
   snap->Flatten(*tree.root(), &row);
 
   // Publish-time cluster table over the leaf entries (descent order —
@@ -155,7 +154,7 @@ std::vector<CfVector> ServingSnapshot::LeafEntries() const {
   for (size_t i = 0; i < leaf_radius_.size(); ++i) {
     out.push_back(CfVector::Deserialize(
         std::span<const double>(leaf_cfs_.data() + i * stride, stride), dim_,
-        cf_rep_, cf_storage_));
+        cf_rep_));
   }
   return out;
 }

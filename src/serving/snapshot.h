@@ -126,7 +126,6 @@ class ServingSnapshot {
   size_t node_count() const { return nodes_.size(); }
   double threshold() const { return threshold_; }
   CfRepresentation cf_rep() const { return cf_rep_; }
-  CfStorage cf_storage() const { return cf_storage_; }
   /// Milliseconds since this snapshot was built (monotonic clock).
   double AgeMs() const;
   /// Heap bytes of the flattened structure (gauge fodder).
@@ -146,7 +145,7 @@ class ServingSnapshot {
   };
 
   /// Appends `node` (and its subtree) to nodes_; `row` is a load buffer
-  /// under the tree's CF policies.
+  /// under the tree's CF representation.
   size_t Flatten(const CfNode& node, CfVector* row);
   /// Argmin over `node`'s entry centroids. First-wins ties, row 0 when
   /// none compares below +inf; fills *best_sq with the winning squared
@@ -159,7 +158,6 @@ class ServingSnapshot {
   size_t dim_ = 0;
   double threshold_ = 0.0;
   CfRepresentation cf_rep_ = CfRepresentation::kClassic;
-  CfStorage cf_storage_ = CfStorage::kF64;
   std::chrono::steady_clock::time_point built_at_;
 
   std::vector<Node> nodes_;  // nodes_[0] is the root

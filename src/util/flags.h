@@ -1,10 +1,16 @@
 // Minimal command-line flag parsing for the CLI tool and bench
 // binaries: --name value and --name=value forms, typed getters with
-// defaults, and unknown-flag detection.
+// defaults that reject malformed and out-of-range values, and
+// unknown-flag detection.
 #ifndef BIRCH_UTIL_FLAGS_H_
 #define BIRCH_UTIL_FLAGS_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,16 +53,51 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  int64_t GetInt(const std::string& name, int64_t fallback) const {
+  /// --name as a base-10 integer in [lo, hi], or `fallback` when the
+  /// flag is absent. InvalidArgument naming the flag and the value
+  /// unless the whole value parses and lies in range.
+  StatusOr<int64_t> GetInt(
+      const std::string& name, int64_t fallback,
+      int64_t lo = std::numeric_limits<int64_t>::min(),
+      int64_t hi = std::numeric_limits<int64_t>::max()) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::strtoll(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const std::string& s = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(s.c_str(), &end, 10);
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+        *end != '\0') {
+      return Bad(name, "not an integer", s);
+    }
+    if (errno == ERANGE) return Bad(name, "out of range", s);
+    if (v < lo) {
+      return Status::InvalidArgument("--" + name + " must be >= " +
+                                     std::to_string(lo) + ", got " + s);
+    }
+    if (v > hi) {
+      return Status::InvalidArgument("--" + name + " must be <= " +
+                                     std::to_string(hi) + ", got " + s);
+    }
+    return static_cast<int64_t>(v);
   }
 
-  double GetDouble(const std::string& name, double fallback) const {
+  /// --name as a finite number, or `fallback` when the flag is absent.
+  /// InvalidArgument naming the flag and the value unless the whole
+  /// value parses.
+  StatusOr<double> GetDouble(const std::string& name,
+                             double fallback) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return fallback;
+    const std::string& s = it->second;
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+        *end != '\0') {
+      return Bad(name, "not a number", s);
+    }
+    if (!std::isfinite(v)) return Bad(name, "not a finite number", s);
+    return v;
   }
 
   bool GetBool(const std::string& name, bool fallback) const {
@@ -78,6 +119,12 @@ class Flags {
   }
 
  private:
+  static Status Bad(const std::string& name, const char* what,
+                    const std::string& value) {
+    return Status::InvalidArgument("--" + name + ": " + what + ": '" +
+                                   value + "'");
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -10,8 +10,7 @@
 //   every block size 1-9, where the four-wide passes end in a partial
 //   group.
 // - CfBatch::Add(i, cf) must equal Load -> CfVector::Add -> Update bit
-//   for bit in every column, for every representation, storage and
-//   Needs.
+//   for bit in every column, for every representation and Needs.
 #ifndef BIRCH_TESTS_CF_BATCH_CASES_H_
 #define BIRCH_TESTS_CF_BATCH_CASES_H_
 
@@ -127,8 +126,8 @@ inline void RunSqrtTieCases() {
 
 /// A CF of `points` random weighted points in [-spread, spread]^dim.
 inline CfVector PolicyCf(Rng* rng, size_t dim, int points, double spread,
-                         CfRepresentation rep, CfStorage storage) {
-  CfVector cf(dim, rep, storage);
+                         CfRepresentation rep) {
+  CfVector cf(dim, rep);
   std::vector<double> x(dim);
   for (int p = 0; p < points; ++p) {
     for (auto& v : x) v = rng->Uniform(-spread, spread);
@@ -137,15 +136,8 @@ inline CfVector PolicyCf(Rng* rng, size_t dim, int points, double spread,
   return cf;
 }
 
-struct Policy {
-  CfRepresentation rep;
-  CfStorage storage;
-};
-
-constexpr Policy kPolicies[] = {
-    {CfRepresentation::kClassic, CfStorage::kF64},
-    {CfRepresentation::kBetula, CfStorage::kF64},
-    {CfRepresentation::kBetula, CfStorage::kF32}};
+constexpr CfRepresentation kReps[] = {CfRepresentation::kClassic,
+                                      CfRepresentation::kBetula};
 
 constexpr DistanceMetric kMetrics[] = {
     DistanceMetric::kD0, DistanceMetric::kD1, DistanceMetric::kD2,
@@ -156,27 +148,24 @@ constexpr DistanceMetric kMetrics[] = {
 /// equal the scalar oracle's, bit for bit.
 inline void RunScanSizeCases() {
   Rng rng(59);
-  for (const Policy& policy : kPolicies) {
+  for (CfRepresentation rep : kReps) {
     for (size_t dim : {1, 2, 16}) {
       for (size_t m = 1; m <= 9; ++m) {
         std::vector<CfVector> cfs;
         for (size_t j = 0; j < m; ++j) {
           cfs.push_back(PolicyCf(&rng, dim, 1 + static_cast<int>(j % 4),
-                                 j % 2 == 0 ? 1.0 : 20.0, policy.rep,
-                                 policy.storage));
+                                 j % 2 == 0 ? 1.0 : 20.0, rep));
         }
-        const CfVector query =
-            PolicyCf(&rng, dim, 3, 5.0, policy.rep, policy.storage);
+        const CfVector query = PolicyCf(&rng, dim, 3, 5.0, rep);
         std::vector<uint8_t> active(m, 1);
         active[m / 2] = 0;
         for (DistanceMetric metric : kMetrics) {
           const std::string where =
               std::string(MetricName(metric)) + " " +
-              CfRepresentationName(policy.rep) + "/" +
-              CfStorageName(policy.storage) + " dim=" + std::to_string(dim) +
+              CfRepresentationName(rep) + " dim=" + std::to_string(dim) +
               " m=" + std::to_string(m);
           CfBatch batch;
-          batch.Init(dim, m, CfBatch::Needs::For(metric, policy.rep));
+          batch.Init(dim, m, CfBatch::Needs::For(metric, rep));
           batch.Assign(cfs);
           Workspace ws;
           CfQuery q;
@@ -231,41 +220,39 @@ inline void ExpectSameColumns(const CfBatch& a, const CfBatch& b,
 }
 
 /// CfBatch::Add against Load -> CfVector::Add -> Update on twin blocks:
-/// the Needs of D0-D4 under each policy plus every derived column, an
-/// empty row among the filled ones, and row 0 added to on every third
-/// step (about 130 times).
+/// the Needs of D0-D4 under each representation plus every derived
+/// column, an empty row among the filled ones, and row 0 added to on
+/// every third step (about 130 times).
 inline void RunInPlaceAddCases() {
   Rng rng(61);
-  for (const Policy& policy : kPolicies) {
+  for (CfRepresentation rep : kReps) {
     std::vector<CfBatch::Needs> needs_list;
     for (DistanceMetric metric : kMetrics) {
-      needs_list.push_back(CfBatch::Needs::For(metric, policy.rep));
+      needs_list.push_back(CfBatch::Needs::For(metric, rep));
     }
     needs_list.push_back({/*centroid=*/true, /*ssd=*/true});
     for (size_t dim : {1, 2, 16}) {
       for (const CfBatch::Needs& needs : needs_list) {
         const std::string where =
-            std::string(CfRepresentationName(policy.rep)) + "/" +
-            CfStorageName(policy.storage) + " dim=" + std::to_string(dim) +
+            std::string(CfRepresentationName(rep)) + " dim=" +
+            std::to_string(dim) +
             " centroid=" + std::to_string(needs.centroid) +
             " ssd=" + std::to_string(needs.ssd);
         std::vector<CfVector> rows;
         for (int r = 0; r < 5; ++r) {
-          rows.push_back(PolicyCf(&rng, dim, r == 3 ? 0 : 1 + r, 30.0,
-                                  policy.rep, policy.storage));
+          rows.push_back(PolicyCf(&rng, dim, r == 3 ? 0 : 1 + r, 30.0, rep));
         }
         CfBatch in_place, reference;
         in_place.Init(dim, 6, needs);
         reference.Init(dim, 6, needs);
         in_place.Assign(rows);
         reference.Assign(rows);
-        CfVector loaded(dim, policy.rep, policy.storage);
+        CfVector loaded(dim, rep);
         for (int step = 0; step < 400; ++step) {
           const size_t i = step % 3 == 0 ? 0 : rng.UniformInt(rows.size());
           // Far-off points now and then, so the sums span magnitudes.
           const CfVector cf = PolicyCf(&rng, dim, 1 + step % 3,
-                                       step % 17 == 0 ? 1e6 : 30.0,
-                                       policy.rep, policy.storage);
+                                       step % 17 == 0 ? 1e6 : 30.0, rep);
           in_place.Add(i, cf);
           reference.Load(i, &loaded);
           loaded.Add(cf);

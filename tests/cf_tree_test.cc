@@ -1,14 +1,16 @@
 // CF tree tests: insertion semantics (absorb / new entry / split /
 // reject), structural invariants under random workloads, memory
-// accounting, the leaf chain, merging refinement, and the Reducibility
+// accounting (charged pages and the heap-bytes gauge), the leaf chain, merging refinement, and the Reducibility
 // Theorem (rebuilding with a larger threshold never grows the tree).
 #include "birch/cf_tree.h"
 
+#include <cmath>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "pagestore/memory_tracker.h"
 #include "util/random.h"
 
@@ -244,6 +246,54 @@ TEST(CfTreeTest, MostCrowdedLeafMinMergePositive) {
   size_t before = tree.leaf_entry_count();
   tree.Rebuild(dmin);
   EXPECT_LT(tree.leaf_entry_count(), before);
+}
+
+/// Heap bytes of every node under `node`, summed from the nodes
+/// themselves: the CfNode, its column block and its children array.
+size_t SubtreeHeapBytes(const CfNode* node) {
+  size_t bytes = sizeof(CfNode) +
+                 node->rows.block_doubles() * sizeof(double) +
+                 node->children.capacity() * sizeof(CfNode*);
+  for (const CfNode* child : node->children) {
+    bytes += SubtreeHeapBytes(child);
+  }
+  return bytes;
+}
+
+TEST(CfTreeHeapGaugeTest, GaugeEqualsTheNodesBytesThroughSplitsAndRebuilds) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const obs::Gauge& gauge =
+      obs::Registry::Default().GetGauge("tree/heap_bytes");
+  for (size_t dim : {size_t{2}, size_t{16}, size_t{64}}) {
+    const double baseline = gauge.Value();
+    {
+      MemoryTracker mem;
+      CfTreeOptions o;
+      o.dim = dim;
+      o.page_size = 1024;
+      o.threshold = 0.5;
+      CfTree tree(o, &mem);
+      Rng rng(900 + dim);
+      std::vector<double> x(dim);
+      for (int i = 0; i < 1500; ++i) {
+        for (auto& v : x) v = rng.Uniform(0, 50);
+        tree.InsertPoint(x);
+      }
+      ASSERT_GT(tree.stats().leaf_splits, 0u) << "dim=" << dim;
+      ASSERT_GT(tree.stats().nonleaf_splits, 0u) << "dim=" << dim;
+      EXPECT_EQ(gauge.Value() - baseline,
+                static_cast<double>(SubtreeHeapBytes(tree.root())))
+          << "dim=" << dim;
+      tree.Rebuild(4.0 * std::sqrt(static_cast<double>(dim)));
+      ASSERT_EQ(tree.stats().rebuilds, 1u);
+      EXPECT_EQ(gauge.Value() - baseline,
+                static_cast<double>(SubtreeHeapBytes(tree.root())))
+          << "dim=" << dim;
+    }
+    EXPECT_EQ(gauge.Value(), baseline) << "dim=" << dim;
+  }
+  obs::SetEnabled(was_enabled);
 }
 
 // Parameterized structural stress: random workloads across page sizes,

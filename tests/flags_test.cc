@@ -17,18 +17,18 @@ Flags ParseArgs(std::vector<std::string> args) {
 
 TEST(FlagsTest, SpaceAndEqualsForms) {
   Flags f = ParseArgs({"--k", "10", "--metric=D3", "--verbose"});
-  EXPECT_EQ(f.GetInt("k", 0), 10);
+  EXPECT_EQ(f.GetInt("k", 0).value(), 10);
   EXPECT_EQ(f.GetString("metric"), "D3");
   EXPECT_TRUE(f.GetBool("verbose", false));
   EXPECT_FALSE(f.Has("absent"));
-  EXPECT_EQ(f.GetInt("absent", 7), 7);
+  EXPECT_EQ(f.GetInt("absent", 7).value(), 7);
 }
 
 TEST(FlagsTest, TypedGetters) {
   Flags f = ParseArgs({"--x=2.5", "--flag=false", "--n=-3"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("x", 0), 2.5);
+  EXPECT_DOUBLE_EQ(f.GetDouble("x", 0).value(), 2.5);
   EXPECT_FALSE(f.GetBool("flag", true));
-  EXPECT_EQ(f.GetInt("n", 0), -3);
+  EXPECT_EQ(f.GetInt("n", 0).value(), -3);
 }
 
 TEST(FlagsTest, PositionalArguments) {
@@ -41,7 +41,62 @@ TEST(FlagsTest, PositionalArguments) {
 TEST(FlagsTest, BoolFlagFollowedByFlag) {
   Flags f = ParseArgs({"--verbose", "--k", "5"});
   EXPECT_TRUE(f.GetBool("verbose", false));
-  EXPECT_EQ(f.GetInt("k", 0), 5);
+  EXPECT_EQ(f.GetInt("k", 0).value(), 5);
+}
+
+TEST(FlagsTest, TrailingCharactersAreRejected) {
+  Flags f = ParseArgs({"--a=8O", "--b=2x", "--c=five", "--d=abc", "--e=1.5s",
+                       "--f=0x10", "--g= 5", "--h=3.0"});
+  for (const char* name : {"a", "b", "c", "f", "g", "h"}) {
+    auto v = f.GetInt(name, 0);
+    ASSERT_FALSE(v.ok()) << name;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(f.GetInt("a", 0).status().message(),
+            "--a: not an integer: '8O'");
+  for (const char* name : {"d", "e", "g"}) {
+    auto v = f.GetDouble(name, 0.0);
+    ASSERT_FALSE(v.ok()) << name;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(f.GetDouble("d", 0.0).status().message(),
+            "--d: not a number: 'abc'");
+  // Whole-string numbers still parse, hex included for doubles.
+  EXPECT_DOUBLE_EQ(f.GetDouble("h", 0.0).value(), 3.0);
+  EXPECT_DOUBLE_EQ(f.GetDouble("f", 0.0).value(), 16.0);
+}
+
+TEST(FlagsTest, EmptyValuesAreRejected) {
+  Flags f = ParseArgs({"--k=", "--t="});
+  EXPECT_EQ(f.GetInt("k", 3).status().message(), "--k: not an integer: ''");
+  EXPECT_EQ(f.GetDouble("t", 1.0).status().message(),
+            "--t: not a number: ''");
+  // A numeric flag given as a bare switch reads the value "true".
+  Flags bare = ParseArgs({"--k", "--t", "2"});
+  EXPECT_EQ(bare.GetInt("k", 3).status().message(),
+            "--k: not an integer: 'true'");
+}
+
+TEST(FlagsTest, OutOfRangeValuesAreRejected) {
+  Flags f = ParseArgs({"--big=99999999999999999999", "--n=-1", "--k=11",
+                       "--huge=1e999", "--nan=nan", "--inf=-inf"});
+  EXPECT_EQ(f.GetInt("big", 0).status().message(),
+            "--big: out of range: '99999999999999999999'");
+  EXPECT_EQ(f.GetInt("n", 0, 0, 10).status().message(),
+            "--n must be >= 0, got -1");
+  EXPECT_EQ(f.GetInt("k", 0, 0, 10).status().message(),
+            "--k must be <= 10, got 11");
+  EXPECT_EQ(f.GetInt("k", 0, 0, 11).value(), 11);
+  EXPECT_EQ(f.GetInt("n", 0, -1, 10).value(), -1);
+  for (const char* name : {"huge", "nan", "inf"}) {
+    auto v = f.GetDouble(name, 0.0);
+    ASSERT_FALSE(v.ok()) << name;
+    EXPECT_NE(v.status().message().find("not a finite number"),
+              std::string::npos)
+        << v.status().message();
+  }
+  // The fallback of an absent flag is returned unchecked.
+  EXPECT_EQ(f.GetInt("absent", 42, 0, 10).value(), 42);
 }
 
 TEST(FlagsTest, CheckKnownCatchesTypos) {

@@ -20,6 +20,9 @@ struct FuzzParam {
   size_t dim;
   size_t page_size;
   DistanceMetric metric;
+  /// Fills what would be padding: gtest names each entry by a dump of
+  /// the param's bytes, so all of them must be defined.
+  uint32_t unused = 0;
 };
 
 class CfTreeFuzzTest : public ::testing::TestWithParam<FuzzParam> {};

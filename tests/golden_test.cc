@@ -97,7 +97,6 @@ Phase1Options Phase1For(const BirchOptions& o, uint64_t points) {
   p.tree.threshold_kind = o.tree.threshold_kind;
   p.tree.merging_refinement = o.tree.merging_refinement;
   p.tree.cf = o.tree.cf;
-  p.tree.cf_storage = o.tree.cf_storage;
   p.tree.kernel = o.exec.kernel;
   p.memory_budget_bytes = o.resources.memory_bytes;
   p.disk_budget_bytes = o.resources.disk_bytes;
@@ -264,15 +263,6 @@ TEST(GoldenTest, BetulaD2) {
   ExpectGolden(RunSerial(o), {0xd18a73f30f781b10ULL, 0xac0cddf20e8ebc7eULL,
                               0xae4615f7e1f69f94ULL, 0x573c252a234dc6beULL,
                               0xca35045720a47bbdULL});
-}
-
-TEST(GoldenTest, BetulaF32) {
-  BirchOptions o = BaseOptions();
-  o.tree.cf = CfRepresentation::kBetula;
-  o.tree.cf_storage = CfStorage::kF32;
-  ExpectGolden(RunSerial(o), {0x7960b200c2785e2aULL, 0xa474a6b1743548b0ULL,
-                              0xae3e268f99f3b485ULL, 0x38a3c93542ee1decULL,
-                              0x0a7b21c3e6fe19e6ULL});
 }
 
 TEST(GoldenTest, TwoThreads) {

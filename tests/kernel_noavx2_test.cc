@@ -27,9 +27,8 @@ constexpr DistanceMetric kAllMetrics[] = {
     DistanceMetric::kD3, DistanceMetric::kD4};
 
 CfVector RandomCf(Rng* rng, size_t dim, int points, double spread,
-                  CfRepresentation rep = CfRepresentation::kClassic,
-                  CfStorage storage = CfStorage::kF64) {
-  CfVector cf(dim, rep, storage);
+                  CfRepresentation rep = CfRepresentation::kClassic) {
+  CfVector cf(dim, rep);
   std::vector<double> x(dim);
   for (int p = 0; p < points; ++p) {
     for (auto& v : x) v = rng->Uniform(-spread, spread);
@@ -107,33 +106,29 @@ TEST(PortableKernelTest, NearestEntryAndMergedStatsMatchOracle) {
 
 TEST(PortableKernelTest, BetulaFillDistancesBitwiseEqualsScalarOracle) {
   // BETULA portable leg: the same bitwise contract for the
-  // mean/deviation representation, f64 and f32 storage.
+  // mean/deviation representation.
   Rng rng(7);
-  for (CfStorage storage : {CfStorage::kF64, CfStorage::kF32}) {
-    for (size_t dim : {size_t{1}, size_t{2}, size_t{16}, size_t{64}}) {
-      std::vector<CfVector> cfs;
-      for (size_t i = 0; i < 33; ++i) {
-        int points =
-            (i % 3 == 0) ? 1 : static_cast<int>(1 + rng.UniformInt(20));
-        cfs.push_back(RandomCf(&rng, dim, points, i % 2 == 0 ? 1.0 : 50.0,
-                               CfRepresentation::kBetula, storage));
-      }
-      CfVector query = RandomCf(&rng, dim, 5, 10.0,
-                                CfRepresentation::kBetula, storage);
-      for (DistanceMetric metric : kAllMetrics) {
-        CfBatch batch;
-        batch.Init(dim, cfs.size(),
-                   CfBatch::Needs::For(metric, CfRepresentation::kBetula));
-        batch.Assign(cfs);
-        Workspace ws;
-        CfQuery q;
-        q.Prepare(query, metric, &ws.query_centroid);
-        FillDistances(batch, q, metric, &ws);
-        for (size_t j = 0; j < cfs.size(); ++j) {
-          EXPECT_EQ(ws.dist[j], Distance(metric, query, cfs[j]))
-              << MetricName(metric) << " dim=" << dim << " j=" << j
-              << " storage=" << CfStorageName(storage);
-        }
+  for (size_t dim : {size_t{1}, size_t{2}, size_t{16}, size_t{64}}) {
+    std::vector<CfVector> cfs;
+    for (size_t i = 0; i < 33; ++i) {
+      int points =
+          (i % 3 == 0) ? 1 : static_cast<int>(1 + rng.UniformInt(20));
+      cfs.push_back(RandomCf(&rng, dim, points, i % 2 == 0 ? 1.0 : 50.0,
+                             CfRepresentation::kBetula));
+    }
+    CfVector query = RandomCf(&rng, dim, 5, 10.0, CfRepresentation::kBetula);
+    for (DistanceMetric metric : kAllMetrics) {
+      CfBatch batch;
+      batch.Init(dim, cfs.size(),
+                 CfBatch::Needs::For(metric, CfRepresentation::kBetula));
+      batch.Assign(cfs);
+      Workspace ws;
+      CfQuery q;
+      q.Prepare(query, metric, &ws.query_centroid);
+      FillDistances(batch, q, metric, &ws);
+      for (size_t j = 0; j < cfs.size(); ++j) {
+        EXPECT_EQ(ws.dist[j], Distance(metric, query, cfs[j]))
+            << MetricName(metric) << " dim=" << dim << " j=" << j;
       }
     }
   }
@@ -154,17 +149,15 @@ TEST(PortableKernelTest, InPlaceAddMatchesLoadAddUpdate) {
 TEST(PortableKernelTest, BetulaMergedStatsMatchOracle) {
   Rng rng(17);
   const size_t dim = 8;
-  for (CfStorage storage : {CfStorage::kF64, CfStorage::kF32}) {
-    std::vector<CfVector> cfs;
-    for (size_t i = 0; i < 20; ++i) {
-      cfs.push_back(RandomCf(&rng, dim, 1 + static_cast<int>(i % 6), 10.0,
-                             CfRepresentation::kBetula, storage));
-    }
-    for (size_t i = 1; i < cfs.size(); ++i) {
-      CfVector merged = CfVector::Merged(cfs[i - 1], cfs[i]);
-      EXPECT_EQ(MergedDiameter(cfs[i - 1], cfs[i]), merged.Diameter());
-      EXPECT_EQ(MergedRadius(cfs[i - 1], cfs[i]), merged.Radius());
-    }
+  std::vector<CfVector> cfs;
+  for (size_t i = 0; i < 20; ++i) {
+    cfs.push_back(RandomCf(&rng, dim, 1 + static_cast<int>(i % 6), 10.0,
+                           CfRepresentation::kBetula));
+  }
+  for (size_t i = 1; i < cfs.size(); ++i) {
+    CfVector merged = CfVector::Merged(cfs[i - 1], cfs[i]);
+    EXPECT_EQ(MergedDiameter(cfs[i - 1], cfs[i]), merged.Diameter());
+    EXPECT_EQ(MergedRadius(cfs[i - 1], cfs[i]), merged.Radius());
   }
 }
 

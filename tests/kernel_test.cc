@@ -3,8 +3,8 @@
 // BITWISE with the per-CF oracle kept here as test code (Distance() in
 // metrics.cc, the CfVector algebra, SquaredDistance loops) — same
 // distances, same winners — across metrics D0-D4, the merged diameter
-// and radius the absorb test reads, classic and BETULA CFs in f64 and
-// f32, a sweep of dimensionalities, and adversarial near-ties.
+// and radius the absorb test reads, classic and BETULA CFs, a sweep of
+// dimensionalities, and adversarial near-ties.
 // golden_test pins the end-to-end bits.
 #include "birch/kernel/kernel.h"
 
@@ -33,9 +33,8 @@ constexpr size_t kDims[] = {1, 2, 16, 64};
 /// A CF of `points` random points in [-spread, spread]^dim. One-point
 /// CFs (n == 1) exercise the zero-diameter / zero-SSD special cases.
 CfVector RandomCf(Rng* rng, size_t dim, int points, double spread,
-                  CfRepresentation rep = CfRepresentation::kClassic,
-                  CfStorage storage = CfStorage::kF64) {
-  CfVector cf(dim, rep, storage);
+                  CfRepresentation rep = CfRepresentation::kClassic) {
+  CfVector cf(dim, rep);
   std::vector<double> x(dim);
   for (int p = 0; p < points; ++p) {
     for (auto& v : x) v = rng->Uniform(-spread, spread);
@@ -44,21 +43,18 @@ CfVector RandomCf(Rng* rng, size_t dim, int points, double spread,
   return cf;
 }
 
-std::vector<CfVector> RandomCfs(Rng* rng, size_t dim, size_t count,
-                                CfRepresentation rep = CfRepresentation::kClassic,
-                                CfStorage storage = CfStorage::kF64) {
+std::vector<CfVector> RandomCfs(
+    Rng* rng, size_t dim, size_t count,
+    CfRepresentation rep = CfRepresentation::kClassic) {
   std::vector<CfVector> cfs;
   cfs.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     // Mix of single-point and multi-point CFs at different scales.
     int points = (i % 3 == 0) ? 1 : static_cast<int>(1 + rng->UniformInt(20));
-    cfs.push_back(
-        RandomCf(rng, dim, points, i % 2 == 0 ? 1.0 : 50.0, rep, storage));
+    cfs.push_back(RandomCf(rng, dim, points, i % 2 == 0 ? 1.0 : 50.0, rep));
   }
   return cfs;
 }
-
-constexpr CfStorage kBetulaStorages[] = {CfStorage::kF64, CfStorage::kF32};
 
 TEST(CfBatchTest, FillDistancesBitwiseEqualsScalarOracle) {
   Rng rng(7);
@@ -84,32 +80,27 @@ TEST(CfBatchTest, FillDistancesBitwiseEqualsScalarOracle) {
 }
 
 TEST(CfBatchTest, BetulaFillDistancesBitwiseEqualsScalarOracle) {
-  // Same contract as the classic test, under the BETULA representation
-  // (f64 and f32 storage): the batch kernel must agree BITWISE with
-  // the scalar oracle for every metric.
+  // Same contract as the classic test, under the BETULA representation:
+  // the batch kernel must agree BITWISE with the scalar oracle for
+  // every metric.
   Rng rng(7);
-  for (CfStorage storage : kBetulaStorages) {
-    for (size_t dim : kDims) {
-      auto cfs =
-          RandomCfs(&rng, dim, 33, CfRepresentation::kBetula, storage);
-      CfVector query =
-          RandomCf(&rng, dim, 5, 10.0, CfRepresentation::kBetula, storage);
-      for (DistanceMetric metric : kAllMetrics) {
-        CfBatch batch;
-        batch.Init(dim, cfs.size(),
-                   CfBatch::Needs::For(metric, CfRepresentation::kBetula));
-        batch.Assign(cfs);
-        Workspace ws;
-        CfQuery q;
-        q.Prepare(query, metric, &ws.query_centroid);
-        FillDistances(batch, q, metric, &ws);
-        ASSERT_EQ(ws.dist.size(), cfs.size());
-        for (size_t j = 0; j < cfs.size(); ++j) {
-          double oracle = Distance(metric, query, cfs[j]);
-          EXPECT_EQ(ws.dist[j], oracle)
-              << MetricName(metric) << " dim=" << dim << " j=" << j
-              << " storage=" << CfStorageName(storage);
-        }
+  for (size_t dim : kDims) {
+    auto cfs = RandomCfs(&rng, dim, 33, CfRepresentation::kBetula);
+    CfVector query = RandomCf(&rng, dim, 5, 10.0, CfRepresentation::kBetula);
+    for (DistanceMetric metric : kAllMetrics) {
+      CfBatch batch;
+      batch.Init(dim, cfs.size(),
+                 CfBatch::Needs::For(metric, CfRepresentation::kBetula));
+      batch.Assign(cfs);
+      Workspace ws;
+      CfQuery q;
+      q.Prepare(query, metric, &ws.query_centroid);
+      FillDistances(batch, q, metric, &ws);
+      ASSERT_EQ(ws.dist.size(), cfs.size());
+      for (size_t j = 0; j < cfs.size(); ++j) {
+        double oracle = Distance(metric, query, cfs[j]);
+        EXPECT_EQ(ws.dist[j], oracle)
+            << MetricName(metric) << " dim=" << dim << " j=" << j;
       }
     }
   }
@@ -117,41 +108,36 @@ TEST(CfBatchTest, BetulaFillDistancesBitwiseEqualsScalarOracle) {
 
 TEST(CfBatchTest, BetulaNearestEntryMatchesScalarArgmin) {
   Rng rng(11);
-  for (CfStorage storage : kBetulaStorages) {
-    for (size_t dim : {size_t{2}, size_t{16}}) {
-      auto cfs =
-          RandomCfs(&rng, dim, 40, CfRepresentation::kBetula, storage);
-      CfVector query =
-          RandomCf(&rng, dim, 3, 10.0, CfRepresentation::kBetula, storage);
-      std::vector<uint8_t> active(cfs.size(), 1);
-      active[3] = active[17] = 0;
-      const size_t exclude = 8;
-      for (DistanceMetric metric : kAllMetrics) {
-        CfBatch batch;
-        batch.Init(dim, cfs.size(),
-                   CfBatch::Needs::For(metric, CfRepresentation::kBetula));
-        batch.Assign(cfs);
-        Workspace ws;
-        CfQuery q;
-        q.Prepare(query, metric, &ws.query_centroid);
-        ScanResult r =
-            NearestEntry(batch, q, metric, &ws, active.data(), exclude);
+  for (size_t dim : {size_t{2}, size_t{16}}) {
+    auto cfs = RandomCfs(&rng, dim, 40, CfRepresentation::kBetula);
+    CfVector query = RandomCf(&rng, dim, 3, 10.0, CfRepresentation::kBetula);
+    std::vector<uint8_t> active(cfs.size(), 1);
+    active[3] = active[17] = 0;
+    const size_t exclude = 8;
+    for (DistanceMetric metric : kAllMetrics) {
+      CfBatch batch;
+      batch.Init(dim, cfs.size(),
+                 CfBatch::Needs::For(metric, CfRepresentation::kBetula));
+      batch.Assign(cfs);
+      Workspace ws;
+      CfQuery q;
+      q.Prepare(query, metric, &ws.query_centroid);
+      ScanResult r =
+          NearestEntry(batch, q, metric, &ws, active.data(), exclude);
 
-        size_t best = static_cast<size_t>(-1);
-        double best_d = std::numeric_limits<double>::infinity();
-        for (size_t j = 0; j < cfs.size(); ++j) {
-          if (j == exclude || !active[j]) continue;
-          double d = Distance(metric, query, cfs[j]);
-          if (d < best_d) {
-            best_d = d;
-            best = j;
-          }
+      size_t best = static_cast<size_t>(-1);
+      double best_d = std::numeric_limits<double>::infinity();
+      for (size_t j = 0; j < cfs.size(); ++j) {
+        if (j == exclude || !active[j]) continue;
+        double d = Distance(metric, query, cfs[j]);
+        if (d < best_d) {
+          best_d = d;
+          best = j;
         }
-        EXPECT_EQ(r.index, best) << MetricName(metric) << " dim=" << dim;
-        EXPECT_EQ(r.distance, best_d)
-            << MetricName(metric) << " dim=" << dim
-            << " storage=" << CfStorageName(storage);
       }
+      EXPECT_EQ(r.index, best) << MetricName(metric) << " dim=" << dim;
+      EXPECT_EQ(r.distance, best_d)
+          << MetricName(metric) << " dim=" << dim;
     }
   }
 }
@@ -310,21 +296,17 @@ TEST(MergedStatTest, MergedDiameterAndRadiusMatchMergedCf) {
 
 TEST(MergedStatTest, BetulaMergedStatsMatchMergedCf) {
   Rng rng(23);
-  for (CfStorage storage : kBetulaStorages) {
-    for (size_t dim : kDims) {
-      for (int trial = 0; trial < 25; ++trial) {
-        CfVector a = RandomCf(&rng, dim, 1 + static_cast<int>(trial % 4),
-                              8.0, CfRepresentation::kBetula, storage);
-        CfVector b = RandomCf(&rng, dim, 1 + static_cast<int>(trial % 7),
-                              8.0, CfRepresentation::kBetula, storage);
-        CfVector merged = CfVector::Merged(a, b);
-        EXPECT_EQ(MergedDiameter(a, b), merged.Diameter())
-            << "dim=" << dim << " trial=" << trial
-            << " storage=" << CfStorageName(storage);
-        EXPECT_EQ(MergedRadius(a, b), merged.Radius())
-            << "dim=" << dim << " trial=" << trial
-            << " storage=" << CfStorageName(storage);
-      }
+  for (size_t dim : kDims) {
+    for (int trial = 0; trial < 25; ++trial) {
+      CfVector a = RandomCf(&rng, dim, 1 + static_cast<int>(trial % 4),
+                            8.0, CfRepresentation::kBetula);
+      CfVector b = RandomCf(&rng, dim, 1 + static_cast<int>(trial % 7),
+                            8.0, CfRepresentation::kBetula);
+      CfVector merged = CfVector::Merged(a, b);
+      EXPECT_EQ(MergedDiameter(a, b), merged.Diameter())
+          << "dim=" << dim << " trial=" << trial;
+      EXPECT_EQ(MergedRadius(a, b), merged.Radius())
+          << "dim=" << dim << " trial=" << trial;
     }
   }
 }

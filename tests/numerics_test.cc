@@ -2,7 +2,7 @@
 // (ctest -L numerics): classic (N, LS, SS) and BETULA (N, mean, S)
 // must agree on well-conditioned data; on the ill-conditioned workload
 // BETULA must hold its zero-offset quality while classic measurably
-// degrades; and the float32 storage mode is BETULA-only.
+// degrades.
 #include <cmath>
 #include <vector>
 
@@ -16,8 +16,7 @@
 namespace birch {
 namespace {
 
-BirchOptions BaseOpts(size_t dim, int k, CfRepresentation rep,
-                      CfStorage storage = CfStorage::kF64) {
+BirchOptions BaseOpts(size_t dim, int k, CfRepresentation rep) {
   BirchOptions o;
   o.dim = dim;
   o.k = k;
@@ -25,7 +24,6 @@ BirchOptions BaseOpts(size_t dim, int k, CfRepresentation rep,
   o.resources.disk_bytes = 16 * 1024;
   o.resources.page_size = 1024;
   o.tree.cf = rep;
-  o.tree.cf_storage = storage;
   return o;
 }
 
@@ -95,57 +93,6 @@ TEST(NumericsGoldenTest, BetulaHoldsWhereClassicCollapses) {
       << "BETULA quality degraded at offset 1e8";
   EXPECT_GT(classic_far, 1.5 * classic_base)
       << "classic did not degrade — workload no longer ill-conditioned";
-}
-
-TEST(NumericsGoldenTest, BetulaF32MatchesF64OnFloatData) {
-  // Float32-quantized input at a moderate offset: f32 CF storage must
-  // deliver the same cluster quality as f64 (the data itself has no
-  // sub-float structure to lose).
-  const size_t dim = 2;
-  const int k = 16;
-  GeneratorOptions g = IllConditionedOptions(dim, k, 1e4, /*seed=*/11);
-  g.n_low = g.n_high = 120;
-  g.quantize_points_f32 = true;
-  auto gen = Generate(g);
-  ASSERT_TRUE(gen.ok());
-
-  double d[2] = {0.0, 0.0};
-  for (CfStorage storage : {CfStorage::kF64, CfStorage::kF32}) {
-    auto r = ClusterDataset(
-        gen.value().data,
-        BaseOpts(dim, k, CfRepresentation::kBetula, storage));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    d[storage == CfStorage::kF32] =
-        CenteredQuality(gen.value().data, r.value().labels, 1e4);
-  }
-  EXPECT_GT(d[0], 0.0);
-  EXPECT_NEAR(d[0], d[1], 0.05 * d[0]);
-}
-
-TEST(NumericsGoldenTest, Float32StorageRequiresBetula) {
-  // Classic (N, LS, SS) in float32 loses the radius to cancellation at
-  // any interesting magnitude; the combination is rejected up front.
-  BirchOptions bad = BaseOpts(2, 4, CfRepresentation::kClassic,
-                              CfStorage::kF32);
-  auto c = BirchClusterer::Create(bad);
-  EXPECT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
-
-  auto built = BirchOptions::Builder()
-                   .Dim(2)
-                   .K(4)
-                   .CfStorage(CfStorage::kF32)
-                   .Build();
-  EXPECT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-
-  auto good = BirchOptions::Builder()
-                  .Dim(2)
-                  .K(4)
-                  .Cf(CfRepresentation::kBetula)
-                  .CfStorage(CfStorage::kF32)
-                  .Build();
-  EXPECT_TRUE(good.ok()) << good.status().ToString();
 }
 
 }  // namespace

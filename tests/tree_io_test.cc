@@ -17,14 +17,12 @@ namespace {
 
 std::unique_ptr<CfTree> BuildTree(MemoryTracker* mem, int n, uint64_t seed,
                                   size_t page = 512,
-                                  CfRepresentation rep = CfRepresentation::kClassic,
-                                  CfStorage storage = CfStorage::kF64) {
+                                  CfRepresentation rep = CfRepresentation::kClassic) {
   CfTreeOptions o;
   o.dim = 2;
   o.page_size = page;
   o.threshold = 0.4;
   o.cf = rep;
-  o.cf_storage = storage;
   auto tree = std::make_unique<CfTree>(o, mem);
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
@@ -74,36 +72,29 @@ TEST(TreeIoTest, RoundTripPreservesEverything) {
 }
 
 TEST(TreeIoTest, BetulaRoundTripPreservesEverything) {
-  // The page format depends on the CF policies (f32 packs the vector
-  // and scalar as floats); round trips must be exact for both storage
-  // widths because f32 CFs are quantized after every mutation.
-  for (CfStorage storage : {CfStorage::kF64, CfStorage::kF32}) {
-    MemoryTracker mem;
-    auto tree = BuildTree(&mem, 3000, 201, 512, CfRepresentation::kBetula,
-                          storage);
-    std::vector<CfVector> entries_before;
-    tree->CollectLeafEntries(&entries_before);
+  // BETULA pages carry the mean and S where classic ones carry LS and
+  // SS; the round trip must be exact all the same.
+  MemoryTracker mem;
+  auto tree = BuildTree(&mem, 3000, 201, 512, CfRepresentation::kBetula);
+  std::vector<CfVector> entries_before;
+  tree->CollectLeafEntries(&entries_before);
 
-    PageStore store(512);
-    auto image_or = TreeIO::Write(*tree, &store);
-    ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
-    EXPECT_EQ(image_or.value().cf, CfRepresentation::kBetula);
-    EXPECT_EQ(image_or.value().cf_storage, storage);
+  PageStore store(512);
+  auto image_or = TreeIO::Write(*tree, &store);
+  ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
+  EXPECT_EQ(image_or.value().cf, CfRepresentation::kBetula);
 
-    MemoryTracker mem2;
-    CfTreeOptions opts;
-    opts.cf = CfRepresentation::kBetula;
-    opts.cf_storage = storage;
-    auto back_or = TreeIO::Read(image_or.value(), &store, opts, &mem2);
-    ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
-    std::vector<CfVector> entries_after;
-    back_or.value()->CollectLeafEntries(&entries_after);
-    EXPECT_EQ(entries_after, entries_before)
-        << CfStorageName(storage);
-    EXPECT_EQ(back_or.value()->TreeSummary(), tree->TreeSummary());
-    std::string why;
-    EXPECT_TRUE(back_or.value()->CheckInvariants(&why)) << why;
-  }
+  MemoryTracker mem2;
+  CfTreeOptions opts;
+  opts.cf = CfRepresentation::kBetula;
+  auto back_or = TreeIO::Read(image_or.value(), &store, opts, &mem2);
+  ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
+  std::vector<CfVector> entries_after;
+  back_or.value()->CollectLeafEntries(&entries_after);
+  EXPECT_EQ(entries_after, entries_before);
+  EXPECT_EQ(back_or.value()->TreeSummary(), tree->TreeSummary());
+  std::string why;
+  EXPECT_TRUE(back_or.value()->CheckInvariants(&why)) << why;
 }
 
 TEST(TreeIoTest, RoundTripOverCompressedTieredStore) {
@@ -141,13 +132,11 @@ TEST(TreeIoTest, RoundTripOverCompressedTieredStore) {
 }
 
 TEST(TreeIoTest, CfPolicyMismatchOnReadIsInvalidArgument) {
-  // An image written under one CF representation/storage must refuse
-  // to open under another: the pages would be silently misread as the
-  // wrong statistics (classic SS vs BETULA S, doubles vs packed
-  // floats).
+  // An image written under one CF representation must refuse to open
+  // under the other: the pages would be silently misread as the wrong
+  // statistics (classic SS vs BETULA S).
   MemoryTracker mem;
-  auto tree = BuildTree(&mem, 500, 207, 512, CfRepresentation::kBetula,
-                        CfStorage::kF32);
+  auto tree = BuildTree(&mem, 500, 207, 512, CfRepresentation::kBetula);
   PageStore store(512);
   auto image = TreeIO::Write(*tree, &store);
   ASSERT_TRUE(image.ok());
@@ -155,21 +144,12 @@ TEST(TreeIoTest, CfPolicyMismatchOnReadIsInvalidArgument) {
   MemoryTracker mem2;
   CfTreeOptions wrong_rep;
   wrong_rep.cf = CfRepresentation::kClassic;
-  wrong_rep.cf_storage = CfStorage::kF32;
   auto r1 = TreeIO::Read(image.value(), &store, wrong_rep, &mem2);
   EXPECT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
 
-  CfTreeOptions wrong_storage;
-  wrong_storage.cf = CfRepresentation::kBetula;
-  wrong_storage.cf_storage = CfStorage::kF64;
-  auto r2 = TreeIO::Read(image.value(), &store, wrong_storage, &mem2);
-  EXPECT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
-
   CfTreeOptions right;
   right.cf = CfRepresentation::kBetula;
-  right.cf_storage = CfStorage::kF32;
   EXPECT_TRUE(TreeIO::Read(image.value(), &store, right, &mem2).ok());
 }
 

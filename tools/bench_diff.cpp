@@ -100,9 +100,18 @@ int Run(int argc, char** argv) {
   if (flags.Has("help") || !flags.Has("baseline") || !flags.Has("current")) {
     return Usage();
   }
-  const double threshold = flags.GetDouble("threshold", 0.25);
-  const double abs_floor = flags.GetDouble("abs-floor", 1e-4);
-  const double scale = flags.GetDouble("scale-current", 1.0);
+  const StatusOr<double> threshold_or = flags.GetDouble("threshold", 0.25);
+  const StatusOr<double> abs_floor_or = flags.GetDouble("abs-floor", 1e-4);
+  const StatusOr<double> scale_or = flags.GetDouble("scale-current", 1.0);
+  for (const auto* v : {&threshold_or, &abs_floor_or, &scale_or}) {
+    if (!v->ok()) {
+      std::fprintf(stderr, "%s\n", v->status().message().c_str());
+      return 2;
+    }
+  }
+  const double threshold = threshold_or.value();
+  const double abs_floor = abs_floor_or.value();
+  const double scale = scale_or.value();
   if (threshold < 0.0 || abs_floor < 0.0 || scale <= 0.0) {
     std::fprintf(stderr,
                  "--threshold/--abs-floor must be >= 0, "

@@ -15,6 +15,8 @@
 // re-reading the SAME input (already-ingested rows are skipped).
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -54,14 +56,6 @@ StatusOr<CfRepresentation> ParseCfRep(const std::string& name) {
                                  "' (want classic|betula)");
 }
 
-StatusOr<CfStorage> ParseCfStorage(const std::string& name) {
-  for (auto s : {CfStorage::kF64, CfStorage::kF32}) {
-    if (name == CfStorageName(s)) return s;
-  }
-  return Status::InvalidArgument("unknown CF storage '" + name +
-                                 "' (want f64|f32)");
-}
-
 StatusOr<PageCodecKind> ParsePageCodec(const std::string& name) {
   PageCodecKind kind;
   if (ParsePageCodecName(name, &kind)) return kind;
@@ -81,9 +75,8 @@ int Run(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   Status known = flags.CheckKnown(
       {"input", "output", "k", "distance-limit", "memory-kb", "disk-kb",
-       "page", "page-codec", "hot-tier-kb", "metric", "cf", "cf-storage",
-       "threshold", "algorithm",
-       "refine-passes",
+       "page", "page-codec", "hot-tier-kb", "metric", "cf", "threshold",
+       "algorithm", "refine-passes",
        "discard-distance", "no-outliers", "no-delay-split", "stream",
        "seed", "threads", "splitter-seed",
        "fault-read", "fault-write", "fault-lose",
@@ -98,7 +91,7 @@ int Run(int argc, char** argv) {
                  "usage: birch_cli --input points.csv (--k K | "
                  "--distance-limit D) [--output labels.csv] "
                  "[--memory-kb 80] [--page 1024] [--metric D0..D4] "
-                 "[--cf classic|betula] [--cf-storage f64|f32] "
+                 "[--cf classic|betula] "
                  "[--threshold T0] [--algorithm hc|kmeans|medoids] "
                  "[--refine-passes N] [--discard-distance D] "
                  "[--no-outliers] [--no-delay-split] [--stream] "
@@ -115,9 +108,14 @@ int Run(int argc, char** argv) {
                  "--stream over one skips the Phase-4 refinement.\n"
                  "  --cf betula uses the numerically stable BETULA "
                  "(N, mean, S) CF representation\n"
-                 "  (use for data far from the origin); --cf-storage f32 "
-                 "(betula only) halves CF\n"
-                 "  memory, doubling tree fan-out.\n"
+                 "  (use for data far from the origin); every CF is "
+                 "stored as doubles.\n"
+                 "  A numeric flag's whole value must parse and be in "
+                 "range (a kB size up to\n"
+                 "  SIZE_MAX / 1024, an int option up to INT_MAX, "
+                 "--threads and --serve-readers\n"
+                 "  up to 256); otherwise the run exits 2 naming the "
+                 "flag.\n"
                  "  --threads N shards Phase 1 across N workers and "
                  "parallelizes Phases 3/4\n"
                  "  (0 = serial, the default; deterministic for a fixed "
@@ -177,92 +175,97 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Size flags are cast to size_t below, where a negative value would
-  // wrap to a budget near 2^64 bytes.
-  for (const char* name : {"memory-kb", "disk-kb", "page", "hot-tier-kb"}) {
-    const int64_t v = flags.GetInt(name, 0);
-    if (v < 0) {
-      std::fprintf(stderr, "--%s must be >= 0, got %lld\n", name,
-                   static_cast<long long>(v));
-      return 2;
-    }
-  }
+  // Every numeric flag is read here, before the input is opened or a
+  // trace or sampler starts: the first malformed or out-of-range value
+  // exits 2 naming its flag. An int-typed option holds at most INT_MAX,
+  // and a kB size at most SIZE_MAX / 1024, so that * 1024 cannot wrap.
+  Status bad_flag = Status::OK();
+  auto int_flag = [&](const char* name, int64_t fallback,
+                      int64_t lo = INT_MIN, int64_t hi = INT_MAX) {
+    StatusOr<int64_t> v = flags.GetInt(name, fallback, lo, hi);
+    if (!v.ok() && bad_flag.ok()) bad_flag = v.status();
+    return v.ok() ? v.value() : fallback;
+  };
+  auto double_flag = [&](const char* name, double fallback) {
+    StatusOr<double> v = flags.GetDouble(name, fallback);
+    if (!v.ok() && bad_flag.ok()) bad_flag = v.status();
+    return v.ok() ? v.value() : fallback;
+  };
+  auto kb_flag = [&](const char* name, size_t fallback_kb) {
+    return static_cast<size_t>(
+               int_flag(name, static_cast<int64_t>(fallback_kb), 0,
+                        static_cast<int64_t>(SIZE_MAX / 1024))) *
+           1024;
+  };
+  auto seed_flag = [&](const char* name, uint64_t fallback) {
+    return static_cast<uint64_t>(int_flag(
+        name, static_cast<int64_t>(fallback), INT64_MIN, INT64_MAX));
+  };
 
   BirchOptions o;
-  o.k = static_cast<int>(flags.GetInt("k", 0));
-  o.global_phase.distance_limit = flags.GetDouble("distance-limit", 0.0);
-  o.resources.memory_bytes = static_cast<size_t>(flags.GetInt("memory-kb", 80)) * 1024;
-  o.resources.disk_bytes = static_cast<size_t>(flags.GetInt(
-                     "disk-kb",
-                     static_cast<int64_t>(o.resources.memory_bytes / 5 / 1024))) *
-                 1024;
-  o.resources.fault.read_transient_rate = flags.GetDouble("fault-read", 0.0);
-  o.resources.fault.write_transient_rate = flags.GetDouble("fault-write", 0.0);
-  o.resources.fault.page_loss_rate = flags.GetDouble("fault-lose", 0.0);
-  o.resources.fault.bit_flip_rate = flags.GetDouble("fault-flip", 0.0);
-  o.resources.fault.seed = static_cast<uint64_t>(
-      flags.GetInt("fault-seed", static_cast<int64_t>(o.resources.fault.seed)));
-  o.resources.io_retry.max_attempts =
-      static_cast<int>(flags.GetInt("io-attempts", o.resources.io_retry.max_attempts));
-  o.resources.page_size = static_cast<size_t>(flags.GetInt("page", 1024));
+  o.k = static_cast<int>(int_flag("k", 0));
+  o.global_phase.distance_limit = double_flag("distance-limit", 0.0);
+  o.resources.memory_bytes = kb_flag("memory-kb", 80);
+  o.resources.disk_bytes =
+      kb_flag("disk-kb", o.resources.memory_bytes / 5 / 1024);
+  o.resources.fault.read_transient_rate = double_flag("fault-read", 0.0);
+  o.resources.fault.write_transient_rate = double_flag("fault-write", 0.0);
+  o.resources.fault.page_loss_rate = double_flag("fault-lose", 0.0);
+  o.resources.fault.bit_flip_rate = double_flag("fault-flip", 0.0);
+  o.resources.fault.seed = seed_flag("fault-seed", o.resources.fault.seed);
+  o.resources.io_retry.max_attempts = static_cast<int>(
+      int_flag("io-attempts", o.resources.io_retry.max_attempts));
+  o.resources.page_size =
+      static_cast<size_t>(int_flag("page", 1024, 0, INT64_MAX));
+  o.resources.hot_tier_bytes = kb_flag("hot-tier-kb", 0);
+  o.tree.initial_threshold = double_flag("threshold", 0.0);
+  o.refine.passes = static_cast<int>(int_flag("refine-passes", 1));
+  o.refine.outlier_distance = double_flag("discard-distance", 0.0);
+  o.outliers.handling = !flags.GetBool("no-outliers", false);
+  o.outliers.delay_split = !flags.GetBool("no-delay-split", false);
+  o.seed = seed_flag("seed", 42);
+  o.exec.num_threads = static_cast<int>(
+      int_flag("threads", 0, 0, BirchOptions::kMaxThreads));
+  o.exec.splitter_seed = seed_flag("splitter-seed", o.exec.splitter_seed);
+  o.serving.publish_every_n =
+      static_cast<uint64_t>(int_flag("publish-every", 0, 0, INT64_MAX));
+  const double serve_seconds = double_flag("serve-seconds", 0.0);
+  // Each reader is a thread: capped like --threads.
+  const int64_t serve_readers =
+      int_flag("serve-readers", 4, 1, BirchOptions::kMaxThreads);
+  const int64_t sample_ms = int_flag("sample-every-ms", 0, 0);
+  if (flags.Has("checkpoint")) {
+    o.resources.checkpoint_path = flags.GetString("checkpoint");
+    o.resources.checkpoint_every_n = static_cast<uint64_t>(
+        int_flag("checkpoint-every", 0, 1, INT64_MAX));
+  }
+  if (!bad_flag.ok()) {
+    std::fprintf(stderr, "%s\n", bad_flag.message().c_str());
+    return 2;
+  }
+
+  if (serve_seconds < 0.0) {
+    std::fprintf(stderr, "--serve-seconds must be >= 0\n");
+    return 2;
+  }
+  if (serve_seconds > 0.0 && (o.serving.publish_every_n == 0 || stream)) {
+    std::fprintf(stderr,
+                 "--serve-seconds needs --publish-every N > 0 and an "
+                 "in-memory input (no --stream)\n");
+    return 2;
+  }
+  if (flags.Has("checkpoint") != flags.Has("checkpoint-every")) {
+    std::fprintf(stderr,
+                 "--checkpoint FILE and --checkpoint-every N go together\n");
+    return 2;
+  }
+
   auto codec_or = ParsePageCodec(flags.GetString("page-codec", "none"));
   if (!codec_or.ok()) {
     std::fprintf(stderr, "%s\n", codec_or.status().ToString().c_str());
     return 2;
   }
   o.resources.page_codec = codec_or.value();
-  o.resources.hot_tier_bytes =
-      static_cast<size_t>(flags.GetInt("hot-tier-kb", 0)) * 1024;
-  o.tree.initial_threshold = flags.GetDouble("threshold", 0.0);
-  o.refine.passes = static_cast<int>(flags.GetInt("refine-passes", 1));
-  o.refine.outlier_distance = flags.GetDouble("discard-distance", 0.0);
-  o.outliers.handling = !flags.GetBool("no-outliers", false);
-  o.outliers.delay_split = !flags.GetBool("no-delay-split", false);
-  o.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  int64_t threads = flags.GetInt("threads", 0);
-  if (threads < 0 || threads > BirchOptions::kMaxThreads) {
-    std::fprintf(stderr,
-                 "--threads must be in [0, %d] (0 = serial), got %lld\n",
-                 BirchOptions::kMaxThreads,
-                 static_cast<long long>(threads));
-    return 2;
-  }
-  o.exec.num_threads = static_cast<int>(threads);
-  o.exec.splitter_seed = static_cast<uint64_t>(flags.GetInt(
-      "splitter-seed", static_cast<int64_t>(o.exec.splitter_seed)));
-
-  int64_t publish_every = flags.GetInt("publish-every", 0);
-  double serve_seconds = flags.GetDouble("serve-seconds", 0.0);
-  int64_t serve_readers = flags.GetInt("serve-readers", 4);
-  if (publish_every < 0 || serve_seconds < 0.0 || serve_readers < 1) {
-    std::fprintf(stderr,
-                 "--publish-every/--serve-seconds must be >= 0, "
-                 "--serve-readers >= 1\n");
-    return 2;
-  }
-  o.serving.publish_every_n = static_cast<uint64_t>(publish_every);
-  if (serve_seconds > 0.0 && (publish_every == 0 || stream)) {
-    std::fprintf(stderr,
-                 "--serve-seconds needs --publish-every N > 0 and an "
-                 "in-memory input (no --stream)\n");
-    return 2;
-  }
-
-  if (flags.Has("checkpoint") != flags.Has("checkpoint-every")) {
-    std::fprintf(stderr,
-                 "--checkpoint FILE and --checkpoint-every N go together\n");
-    return 2;
-  }
-  if (flags.Has("checkpoint")) {
-    o.resources.checkpoint_path = flags.GetString("checkpoint");
-    int64_t every = flags.GetInt("checkpoint-every", 0);
-    if (every <= 0) {
-      std::fprintf(stderr, "--checkpoint-every must be > 0\n");
-      return 2;
-    }
-    o.resources.checkpoint_every_n = static_cast<uint64_t>(every);
-  }
-
   auto metric_or = ParseMetric(flags.GetString("metric", "D2"));
   if (!metric_or.ok()) {
     std::fprintf(stderr, "%s\n", metric_or.status().ToString().c_str());
@@ -276,12 +279,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
   o.tree.cf = cf_or.value();
-  auto storage_or = ParseCfStorage(flags.GetString("cf-storage", "f64"));
-  if (!storage_or.ok()) {
-    std::fprintf(stderr, "%s\n", storage_or.status().ToString().c_str());
-    return 2;
-  }
-  o.tree.cf_storage = storage_or.value();
   auto algo_or = ParseAlgorithm(flags.GetString("algorithm", "hc"));
   if (!algo_or.ok()) {
     std::fprintf(stderr, "%s\n", algo_or.status().ToString().c_str());
@@ -298,11 +295,6 @@ int Run(int argc, char** argv) {
   // The CLI owns its sampler (rather than wiring o.obs) so a failed
   // run's trajectory still exists for the report.
   std::unique_ptr<obs::StatsSampler> sampler;
-  int64_t sample_ms = flags.GetInt("sample-every-ms", 0);
-  if (sample_ms < 0) {
-    std::fprintf(stderr, "--sample-every-ms must be >= 0\n");
-    return 2;
-  }
   if (sample_ms > 0) {
     obs::SamplerOptions so;
     so.sample_every_ms = static_cast<uint64_t>(sample_ms);
