@@ -145,29 +145,31 @@ void BM_TreeInsertKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeInsertKernel)->Arg(2)->Arg(16)->Arg(64);
 
-// The fused point->center argmin (CenterBatch::NearestSqRows) over k
-// centers at dim d, called with one row (serving descent, the Phase-3
-// k-means sweep, the sharded splitter) or four (one Phase-4 tile).
-// k = 12 is the splitter's center count at 3 shards; k = 100 is Phase
-// 4's seed count in the end-to-end workloads. Items are points.
+// The fused point->centroid argmin (CfBatch::NearestCentroidSqRows) over
+// a block of k classic center CFs at dim d, called with one row (serving
+// descent, the Phase-3 k-means sweep, the sharded splitter) or four (one
+// Phase-4 tile). k = 12 is the splitter's center count at 3 shards;
+// k = 100 is Phase 4's seed count in the end-to-end workloads. Items
+// are points.
 void BM_CenterNearest(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t dim = static_cast<size_t>(state.range(1));
   const size_t rows = static_cast<size_t>(state.range(2));
   Rng rng(5);
-  std::vector<std::vector<double>> centers(k, std::vector<double>(dim));
-  for (auto& c : centers) {
-    for (auto& v : c) v = rng.Uniform(0, 100);
+  kernel::CfBatch batch;
+  batch.Init(dim, k, kernel::CfBatch::Needs::For(DistanceMetric::kD0));
+  std::vector<double> center(dim);
+  for (size_t c = 0; c < k; ++c) {
+    for (auto& v : center) v = rng.Uniform(0, 100);
+    batch.Append(CfVector::FromPoint(center));
   }
-  kernel::CenterBatch batch;
-  batch.Assign(centers);
   constexpr size_t kPoints = 1024;  // a multiple of every row count
   std::vector<double> points(kPoints * dim);
   for (auto& v : points) v = rng.Uniform(0, 100);
   std::array<kernel::ScanResult, 4> out;
   size_t i = 0;
   for (auto _ : state) {
-    batch.NearestSqRows(
+    batch.NearestCentroidSqRows(
         std::span<const double>(points).subspan(i * dim, rows * dim), rows,
         out.data());
     benchmark::DoNotOptimize(out);

@@ -100,17 +100,18 @@ Status ReadRows(PointSource* source, size_t max, std::span<double> rows,
 }
 
 /// Streamed Phase 4: re-scans `source`, already rewound, once per pass,
-/// moving `centers` to the centroids of the points they drew. The pass
-/// is one ScanBlocks(): `pool` decodes and labels the source's blocks,
-/// and this thread folds them into the cluster CFs in stream order, so
-/// the CFs are the serial pass's bit for bit at every thread count, in
-/// O(k + workers * block) memory. Keeping no labels, it stops when the
+/// moving each center CF (the Phase-3 clusters at first) to the CF of
+/// the points its centroid drew. The pass is one ScanBlocks(): `pool`
+/// decodes and labels the source's blocks, and this thread folds them
+/// into the cluster CFs in stream order, so the CFs are the serial
+/// pass's bit for bit at every thread count, in O(k + workers * block)
+/// memory. Keeping no labels, it stops when the
 /// centers stop moving rather than when no label changes. The first
 /// failing block in stream order, else a failed read, fails the pass.
 /// Returns the last pass's cluster CFs, empty ones included.
 StatusOr<std::vector<CfVector>> StreamingRefine(
     PointSource* source, const BirchOptions& opts,
-    std::vector<std::vector<double>> centers, exec::ThreadPool* pool) {
+    std::vector<CfVector> centers, exec::ThreadPool* pool) {
   TRACE_SPAN("phase4/refine");
   std::vector<std::vector<int>> labels(BlockScanWindow(pool));
   std::vector<CfVector> sums;
@@ -137,9 +138,8 @@ StatusOr<std::vector<CfVector>> StreamingRefine(
     double moved = 0.0;
     for (size_t c = 0; c < centers.size(); ++c) {
       if (sums[c].empty()) continue;
-      std::vector<double> next = sums[c].Centroid();
-      moved += SquaredDistance(centers[c], next);
-      centers[c] = std::move(next);
+      moved += SquaredDistance(centers[c].Centroid(), sums[c].Centroid());
+      centers[c] = sums[c];
     }
     if (moved < 1e-18) break;
   }
@@ -252,7 +252,7 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
     if (rewound.code() != StatusCode::kFailedPrecondition) {
       BIRCH_RETURN_IF_ERROR(rewound);
       auto refined_or =
-          StreamingRefine(rescan, options, clustering.Centroids(), pool);
+          StreamingRefine(rescan, options, clustering.clusters, pool);
       if (!refined_or.ok()) return refined_or.status();
       result.clusters = std::move(refined_or).ValueOrDie();
       DropEmptyClusters(&result.clusters, &result.labels);
@@ -271,6 +271,7 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
   result.peak_memory_bytes =
       p1.shard_peak_bytes + (p1.mem != nullptr ? p1.mem->peak() : 0);
   result.tree_nodes = tree->node_count();
+  result.tree_heap_bytes = tree->heap_bytes();
   result.disk_pages_written = p1.disk.pages_written;
   result.disk_pages_read = p1.disk.pages_read;
   result.disk_raw_bytes = p1.disk.raw_bytes_written;
@@ -590,6 +591,7 @@ StatusOr<BirchResult> BirchClusterer::Snapshot(int k) const {
     result.phase1 = phase1_stats();
     result.tree_stats = tree().stats();
     result.tree_nodes = tree().node_count();
+    result.tree_heap_bytes = tree().heap_bytes();
     result.final_threshold = tree().threshold();
   }
   result.metrics = obs::CaptureSnapshot().DeltaSince(metrics_baseline_);

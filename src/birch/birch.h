@@ -68,7 +68,13 @@ struct BirchResult {
   size_t leaf_entries_after_phase1 = 0;
   size_t leaf_entries_after_phase2 = 0;
   size_t peak_memory_bytes = 0;
+  /// Nodes of the final tree; the budget charges each one page, so its
+  /// charged bytes are tree_nodes * resources.page_size.
   size_t tree_nodes = 0;
+  /// Heap bytes those nodes hold (CfTree::heap_bytes(): node structs,
+  /// column blocks, children arrays), with obs on or off. 0 for a
+  /// mid-stream Snapshot() answered from a serving epoch.
+  size_t tree_heap_bytes = 0;
   uint64_t disk_pages_written = 0;
   uint64_t disk_pages_read = 0;
   /// Outlier-disk compression/tier accounting (all zero when

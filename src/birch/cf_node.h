@@ -53,13 +53,14 @@ struct CfLayout {
   }
 };
 
-/// A CF tree node: one column block of capacity + 1 rows (the extra
-/// row holds the overflow entry between an insert and its split) plus,
-/// for nonleaf nodes, `children[i]` beneath row i. The block is the
+/// A CF tree node: one column block of exactly the B (nonleaf) or L
+/// (leaf) rows its page holds plus, for nonleaf nodes, `children[i]`
+/// beneath row i. A full node splits its loaded rows together with the
+/// entry that overflows it, so no spare row is kept. The block is the
 /// node's only copy of its CFs — what descent scans read, what TreeIO
-/// serializes and what the memory budget charges one page for. Leaf
-/// nodes live on a doubly linked chain for cheap full scans (Phase 2/3
-/// input, rebuilding).
+/// serializes, what a serving snapshot copies and what the memory
+/// budget charges one page for. Leaf nodes live on a doubly linked
+/// chain for cheap full scans (Phase 2/3 input, rebuilding).
 struct CfNode {
   explicit CfNode(bool leaf) : is_leaf(leaf) {}
 

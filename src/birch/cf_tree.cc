@@ -52,10 +52,11 @@ CfNode* CfTree::AllocNode(bool leaf) {
   ++node_count_;
   OBS_GAUGE_ADD("tree/nodes", 1);
   CfNode* node = new CfNode(leaf);
-  const size_t rows = Capacity(leaf) + 1;
-  node->rows.Init(options_.dim, rows, needs_);
-  if (!leaf) node->children.reserve(rows);
-  OBS_GAUGE_ADD("tree/heap_bytes", NodeHeapBytes(*node));
+  node->rows.Init(options_.dim, Capacity(leaf), needs_);
+  if (!leaf) node->children.reserve(Capacity(leaf));
+  const size_t bytes = NodeHeapBytes(*node);
+  heap_bytes_ += bytes;
+  OBS_GAUGE_ADD("tree/heap_bytes", bytes);
   return node;
 }
 
@@ -63,7 +64,9 @@ void CfTree::FreeNode(CfNode* node) {
   mem_->Free(options_.page_size);
   --node_count_;
   OBS_GAUGE_ADD("tree/nodes", -1);
-  OBS_GAUGE_ADD("tree/heap_bytes", -static_cast<double>(NodeHeapBytes(*node)));
+  const size_t bytes = NodeHeapBytes(*node);
+  heap_bytes_ -= bytes;
+  OBS_GAUGE_ADD("tree/heap_bytes", -static_cast<double>(bytes));
   delete node;
 }
 
@@ -178,24 +181,24 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
     return InsertOutcome::kRejected;
   }
 
-  // Split the leaf (the entry goes into its overflow row first) and
-  // propagate upward.
+  // Split the full leaf: its rows, then the entry, are partitioned
+  // between it and a new sibling. Then propagate upward.
   ++stats_.new_entries;
   ++leaf_entries_;
   OBS_GAUGE_ADD("tree/leaf_entries", 1);
-  node->rows.Append(entry);
   CfNode* left = node;
   SplitRows split;
   Gather(*node, &split);
+  split.rows.push_back(entry);
   CfNode* right = SplitNode(node, split);
 
   for (int level = static_cast<int>(path.size()) - 1; level >= 0; --level) {
     CfNode* parent = path[level].node;
     size_t ci = path[level].child;
     parent->rows.Update(ci, Summary(*left));
-    parent->rows.Append(Summary(*right));
-    parent->children.push_back(right);
-    if (parent->size() <= layout_.B()) {
+    if (parent->size() < layout_.B()) {
+      parent->rows.Append(Summary(*right));
+      parent->children.push_back(right);
       // Split stopped here: apply merging refinement, then update the
       // remaining ancestors with the plain CF addition.
       if (options_.merging_refinement) {
@@ -206,9 +209,12 @@ InsertOutcome CfTree::InsertEntry(const CfVector& entry, InsertMode mode) {
       }
       return InsertOutcome::kSplit;
     }
+    // A full parent splits its rows plus the new sibling's summary.
     left = parent;
     split = SplitRows{};
     Gather(*parent, &split);
+    split.rows.push_back(Summary(*right));
+    split.children.push_back(right);
     right = SplitNode(parent, split);
   }
 
@@ -425,7 +431,7 @@ void CfTree::Rebuild(double new_threshold, double outlier_n_threshold,
 
   // Consume old leaves in chain order (the paper's path order),
   // freeing each page before reinserting its entries.
-  std::vector<CfVector> entries(layout_.L() + 1, EmptyCf());
+  std::vector<CfVector> entries(layout_.L(), EmptyCf());
   while (leaf) {
     CfNode* next = leaf->next;
     const size_t count = leaf->size();

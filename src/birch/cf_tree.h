@@ -128,6 +128,10 @@ class CfTree {
   bool over_budget() const { return mem_->over_budget(); }
 
   size_t node_count() const { return node_count_; }
+  /// Heap bytes the nodes hold (each node's struct, column block and
+  /// reserved children array): what the "tree/heap_bytes" gauge adds
+  /// up, kept with obs off too. The budget charges node_count() pages.
+  size_t heap_bytes() const { return heap_bytes_; }
   size_t leaf_entry_count() const { return leaf_entries_; }
   size_t height() const { return height_; }
   const CfNode* root() const { return root_; }
@@ -229,6 +233,7 @@ class CfTree {
   CfNode* root_ = nullptr;
   CfNode* first_leaf_ = nullptr;
   size_t node_count_ = 0;
+  size_t heap_bytes_ = 0;
   size_t leaf_entries_ = 0;
   size_t height_ = 1;
   mutable CfTreeStats stats_;  // mutable: const lookups count comparisons

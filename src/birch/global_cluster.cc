@@ -15,13 +15,6 @@
 
 namespace birch {
 
-std::vector<std::vector<double>> GlobalClustering::Centroids() const {
-  std::vector<std::vector<double>> out;
-  out.reserve(clusters.size());
-  for (const auto& c : clusters) out.push_back(c.Centroid());
-  return out;
-}
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -127,30 +120,29 @@ GlobalClustering HierarchicalCluster(std::span<const CfVector> entries,
   return result;
 }
 
-/// Squared Euclidean distance between a CF's centroid and a point.
-double CentroidSqDist(const CfVector& cf, std::span<const double> c) {
+/// Component t of a non-empty CF's centroid, bitwise
+/// CfVector::Centroid()[t]: LS/N classic, the stored mean BETULA.
+double CentroidAt(const CfVector& cf, size_t t) {
+  const double v = cf.raw_vec()[t];
+  return cf.rep() == CfRepresentation::kBetula ? v : v / cf.n();
+}
+
+/// Squared Euclidean distance between two non-empty CFs' centroids.
+double CentroidSqDist(const CfVector& a, const CfVector& b) {
   double s = 0.0;
-  std::span<const double> v = cf.raw_vec();
-  if (cf.rep() == CfRepresentation::kBetula) {
-    // The stored vector IS the centroid.
-    for (size_t t = 0; t < cf.dim(); ++t) {
-      double d = v[t] - c[t];
-      s += d * d;
-    }
-    return s;
-  }
-  for (size_t t = 0; t < cf.dim(); ++t) {
-    double d = v[t] / cf.n() - c[t];
+  for (size_t t = 0; t < a.dim(); ++t) {
+    double d = CentroidAt(a, t) - CentroidAt(b, t);
     s += d * d;
   }
   return s;
 }
 
-/// Weighted k-means++ seeding over CF centroids (weights = N).
-std::vector<std::vector<double>> KMeansPlusPlusSeeds(
-    std::span<const CfVector> entries, int k, Rng* rng) {
+/// Weighted k-means++ seeding over CF centroids (weights = N): returns
+/// the k seed entries, whose centroids are the initial centers.
+std::vector<CfVector> KMeansPlusPlusSeeds(std::span<const CfVector> entries,
+                                          int k, Rng* rng) {
   const size_t m = entries.size();
-  std::vector<std::vector<double>> seeds;
+  std::vector<CfVector> seeds;
   seeds.reserve(static_cast<size_t>(k));
 
   // First seed: weight-proportional draw.
@@ -165,7 +157,7 @@ std::vector<std::vector<double>> KMeansPlusPlusSeeds(
       break;
     }
   }
-  seeds.push_back(entries[first].Centroid());
+  seeds.push_back(entries[first]);
 
   std::vector<double> d2(m, kInf);
   while (seeds.size() < static_cast<size_t>(k)) {
@@ -177,7 +169,7 @@ std::vector<std::vector<double>> KMeansPlusPlusSeeds(
     }
     if (sum <= 0.0) {
       // All mass sits on existing seeds; duplicate any centroid.
-      seeds.push_back(entries[rng->UniformInt(m)].Centroid());
+      seeds.push_back(entries[rng->UniformInt(m)]);
       continue;
     }
     double pick = rng->NextDouble() * sum;
@@ -189,7 +181,7 @@ std::vector<std::vector<double>> KMeansPlusPlusSeeds(
         break;
       }
     }
-    seeds.push_back(entries[chosen].Centroid());
+    seeds.push_back(entries[chosen]);
   }
   return seeds;
 }
@@ -199,13 +191,16 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
   const size_t m = entries.size();
   const size_t dim = entries[0].dim();
   Rng rng(options.seed);
-  std::vector<std::vector<double>> centers =
-      KMeansPlusPlusSeeds(entries, k, &rng);
+  // Each center is a CF; the scans read its centroid.
+  std::vector<CfVector> centers = KMeansPlusPlusSeeds(entries, k, &rng);
 
   std::vector<int> assign(m, -1);
   const size_t num_chunks = exec::ParallelForNumChunks(options.pool, m,
                                                        /*min_per_chunk=*/64);
-  kernel::CenterBatch cbatch;
+  kernel::CfBatch cbatch;
+  cbatch.Init(dim, centers.size(),
+              kernel::CfBatch::Needs::For(DistanceMetric::kD0,
+                                          entries[0].rep()));
   std::vector<CfVector> sums;
   for (int iter = 0; iter < kKMeansMaxIterations; ++iter) {
     // Assignment sweep: each point is independent; chunks report
@@ -222,7 +217,7 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
             // Bitwise identical to CentroidSqDist's centroid for either
             // representation.
             entries[i].CentroidInto(&centroid);
-            kernel::ScanResult r = cbatch.NearestSq(centroid);
+            kernel::ScanResult r = cbatch.NearestCentroidSq(centroid);
             const int best =
                 r.index == static_cast<size_t>(-1) ? 0
                                                    : static_cast<int>(r.index);
@@ -260,11 +255,10 @@ GlobalClustering KMeansCluster(std::span<const CfVector> entries,
             far = i;
           }
         }
-        centers[static_cast<size_t>(c)] = entries[far].Centroid();
+        centers[static_cast<size_t>(c)] = entries[far];
         continue;
       }
-      sums[static_cast<size_t>(c)].CentroidInto(
-          &centers[static_cast<size_t>(c)]);
+      centers[static_cast<size_t>(c)] = sums[static_cast<size_t>(c)];
     }
   }
 

@@ -56,9 +56,6 @@ struct GlobalClustering {
   std::vector<int> assignment;
   /// Cluster CFs (exact, by additivity).
   std::vector<CfVector> clusters;
-
-  /// Convenience: centroids of `clusters`.
-  std::vector<std::vector<double>> Centroids() const;
 };
 
 struct MedoidSearchOptions {

@@ -274,6 +274,21 @@ void CfBatch::Load(size_t i, CfVector* out) const {
   for (size_t k = 0; k < dim_; ++k) out->vec_[k] = v[k * capacity_ + i];
 }
 
+void CfBatch::NearestCentroidSqRows(std::span<const double> rows, size_t n,
+                                    ScanResult* out) const {
+  assert(rows.size() == n * dim_);
+  const detail::Ops& ops = detail::GetOps();
+  const double* cols = needs_.centroid ? centroid() : vec();
+  size_t index[detail::kTileRows] = {};
+  double dist[detail::kTileRows] = {};
+  for (size_t r = 0; r < n; r += detail::kTileRows) {
+    const size_t tile = std::min(detail::kTileRows, n - r);
+    ops.nearest_sq(rows.data() + r * dim_, tile, cols, capacity_, dim_, size_,
+                   index, dist);
+    for (size_t t = 0; t < tile; ++t) out[r + t] = {index[t], dist[t]};
+  }
+}
+
 void CfBatch::Erase(size_t i) {
   assert(i < size_);
   for (size_t c = 0; c < ColumnCount(); ++c) {
@@ -508,33 +523,6 @@ double MergedRadius(const CfVector& a, const CfVector& b) {
     norm += t * t;
   }
   return std::sqrt(GuardedStat(ssm / nm - norm / (nm * nm), ssm / nm));
-}
-
-void CenterBatch::Assign(const std::vector<std::vector<double>>& centers) {
-  size_ = centers.size();
-  capacity_ = size_;
-  dim_ = size_ > 0 ? centers[0].size() : 0;
-  comps_.assign(dim_ * capacity_, 0.0);
-  for (size_t j = 0; j < size_; ++j) {
-    assert(centers[j].size() == dim_);
-    for (size_t k = 0; k < dim_; ++k) {
-      comps_[k * capacity_ + j] = centers[j][k];
-    }
-  }
-}
-
-void CenterBatch::NearestSqRows(std::span<const double> rows, size_t n,
-                                ScanResult* out) const {
-  assert(rows.size() == n * dim_);
-  const detail::Ops& ops = detail::GetOps();
-  size_t index[detail::kTileRows] = {};
-  double dist[detail::kTileRows] = {};
-  for (size_t r = 0; r < n; r += detail::kTileRows) {
-    const size_t tile = std::min(detail::kTileRows, n - r);
-    ops.nearest_sq(rows.data() + r * dim_, tile, comps_.data(), capacity_,
-                   dim_, size_, index, dist);
-    for (size_t t = 0; t < tile; ++t) out[r + t] = {index[t], dist[t]};
-  }
 }
 
 bool Avx2Active() {

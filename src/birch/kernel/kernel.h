@@ -14,8 +14,9 @@
 // returns the winner: one pass computes a key per candidate — the value
 // under the metric's final sqrt (for D1, which takes none, the distance
 // itself) — and the argmin takes sqrt only for a key below the running
-// best. Point->center scans (CenterBatch) fuse the distance and the
-// argmin too, up to four points at a time.
+// best. A point->centroid scan reads the centroid column of the same
+// block — the CFs the centers are centroids of — and fuses the
+// distance and the argmin too, up to four points at a time.
 //
 // Equivalence contract: tree descent, the absorb test, the Phase-3
 // sweeps and Phase-4 / serving assignment run only these scans, and for
@@ -75,8 +76,17 @@ struct CfQuery {
                std::vector<double>* centroid_buf);
 };
 
+/// Result of an argmin scan. index == SIZE_MAX when no candidate was
+/// eligible.
+struct ScanResult {
+  size_t index = static_cast<size_t>(-1);
+  double distance = 0.0;
+};
+
 /// One dimension-major column block over a set of CF rows: the storage
-/// of a CF-tree node (cf_node.h) and what every batch scan reads. A row
+/// of a CF-tree node (cf_node.h), of a serving snapshot's node copies,
+/// and of the centers every point->centroid scan reads (Phase-3
+/// k-means, Phase 4, the sharded splitter): the only column block. A row
 /// holds N, the CF vector (LS classic, mean BETULA) and the scalar (SS
 /// classic, S BETULA). The per-row terms a scan reads besides those —
 /// S/N for every metric, the centroid LS/N for classic D0/D1, the SSD
@@ -135,6 +145,29 @@ class CfBatch {
   /// Removes every row.
   void Clear() { size_ = 0; }
 
+  /// Nearest row centroid to each of the `n` row-major points in `rows`
+  /// (n * dim() values). The centroids are the centroid column when the
+  /// block keeps it (classic rows, Init with Needs::For(kD0)), else the
+  /// vector column, which holds BETULA rows' means; either way a
+  /// non-empty row's centroid is bitwise its CF's CfVector::Centroid().
+  /// out[r] holds the index of the row with the smallest SQUARED
+  /// Euclidean distance to point r and that distance, bitwise equal to
+  /// a SquaredDistance loop over the centroids with first-wins strict
+  /// `<` from +inf. One fused pass per tile of four points: each sum
+  /// stays in a register, each column is loaded once per tile, and no
+  /// distance array is written. When no row compares below +inf (a NaN
+  /// coordinate, or sums that overflow) out[r] is {SIZE_MAX, +inf};
+  /// callers that must pick a row take row 0.
+  void NearestCentroidSqRows(std::span<const double> rows, size_t n,
+                             ScanResult* out) const;
+
+  /// NearestCentroidSqRows for one point.
+  ScanResult NearestCentroidSq(std::span<const double> point) const {
+    ScanResult r;
+    NearestCentroidSqRows(point, 1, &r);
+    return r;
+  }
+
   // Raw columns (used by the scan loops and tests). Component k of row
   // i sits at [k * capacity() + i].
   const double* n() const { return column(0); }
@@ -177,13 +210,6 @@ struct Workspace {
   std::vector<double> query_centroid;
 };
 
-/// Result of an argmin scan. index == SIZE_MAX when no candidate was
-/// eligible.
-struct ScanResult {
-  size_t index = static_cast<size_t>(-1);
-  double distance = 0.0;
-};
-
 /// Computes Distance(metric, query, batch[i]) for every i in
 /// [0, batch.size()) into ws->dist (resized), bitwise-equal to
 /// Distance(): the scan's keys, then one sqrt pass (none for D1). The
@@ -220,43 +246,6 @@ ScanResult NearestKey(const double* key, size_t m, bool root,
 /// to CfVector::Merged(a, b).Diameter() / .Radius().
 double MergedDiameter(const CfVector& a, const CfVector& b);
 double MergedRadius(const CfVector& a, const CfVector& b);
-
-/// Dimension-major block over k centers (plain points) for
-/// point->center argmin scans: Phase 4 assignment, Phase-3 k-means
-/// sweeps, the sharded splitter and serving descent.
-class CenterBatch {
- public:
-  /// Rebuilds from `centers` (all the same dimension).
-  void Assign(const std::vector<std::vector<double>>& centers);
-
-  size_t size() const { return size_; }
-  size_t dim() const { return dim_; }
-
-  /// Nearest center to each of the `n` row-major points in `rows`
-  /// (n * dim() values). out[r] holds the index of the center with the
-  /// smallest SQUARED Euclidean distance to point r and that distance,
-  /// bitwise equal to a SquaredDistance loop with first-wins strict `<`
-  /// from +inf. One fused pass per tile of four points: each sum stays
-  /// in a register, each center column is loaded once per tile, and no
-  /// distance array is written. When no center compares below +inf (a
-  /// NaN coordinate, or sums that overflow) out[r] is {SIZE_MAX, +inf};
-  /// callers that must pick a center take center 0.
-  void NearestSqRows(std::span<const double> rows, size_t n,
-                     ScanResult* out) const;
-
-  /// NearestSqRows for one point.
-  ScanResult NearestSq(std::span<const double> point) const {
-    ScanResult r;
-    NearestSqRows(point, 1, &r);
-    return r;
-  }
-
- private:
-  size_t dim_ = 0;
-  size_t capacity_ = 0;
-  size_t size_ = 0;
-  std::vector<double> comps_;  // dimension-major, stride = capacity_
-};
 
 /// True when this build carries the AVX2 specialization AND the CPU
 /// supports it (runtime dispatch; bench labels / tests read this).

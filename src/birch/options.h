@@ -4,18 +4,17 @@
 // pass.
 //
 // Fields are grouped into nested sub-structs by subsystem (resources,
-// tree, outliers, global_phase, refine, exec, obs, serving). Use the
-// grouped names directly or the fluent BirchOptions::Builder, which
-// validates at Build(). (The pre-grouping flat reference aliases were
-// removed after one deprecation cycle; see README "API notes" for the
-// one-line migration.)
+// tree, outliers, global_phase, refine, exec, obs, serving); set them
+// by name. Validate() checks a configuration, and BirchClusterer::Create
+// runs it. (The pre-grouping flat reference aliases and the fluent
+// Builder were removed; see README "API notes" for the one-line
+// migrations.)
 #ifndef BIRCH_BIRCH_OPTIONS_H_
 #define BIRCH_BIRCH_OPTIONS_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "birch/cf_tree.h"
 #include "birch/global_cluster.h"
@@ -189,8 +188,6 @@ struct BirchOptions {
   /// absurd CLI values, not a tuning knob).
   static constexpr int kMaxThreads = 256;
 
-  class Builder;
-
   /// Checks internal consistency.
   Status Validate() const {
     if (dim == 0) return Status::InvalidArgument("dim must be > 0");
@@ -254,81 +251,6 @@ struct BirchOptions {
     }
     return Status::OK();
   }
-};
-
-/// Fluent construction with validation at the end:
-///
-///   auto opts_or = BirchOptions::Builder()
-///                      .Dim(16).K(8)
-///                      .MemoryBytes(1 << 20)
-///                      .NumThreads(4)
-///                      .Build();
-///
-/// Build() returns InvalidArgument instead of letting a bad
-/// configuration reach the clusterer.
-class BirchOptions::Builder {
- public:
-  Builder() = default;
-
-  // --- Problem ---
-  Builder& Dim(size_t v) { o_.dim = v; return *this; }
-  Builder& K(int v) { o_.k = v; return *this; }
-  Builder& ExpectedPoints(uint64_t v) { o_.expected_points = v; return *this; }
-  Builder& Seed(uint64_t v) { o_.seed = v; return *this; }
-
-  // --- Resources ---
-  Builder& MemoryBytes(size_t v) { o_.resources.memory_bytes = v; return *this; }
-  Builder& DiskBytes(size_t v) { o_.resources.disk_bytes = v; return *this; }
-  Builder& PageSize(size_t v) { o_.resources.page_size = v; return *this; }
-  Builder& PageCodec(PageCodecKind v) { o_.resources.page_codec = v; return *this; }
-  Builder& HotTierBytes(size_t v) { o_.resources.hot_tier_bytes = v; return *this; }
-  Builder& Fault(const FaultOptions& v) { o_.resources.fault = v; return *this; }
-  Builder& IoRetry(const RetryPolicy& v) { o_.resources.io_retry = v; return *this; }
-  Builder& CheckpointEveryN(uint64_t v) { o_.resources.checkpoint_every_n = v; return *this; }
-  Builder& CheckpointPath(std::string v) { o_.resources.checkpoint_path = std::move(v); return *this; }
-
-  // --- CF tree ---
-  Builder& InitialThreshold(double v) { o_.tree.initial_threshold = v; return *this; }
-  Builder& Metric(DistanceMetric v) { o_.tree.metric = v; return *this; }
-  Builder& ThresholdKind(birch::ThresholdKind v) { o_.tree.threshold_kind = v; return *this; }
-  Builder& MergingRefinement(bool v) { o_.tree.merging_refinement = v; return *this; }
-  Builder& Cf(CfRepresentation v) { o_.tree.cf = v; return *this; }
-
-  // --- Outliers ---
-  Builder& OutlierHandling(bool v) { o_.outliers.handling = v; return *this; }
-  Builder& OutlierFraction(double v) { o_.outliers.fraction = v; return *this; }
-  Builder& DelaySplit(bool v) { o_.outliers.delay_split = v; return *this; }
-
-  // --- Phases 2-3 ---
-  Builder& UsePhase2(bool v) { o_.global_phase.use_phase2 = v; return *this; }
-  Builder& Phase2TargetEntries(size_t v) { o_.global_phase.phase2_target_entries = v; return *this; }
-  Builder& GlobalAlgorithm(birch::GlobalAlgorithm v) { o_.global_phase.algorithm = v; return *this; }
-  Builder& GlobalMetric(DistanceMetric v) { o_.global_phase.metric = v; return *this; }
-  Builder& DistanceLimit(double v) { o_.global_phase.distance_limit = v; return *this; }
-
-  // --- Phase 4 ---
-  Builder& RefinementPasses(int v) { o_.refine.passes = v; return *this; }
-  Builder& RefineOutlierDistance(double v) { o_.refine.outlier_distance = v; return *this; }
-
-  // --- Execution ---
-  Builder& NumThreads(int v) { o_.exec.num_threads = v; return *this; }
-  Builder& SplitterSeed(uint64_t v) { o_.exec.splitter_seed = v; return *this; }
-
-  // --- Observability ---
-  Builder& SampleEveryMs(uint64_t v) { o_.obs.sample_every_ms = v; return *this; }
-  Builder& ObsSeriesCapacity(size_t v) { o_.obs.series_capacity = v; return *this; }
-
-  // --- Serving tier ---
-  Builder& PublishEveryN(uint64_t v) { o_.serving.publish_every_n = v; return *this; }
-
-  /// Validates and returns the finished options.
-  StatusOr<BirchOptions> Build() const {
-    BIRCH_RETURN_IF_ERROR(o_.Validate());
-    return o_;
-  }
-
- private:
-  BirchOptions o_;
 };
 
 }  // namespace birch

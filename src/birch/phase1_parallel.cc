@@ -262,46 +262,43 @@ class AffinitySplitter {
   /// Index of the center nearest `p`; center 0 when none compares below
   /// +inf (its squared distances overflow).
   size_t NearestCenter(std::span<const double> p) const {
-    const size_t best = centers_batch_.NearestSq(p).index;
+    const size_t best = centers_.NearestCentroidSq(p).index;
     return best == static_cast<size_t>(-1) ? 0 : best;
   }
 
   void Fit() {
     const size_t m = sample_.size() / dim_;
     const size_t c = std::min(centers_target_, m);
-    // Seeded init: c distinct sample rows via partial Fisher-Yates.
+    // Seeded init: c distinct sample rows via partial Fisher-Yates,
+    // each as a one-point CF (its centroid is the row).
     std::vector<size_t> idx(m);
     for (size_t j = 0; j < m; ++j) idx[j] = j;
     uint64_t rng = seed_;
-    std::vector<std::vector<double>> centers(c);
+    std::vector<CfVector> centers(c);
     for (size_t j = 0; j < c; ++j) {
       size_t pick = j + static_cast<size_t>(SplitMix64(&rng) %
                                             static_cast<uint64_t>(m - j));
       std::swap(idx[j], idx[pick]);
-      const double* row = sample_.data() + idx[j] * dim_;
-      centers[j].assign(row, row + dim_);
+      centers[j] = CfVector::FromPoint(
+          std::span<const double>(sample_.data() + idx[j] * dim_, dim_));
     }
+    centers_.Init(dim_, c,
+                  kernel::CfBatch::Needs::For(DistanceMetric::kD0));
     // Shallow Lloyd: a handful of rounds is plenty for a splitter —
     // it only has to carve the space into coherent regions, not
-    // converge.
-    std::vector<double> counts(c, 0.0);
+    // converge. Each cluster's sum is a classic CF fed its rows: LS
+    // adds each row exactly (1.0 * x) and N counts them, so the next
+    // center's centroid LS/N is the mean of the rows.
+    std::vector<CfVector> sums;
     for (int round = 0; round < 4; ++round) {
-      centers_batch_.Assign(centers);
-      std::fill(counts.begin(), counts.end(), 0.0);
-      std::vector<std::vector<double>> sums(
-          c, std::vector<double>(dim_, 0.0));
+      centers_.Assign(centers);
+      sums.assign(c, CfVector(dim_));
       for (size_t j = 0; j < m; ++j) {
         std::span<const double> row(sample_.data() + j * dim_, dim_);
-        size_t best = NearestCenter(row);
-        counts[best] += 1.0;
-        double* sum = sums[best].data();
-        for (size_t k = 0; k < dim_; ++k) sum[k] += row[k];
+        sums[NearestCenter(row)].AddPoint(row);
       }
       for (size_t cc = 0; cc < c; ++cc) {
-        if (counts[cc] == 0.0) continue;  // empty: keep the old spot
-        for (size_t k = 0; k < dim_; ++k) {
-          centers[cc][k] = sums[cc][k] / counts[cc];
-        }
+        if (!sums[cc].empty()) centers[cc] = sums[cc];  // empty: keep it
       }
     }
     // Greedy LPT pack: heaviest center onto the least-loaded shard, so
@@ -310,7 +307,7 @@ class AffinitySplitter {
     std::vector<size_t> order(c);
     for (size_t j = 0; j < c; ++j) order[j] = j;
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return counts[a] > counts[b];
+      return sums[a].n() > sums[b].n();
     });
     std::vector<double> load(shards_, 0.0);
     shard_of_center_.assign(c, 0);
@@ -320,9 +317,9 @@ class AffinitySplitter {
         if (load[s] < load[best]) best = s;
       }
       shard_of_center_[j] = best;
-      load[best] += counts[j];
+      load[best] += sums[j].n();
     }
-    centers_batch_.Assign(centers);
+    centers_.Assign(centers);
     sample_.clear();
     sample_.shrink_to_fit();
     armed_ = true;
@@ -334,7 +331,7 @@ class AffinitySplitter {
   const size_t sample_target_;
   const size_t centers_target_;
   std::vector<double> sample_;  // row-major warmup buffer
-  kernel::CenterBatch centers_batch_;
+  kernel::CfBatch centers_;  // rows: the centers as CFs
   std::vector<size_t> shard_of_center_;
   bool armed_ = false;
 };

@@ -14,11 +14,15 @@ namespace {
 constexpr size_t kNoWinner = static_cast<size_t>(-1);
 }  // namespace
 
-SeedAssigner::SeedAssigner(const std::vector<std::vector<double>>& centers,
+SeedAssigner::SeedAssigner(std::span<const CfVector> centers,
                            double outlier_distance)
     : limit_sq_(outlier_distance > 0.0
                     ? outlier_distance * outlier_distance
                     : std::numeric_limits<double>::infinity()) {
+  if (centers.empty()) return;
+  batch_.Init(centers[0].dim(), centers.size(),
+              kernel::CfBatch::Needs::For(DistanceMetric::kD0,
+                                          centers[0].rep()));
   batch_.Assign(centers);
 }
 
@@ -29,8 +33,8 @@ uint64_t SeedAssigner::Label(std::span<const double> rows, size_t n,
   kernel::ScanResult nearest[kBlockRows];
   for (size_t begin = 0; begin < n; begin += kBlockRows) {
     const size_t count = std::min(kBlockRows, n - begin);
-    batch_.NearestSqRows(rows.subspan(begin * dim, count * dim), count,
-                         nearest);
+    batch_.NearestCentroidSqRows(rows.subspan(begin * dim, count * dim),
+                                 count, nearest);
     for (size_t t = 0; t < count; ++t) {
       const kernel::ScanResult& r = nearest[t];
       int label = r.index == kNoWinner ? -1 : static_cast<int>(r.index);
@@ -61,8 +65,7 @@ namespace {
 /// Serially each kBlockRows tile is labelled and then folded; with a
 /// pool the whole pass is labelled in chunks on it and then folded in
 /// row order, which is the serial arithmetic.
-uint64_t AssignPass(const Dataset& data,
-                    const std::vector<std::vector<double>>& centers,
+uint64_t AssignPass(const Dataset& data, std::span<const CfVector> centers,
                     double outlier_distance, exec::ThreadPool* pool,
                     std::vector<int>* labels,
                     std::vector<CfVector>* cluster_cfs,
@@ -134,9 +137,7 @@ StatusOr<RefineResult> RefineClusters(const Dataset& data,
   }
 
   TRACE_SPAN("phase4/refine");
-  std::vector<std::vector<double>> centers;
-  centers.reserve(seeds.size());
-  for (const auto& s : seeds) centers.push_back(s.Centroid());
+  std::vector<CfVector> centers(seeds.begin(), seeds.end());
 
   RefineResult result;
   result.labels.assign(data.size(), -2);  // -2: unassigned sentinel
@@ -151,11 +152,9 @@ StatusOr<RefineResult> RefineClusters(const Dataset& data,
     ++result.passes_run;
     OBS_COUNTER_INC("phase4/passes");
     OBS_COUNTER_ADD("phase4/label_changes", changes);
-    // Move each seed to its refined centroid for the next pass.
+    // Move each seed to its refined cluster for the next pass.
     for (size_t c = 0; c < result.clusters.size(); ++c) {
-      if (!result.clusters[c].empty()) {
-        result.clusters[c].CentroidInto(&centers[c]);
-      }
+      if (!result.clusters[c].empty()) centers[c] = result.clusters[c];
     }
     if (options.stop_when_stable && changes == 0) break;
   }

@@ -9,9 +9,10 @@
 //
 // Every pass, in memory (RefineClusters) or streamed from a PointSource
 // (ClusterSource), assigns its points through one SeedAssigner in two
-// steps: Label() hands the kernel's fused point->center argmin blocks of
-// rows and may run on any thread; Fold() adds the labelled rows into the
-// cluster CFs in row order on one thread. Each cluster CF therefore
+// steps: Label() hands blocks of rows to the kernel's fused
+// point->centroid argmin over a column block of the center CFs and may
+// run on any thread; Fold() adds the labelled rows into the cluster CFs
+// in row order on one thread. Each cluster CF therefore
 // receives its points in row order at every pool size, and the result
 // is the serial pass's bit for bit.
 #ifndef BIRCH_BIRCH_REFINE_H_
@@ -60,19 +61,19 @@ struct RefineResult {
 };
 
 /// The Phase-4 assignment step. Labels each point with its nearest
-/// center (squared Euclidean, first wins on ties) and adds the point,
-/// with its weight, to that cluster's CF. A point whose nearest center
-/// lies farther than `outlier_distance` (when > 0) is labelled -1 and
-/// counted as discarded; a point no center compares below +inf to (a
-/// NaN coordinate, or distances that overflow) is labelled -1 and added
-/// nowhere. The argmin is the kernel's fused point->center scan, bitwise
-/// a SquaredDistance loop's.
+/// center, the centroid of a center CF (squared Euclidean, first wins
+/// on ties), and adds the point, with its weight, to that cluster's
+/// CF. A point whose nearest center lies farther than
+/// `outlier_distance` (when > 0) is labelled -1 and counted as
+/// discarded; a point no center compares below +inf to (a NaN
+/// coordinate, or distances that overflow) is labelled -1 and added
+/// nowhere. The argmin is the kernel's fused point->centroid scan of a
+/// CfBatch, bitwise a SquaredDistance loop over the centers' centroids.
 class SeedAssigner {
  public:
-  /// Copies `centers` into the scan's column block; build a new
-  /// assigner when the centers move.
-  SeedAssigner(const std::vector<std::vector<double>>& centers,
-               double outlier_distance);
+  /// Copies the non-empty CFs `centers` (one representation) into the
+  /// scan's column block; build a new assigner when the centers move.
+  SeedAssigner(std::span<const CfVector> centers, double outlier_distance);
 
   /// Labels the `n` row-major points in `rows` (n * dim values): writes
   /// labels[0, n) and returns the number discarded by
@@ -92,7 +93,7 @@ class SeedAssigner {
 
  private:
   double limit_sq_;
-  kernel::CenterBatch batch_;
+  kernel::CfBatch batch_;
 };
 
 /// Runs Phase-4 refinement of `seeds` over `data`.

@@ -234,6 +234,7 @@ std::string RunReportJson(const RunReportInputs& in) {
     w.KV("leaf_entries_after_phase2",
          static_cast<uint64_t>(r.leaf_entries_after_phase2));
     w.KV("tree_nodes", static_cast<uint64_t>(r.tree_nodes));
+    w.KV("tree_heap_bytes", static_cast<uint64_t>(r.tree_heap_bytes));
     w.KV("peak_memory_bytes", static_cast<uint64_t>(r.peak_memory_bytes));
     w.KV("disk_pages_written", r.disk_pages_written);
     w.KV("disk_pages_read", r.disk_pages_read);

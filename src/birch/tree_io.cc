@@ -157,7 +157,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
 
   Status failure = Status::OK();
   CfNode* chain_tail = nullptr;
-  size_t max_depth = 0;
+  size_t leaf_depth = 0;  // depth of the first leaf read; 0 before it
   std::vector<CfNode*> allocated;  // for cleanup on failure
   std::unordered_set<PageId> visited;  // cycle / duplicate-reference guard
   std::unordered_map<PageId, CfNode*> leaf_by_page;
@@ -200,6 +200,21 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
       return nullptr;
     }
     const size_t count = static_cast<size_t>(buf[2]);
+    // A nonleaf node always has a child to descend to, and every leaf
+    // sits at one depth (the tree is height-balanced).
+    if (!is_leaf && count == 0) {
+      failure = Status::Corruption("page " + std::to_string(id) +
+                                   " is a nonleaf CF node with no entries");
+      return nullptr;
+    }
+    if (is_leaf && leaf_depth != 0 && depth != leaf_depth) {
+      failure = Status::Corruption("page " + std::to_string(id) +
+                                   " is a leaf at depth " +
+                                   std::to_string(depth) + ", not " +
+                                   std::to_string(leaf_depth) +
+                                   " like the first leaf");
+      return nullptr;
+    }
 
     CfNode* node = tree->AllocNode(is_leaf);
     allocated.push_back(node);
@@ -225,7 +240,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
     if (is_leaf) {
       tree->leaf_entries_ += count;
       OBS_GAUGE_ADD("tree/leaf_entries", count);
-      max_depth = std::max(max_depth, depth);
+      leaf_depth = depth;
       leaf_by_page[id] = node;
       // Leaves are visited left-to-right: append to the chain. (When
       // the image carries an explicit leaf_chain this order is
@@ -239,7 +254,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
   };
 
   tree->root_ = read_node(image.root, 1);
-  tree->height_ = max_depth;
+  tree->height_ = leaf_depth;
   if (failure.ok() && (tree->node_count_ != image.node_count ||
                        tree->leaf_entries_ != image.leaf_entries ||
                        tree->height_ != image.height)) {

@@ -63,8 +63,9 @@ class TreeIO {
   /// node. `options` supplies the runtime knobs (metric, threshold
   /// kind); dim/page_size/threshold are taken from the image.
   /// Structurally invalid pages (bad magic, impossible entry counts,
-  /// out-of-range child ids, reference cycles, metadata that does not
-  /// add up) surface as kCorruption — never undefined behavior.
+  /// a nonleaf page with no entries, out-of-range child ids, reference
+  /// cycles, leaves at different depths, metadata that does not add up)
+  /// surface as kCorruption — never undefined behavior.
   static StatusOr<std::unique_ptr<CfTree>> Read(const TreeImage& image,
                                                 PageStore* store,
                                                 const CfTreeOptions& options,

@@ -27,20 +27,19 @@ ServingSnapshot::~ServingSnapshot() {
 size_t ServingSnapshot::Flatten(const CfNode& node, CfVector* row) {
   const size_t index = nodes_.size();
   nodes_.emplace_back();
+  // nodes_ may reallocate inside the recursive calls below, so `rows`
+  // is used only before them, and the node afterwards only through the
+  // index.
   nodes_[index].is_leaf = node.is_leaf;
-  std::vector<std::vector<double>> centers(node.size());
   if (node.is_leaf) nodes_[index].first_entry = leaf_radius_.size();
+  kernel::CfBatch& rows = nodes_[index].rows;
+  rows.Init(dim_, node.size(),
+            kernel::CfBatch::Needs::For(DistanceMetric::kD0, cf_rep_));
   for (size_t i = 0; i < node.size(); ++i) {
     node.rows.Load(i, row);
-    row->CentroidInto(&centers[i]);
-    if (node.is_leaf) {
-      leaf_radius_.push_back(row->Radius());
-      row->SerializeTo(&leaf_cfs_);
-    }
+    rows.Append(*row);
+    if (node.is_leaf) leaf_radius_.push_back(row->Radius());
   }
-  // nodes_ may reallocate inside the recursive calls below, so touch it
-  // only through the index.
-  nodes_[index].centers.Assign(centers);
   if (!node.is_leaf) {
     nodes_[index].children.reserve(node.children.size());
     for (const CfNode* child : node.children) {
@@ -103,7 +102,7 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
 size_t ServingSnapshot::NearestRow(const Node& node,
                                    std::span<const double> point,
                                    double* best_sq) const {
-  kernel::ScanResult r = node.centers.NearestSq(point);
+  kernel::ScanResult r = node.rows.NearestCentroidSq(point);
   *best_sq = r.distance;
   return r.index == static_cast<size_t>(-1) ? 0 : r.index;
 }
@@ -148,13 +147,14 @@ std::vector<CentroidNeighbor> ServingSnapshot::KNearestCentroids(
 }
 
 std::vector<CfVector> ServingSnapshot::LeafEntries() const {
-  const size_t stride = CfVector::SerializedDoubles(dim_);
   std::vector<CfVector> out;
   out.reserve(leaf_radius_.size());
-  for (size_t i = 0; i < leaf_radius_.size(); ++i) {
-    out.push_back(CfVector::Deserialize(
-        std::span<const double>(leaf_cfs_.data() + i * stride, stride), dim_,
-        cf_rep_));
+  for (const Node& node : nodes_) {
+    if (!node.is_leaf) continue;
+    for (size_t i = 0; i < node.rows.size(); ++i) {
+      out.emplace_back(dim_, cf_rep_);
+      node.rows.Load(i, &out.back());
+    }
   }
   return out;
 }
@@ -169,10 +169,10 @@ size_t ServingSnapshot::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const Node& n : nodes_) {
     bytes += sizeof(Node) + n.children.capacity() * sizeof(uint32_t) +
-             n.centers.size() * dim_ * sizeof(double);
+             n.rows.block_doubles() * sizeof(double);
   }
   bytes += entry_cluster_.capacity() * sizeof(int) +
-           (leaf_radius_.capacity() + leaf_cfs_.capacity()) * sizeof(double);
+           leaf_radius_.capacity() * sizeof(double);
   for (const CfVector& c : clusters_) {
     bytes += sizeof(CfVector) + c.dim() * sizeof(double);
   }

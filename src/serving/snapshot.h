@@ -3,13 +3,13 @@
 //
 // A ServingSnapshot is built once (from a quiesced CfTree) and never
 // mutated afterwards: the tree structure is flattened into contiguous
-// node records, each carrying its entry centroids once, as a
-// kernel::CenterBatch column block the fused point->center scan reads,
-// so point->cluster descent is a cache-friendly argmin per level with
-// zero pointer chasing into live tree pages.
-// Leaf entries additionally keep their exact serialized CFs, which
-// lets a mid-stream Snapshot(k) re-cluster the published state at any
-// k without touching the live tree.
+// node records, each holding a copy of its tree node's CF rows in a
+// kernel::CfBatch column block together with their centroid column, so
+// point->cluster descent is one fused point->centroid scan per level
+// with zero pointer chasing into live tree pages. The leaf blocks hold
+// the exact leaf-entry CFs, which lets a mid-stream Snapshot(k)
+// re-cluster the published state at any k without touching the live
+// tree.
 //
 // Sharing model: snapshots travel as std::shared_ptr<const
 // ServingSnapshot> "epochs". Readers pin an epoch with one refcount
@@ -104,9 +104,10 @@ class ServingSnapshot {
   std::vector<CentroidNeighbor> KNearestCentroids(
       std::span<const double> point, size_t k) const;
 
-  /// Exact CFs of every leaf entry at capture time (deserialized
-  /// copies, index-aligned with AssignResult::leaf_entry). This is
-  /// what a mid-stream Snapshot(k) re-clusters.
+  /// Exact CFs of every leaf entry at capture time (loaded from the
+  /// leaf blocks in node order, index-aligned with
+  /// AssignResult::leaf_entry). This is what a mid-stream Snapshot(k)
+  /// re-clusters.
   std::vector<CfVector> LeafEntries() const;
 
   // --- Publish-time cluster table ---
@@ -134,20 +135,21 @@ class ServingSnapshot {
  private:
   ServingSnapshot();
 
-  /// One flattened tree node: its entry centroids as one column block.
-  /// Non-leaf: children[i] is the node index under centroid i. Leaf:
-  /// first_entry indexes the snapshot-global leaf arrays.
+  /// One flattened tree node: a copy of its CF rows, with their
+  /// centroids, as one column block. Non-leaf: children[i] is the node
+  /// index under row i. Leaf: first_entry indexes the snapshot-global
+  /// leaf arrays.
   struct Node {
     bool is_leaf = false;
     size_t first_entry = 0;          // leaf only
-    std::vector<uint32_t> children;  // non-leaf only, parallel to centers
-    kernel::CenterBatch centers;
+    std::vector<uint32_t> children;  // non-leaf only, parallel to rows
+    kernel::CfBatch rows;
   };
 
   /// Appends `node` (and its subtree) to nodes_; `row` is a load buffer
   /// under the tree's CF representation.
   size_t Flatten(const CfNode& node, CfVector* row);
-  /// Argmin over `node`'s entry centroids. First-wins ties, row 0 when
+  /// Argmin over `node`'s row centroids. First-wins ties, row 0 when
   /// none compares below +inf; fills *best_sq with the winning squared
   /// distance.
   size_t NearestRow(const Node& node, std::span<const double> point,
@@ -165,8 +167,6 @@ class ServingSnapshot {
   // Snapshot-global per-leaf-entry arrays (descent order).
   std::vector<int> entry_cluster_;
   std::vector<double> leaf_radius_;
-  /// Exact serialized CFs, (dim+2) doubles per entry.
-  std::vector<double> leaf_cfs_;
 
   // Publish-time global clustering of the leaf entries.
   std::vector<CfVector> clusters_;

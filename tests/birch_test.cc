@@ -11,6 +11,7 @@
 #include "datagen/paper_datasets.h"
 #include "eval/matching.h"
 #include "eval/quality.h"
+#include "obs/metrics.h"
 
 namespace birch {
 namespace {
@@ -197,6 +198,9 @@ TEST(BirchTest, OptionValidation) {
   o.dim = 2;
   EXPECT_EQ(BirchClusterer::Create(o).status().code(),
             StatusCode::kInvalidArgument);
+  o.k = -1;
+  EXPECT_EQ(BirchClusterer::Create(o).status().code(),
+            StatusCode::kInvalidArgument);
   o.k = 5;
   o.dim = 0;
   EXPECT_EQ(BirchClusterer::Create(o).status().code(),
@@ -258,83 +262,49 @@ TEST(BirchTest, CompressedOutlierDiskIsTransparent) {
             rc.value().disk_raw_bytes + pages * kPageEnvelopeHeaderBytes);
 }
 
-TEST(BirchTest, BuilderConfiguresPageCodec) {
-  auto built_or = BirchOptions::Builder()
-                      .Dim(2)
-                      .K(4)
-                      .PageCodec(PageCodecKind::kDeltaRle)
-                      .HotTierBytes(8 * 1024)
-                      .Build();
-  ASSERT_TRUE(built_or.ok()) << built_or.status().ToString();
-  EXPECT_EQ(built_or.value().resources.page_codec,
-            PageCodecKind::kDeltaRle);
-  EXPECT_EQ(built_or.value().resources.hot_tier_bytes, 8u * 1024u);
-  // Builder-level misconfiguration fails like field-level.
-  EXPECT_EQ(BirchOptions::Builder()
-                .Dim(2)
-                .K(4)
-                .HotTierBytes(8 * 1024)
-                .Build()
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+TEST(BirchTest, HotTierRequiresPageCodec) {
+  // Field-level: Validate() alone rejects a hot tier without a codec
+  // (uncompressed pages are their own hot copy), naming the remedy.
+  BirchOptions o;
+  o.dim = 2;
+  o.k = 4;
+  o.resources.hot_tier_bytes = 8 * 1024;
+  const Status no_codec = o.Validate();
+  EXPECT_EQ(no_codec.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(no_codec.message().find("page_codec"), std::string::npos);
+  o.resources.page_codec = PageCodecKind::kDeltaRle;
+  EXPECT_TRUE(o.Validate().ok());
 }
 
-TEST(BirchTest, BuilderMatchesFieldConfiguration) {
-  // Direct nested-field writes and the Builder must describe the same
-  // configuration — and produce the identical clustering.
-  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 25, 150);
-  ASSERT_TRUE(gen.ok());
-
-  BirchOptions flat;
-  flat.dim = 2;
-  flat.k = 25;
-  flat.resources.memory_bytes = 24 * 1024;
-  flat.resources.disk_bytes = 5 * 1024;
-  flat.resources.page_size = 512;
-  flat.tree.metric = DistanceMetric::kD4;
-  flat.tree.threshold_kind = ThresholdKind::kRadius;
-  flat.refine.passes = 2;
-
-  auto built_or = BirchOptions::Builder()
-                      .Dim(2)
-                      .K(25)
-                      .MemoryBytes(24 * 1024)
-                      .DiskBytes(5 * 1024)
-                      .PageSize(512)
-                      .Metric(DistanceMetric::kD4)
-                      .ThresholdKind(ThresholdKind::kRadius)
-                      .RefinementPasses(2)
-                      .Build();
-  ASSERT_TRUE(built_or.ok()) << built_or.status().ToString();
-  const BirchOptions& built = built_or.value();
-
-  // The Builder produced the same nested values.
-  EXPECT_EQ(built.resources.memory_bytes, flat.resources.memory_bytes);
-  EXPECT_EQ(built.tree.threshold_kind, flat.tree.threshold_kind);
-
-  auto rf = ClusterDataset(gen.value().data, flat);
-  auto rb = ClusterDataset(gen.value().data, built);
-  ASSERT_TRUE(rf.ok() && rb.ok());
-  EXPECT_EQ(rf.value().labels, rb.value().labels);
-  ASSERT_EQ(rf.value().clusters.size(), rb.value().clusters.size());
-  for (size_t c = 0; c < rf.value().clusters.size(); ++c) {
-    EXPECT_EQ(rf.value().clusters[c], rb.value().clusters[c]);
+// The result carries the final tree's heap with obs off: the sum over
+// the tree's nodes of what each one holds.
+size_t SubtreeHeapBytes(const CfNode* node) {
+  size_t bytes = sizeof(CfNode) +
+                 node->rows.block_doubles() * sizeof(double) +
+                 node->children.capacity() * sizeof(CfNode*);
+  for (const CfNode* child : node->children) {
+    bytes += SubtreeHeapBytes(child);
   }
+  return bytes;
 }
 
-TEST(BirchTest, BuilderRejectsInvalidConfiguration) {
-  EXPECT_EQ(BirchOptions::Builder().Dim(0).K(3).Build().status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BirchOptions::Builder().Dim(2).K(-1).Build().status().code(),
-            StatusCode::kInvalidArgument);
-  // Copies are independent values.
-  BirchOptions a;
-  a.resources.memory_bytes = 123 * 1024;
-  BirchOptions b = a;
-  b.resources.memory_bytes = 77 * 1024;
-  EXPECT_EQ(a.resources.memory_bytes, 123u * 1024u);
-  EXPECT_EQ(b.resources.memory_bytes, 77u * 1024u);
+TEST(BirchTest, ResultCarriesTheTreeHeapWithObsOff) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(false);
+  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 9, 80);
+  ASSERT_TRUE(gen.ok());
+  auto clusterer_or = BirchClusterer::Create(SmallOptions(9));
+  ASSERT_TRUE(clusterer_or.ok());
+  auto& clusterer = clusterer_or.value();
+  ASSERT_TRUE(clusterer->AddDataset(gen.value().data).ok());
+  auto result = clusterer->Finish(nullptr);
+  obs::SetEnabled(was_enabled);
+  ASSERT_TRUE(result.ok());
+  const CfTree& tree = clusterer->tree();
+  ASSERT_GT(tree.node_count(), 1u);
+  EXPECT_EQ(result.value().tree_nodes, tree.node_count());
+  EXPECT_EQ(result.value().tree_heap_bytes, SubtreeHeapBytes(tree.root()));
+  EXPECT_EQ(tree.heap_bytes(), SubtreeHeapBytes(tree.root()));
 }
 
 TEST(BirchTest, AccessorsStayValidAfterFinish) {

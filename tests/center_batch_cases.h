@@ -1,10 +1,12 @@
-// Shared cases for the fused point->center argmin (CenterBatch::NearestSq
-// and NearestSqRows). kernel_test runs them against the dispatched lane
-// (AVX2 where the CPU has it) and kernel_noavx2_test against the
-// portable lane. Every winner and distance must equal the
-// SquaredDistance loop with first-wins strict `<` from +inf, bit for
-// bit; a point no center compares below +inf to must give SIZE_MAX and
-// +inf.
+// Shared cases for the fused point->centroid argmin
+// (CfBatch::NearestCentroidSq and NearestCentroidSqRows) over a block of
+// center CFs. kernel_test runs them against the dispatched lane (AVX2
+// where the CPU has it) and kernel_noavx2_test against the portable
+// lane, on classic rows (the centroid column) and BETULA rows (the mean
+// column). Every winner and distance must equal the SquaredDistance
+// loop over the centers' CfVector::Centroid() with first-wins strict
+// `<` from +inf, bit for bit; a point no center compares below +inf to
+// must give SIZE_MAX and +inf.
 #ifndef BIRCH_TESTS_CENTER_BATCH_CASES_H_
 #define BIRCH_TESTS_CENTER_BATCH_CASES_H_
 
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "birch/cf_vector.h"
 #include "birch/kernel/kernel.h"
 #include "util/math.h"
 #include "util/random.h"
@@ -26,33 +29,53 @@ namespace center_batch_cases {
 
 constexpr size_t kNoWinner = static_cast<size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr CfRepresentation kReps[] = {CfRepresentation::kClassic,
+                                      CfRepresentation::kBetula};
 
-/// The scalar oracle.
-inline ScanResult ScalarNearestSq(
-    std::span<const double> p,
-    const std::vector<std::vector<double>>& centers) {
+/// The scalar oracle: a SquaredDistance loop over the centroids.
+inline ScanResult ScalarNearestSq(std::span<const double> p,
+                                  std::span<const CfVector> centers) {
   ScanResult best{kNoWinner, kInf};
   for (size_t c = 0; c < centers.size(); ++c) {
-    const double d = SquaredDistance(p, centers[c]);
+    const double d = SquaredDistance(p, centers[c].Centroid());
     if (d < best.distance) best = {c, d};
   }
   return best;
 }
 
-/// Checks one-row calls on every row of `points` (row-major) against
-/// the oracle, then NearestSqRows over windows of 1-9 rows against the
-/// one-row calls.
-inline void ExpectMatchesOracle(
-    const std::vector<std::vector<double>>& centers,
-    const std::vector<double>& points, const std::string& label) {
-  CenterBatch batch;
+/// The block a point->centroid scan reads: `centers` (one
+/// representation) as rows, with the centroid column a classic row
+/// needs.
+inline CfBatch CentroidBlock(std::span<const CfVector> centers) {
+  CfBatch batch;
+  batch.Init(centers[0].dim(), centers.size(),
+             CfBatch::Needs::For(DistanceMetric::kD0, centers[0].rep()));
   batch.Assign(centers);
-  const size_t dim = centers[0].size();
+  return batch;
+}
+
+/// One-point CFs at `points` under `rep`: their centroids are the
+/// points.
+inline std::vector<CfVector> PointCfs(
+    const std::vector<std::vector<double>>& points, CfRepresentation rep) {
+  std::vector<CfVector> cfs;
+  for (const auto& p : points) cfs.push_back(CfVector::FromPoint(p, 1.0, rep));
+  return cfs;
+}
+
+/// Checks one-row calls on every row of `points` (row-major) against
+/// the oracle, then NearestCentroidSqRows over windows of 1-9 rows
+/// against the one-row calls.
+inline void ExpectMatchesOracle(std::span<const CfVector> centers,
+                                const std::vector<double>& points,
+                                const std::string& label) {
+  const CfBatch batch = CentroidBlock(centers);
+  const size_t dim = centers[0].dim();
   const size_t rows = points.size() / dim;
   std::vector<ScanResult> single(rows);
   for (size_t i = 0; i < rows; ++i) {
     std::span<const double> p(points.data() + i * dim, dim);
-    single[i] = batch.NearestSq(p);
+    single[i] = batch.NearestCentroidSq(p);
     const ScanResult want = ScalarNearestSq(p, centers);
     EXPECT_EQ(single[i].index, want.index) << label << " row=" << i;
     EXPECT_EQ(single[i].distance, want.distance) << label << " row=" << i;
@@ -60,7 +83,7 @@ inline void ExpectMatchesOracle(
   std::vector<ScanResult> out(9);
   for (size_t n = 1; n <= 9; ++n) {
     for (size_t begin = 0; begin + n <= rows; begin += n) {
-      batch.NearestSqRows(
+      batch.NearestCentroidSqRows(
           std::span<const double>(points.data() + begin * dim, n * dim), n,
           out.data());
       for (size_t t = 0; t < n; ++t) {
@@ -73,10 +96,23 @@ inline void ExpectMatchesOracle(
   }
 }
 
+/// ExpectMatchesOracle with one-point CFs at `centers`, classic and
+/// BETULA.
+inline void ExpectMatchesOracle(
+    const std::vector<std::vector<double>>& centers,
+    const std::vector<double>& points, const std::string& label) {
+  for (CfRepresentation rep : kReps) {
+    ExpectMatchesOracle(PointCfs(centers, rep), points,
+                        label + " " + CfRepresentationName(rep));
+  }
+}
+
 /// 1-17 and 100 centers (every tail of the 4-wide blocks) at dims
-/// {1, 2, 3, 5, 16, 64}: random coordinates; integer-grid coordinates
-/// with duplicated centers, where exact ties must return the lowest
-/// index; and NaN, +-inf and 1e200 points, which must find no winner.
+/// {1, 2, 3, 5, 16, 64}: random coordinates, as one-point CFs and as
+/// CFs of several points (whose classic centroid LS/N is rounded);
+/// integer-grid coordinates with duplicated centers, where exact ties
+/// must return the lowest index; and NaN, +-inf and 1e200 points, which
+/// must find no winner.
 inline void RunNearestSqCases(uint64_t seed) {
   Rng rng(seed);
   const size_t kCenterCounts[] = {1,  2,  3,  4,  5,  6,  7,  8,  9, 10,
@@ -93,6 +129,20 @@ inline void RunNearestSqCases(uint64_t seed) {
       std::vector<double> points(13 * dim);
       for (auto& v : points) v = rng.Uniform(-12.0, 12.0);
       ExpectMatchesOracle(centers, points, "random " + where);
+
+      for (CfRepresentation rep : kReps) {
+        std::vector<CfVector> clusters(m, CfVector(dim, rep));
+        for (size_t j = 0; j < m; ++j) {
+          for (size_t q = 0; q < 1 + j % 4; ++q) {
+            std::vector<double> x(dim);
+            for (auto& v : x) v = rng.Uniform(-10.0, 10.0);
+            clusters[j].AddPoint(x);
+          }
+        }
+        ExpectMatchesOracle(clusters, points,
+                            std::string("clusters ") +
+                                CfRepresentationName(rep) + " " + where);
+      }
 
       // Every other center repeats an earlier one; points sit on the
       // same small grid, so equal distances are common.
@@ -130,14 +180,15 @@ inline void RunNearestSqCases(uint64_t seed) {
         bad_row.push_back(true);
       }
       ExpectMatchesOracle(centers, special, "special " + where);
-      CenterBatch batch;
-      batch.Assign(centers);
-      for (size_t i = 0; i < bad_row.size(); ++i) {
-        if (!bad_row[i]) continue;
-        ScanResult r =
-            batch.NearestSq(std::span<const double>(&special[i * dim], dim));
-        EXPECT_EQ(r.index, kNoWinner) << where << " row=" << i;
-        EXPECT_EQ(r.distance, kInf) << where << " row=" << i;
+      for (CfRepresentation rep : kReps) {
+        const CfBatch batch = CentroidBlock(PointCfs(centers, rep));
+        for (size_t i = 0; i < bad_row.size(); ++i) {
+          if (!bad_row[i]) continue;
+          ScanResult r = batch.NearestCentroidSq(
+              std::span<const double>(&special[i * dim], dim));
+          EXPECT_EQ(r.index, kNoWinner) << where << " row=" << i;
+          EXPECT_EQ(r.distance, kInf) << where << " row=" << i;
+        }
       }
     }
   }

@@ -4,8 +4,12 @@
 // Theorem (rebuilding with a larger threshold never grows the tree).
 #include "birch/cf_tree.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -304,6 +308,23 @@ struct StressParam {
   ThresholdKind kind;
   double threshold;
 };
+
+/// Prints a parameter as e.g. "p256_D2_diameter_t0_3": page size,
+/// metric, threshold kind and threshold ('.' as '_'). gtest_discover_tests
+/// puts this value in the ctest name in place of the parameter index
+/// (a name generator would leave the "# GetParam() = ..." comment in
+/// it).
+void PrintTo(const StressParam& p, std::ostream* os) {
+  char threshold[32];
+  std::snprintf(threshold, sizeof(threshold), "%g", p.threshold);
+  std::string name = "p" + std::to_string(p.page_size) + "_" +
+                     MetricName(p.metric) + "_" +
+                     (p.kind == ThresholdKind::kDiameter ? "diameter"
+                                                         : "radius") +
+                     "_t" + threshold;
+  std::replace(name.begin(), name.end(), '.', '_');
+  *os << name;
+}
 
 class CfTreeStressTest : public ::testing::TestWithParam<StressParam> {};
 

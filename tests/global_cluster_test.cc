@@ -223,10 +223,10 @@ TEST(GlobalClusterTest, CentroidsAccessor) {
   o.k = 1;
   auto result = GlobalCluster(cfs, o);
   ASSERT_TRUE(result.ok());
-  auto centroids = result.value().Centroids();
-  ASSERT_EQ(centroids.size(), 1u);
-  EXPECT_NEAR(centroids[0][0], 5.0, 1.0);
-  EXPECT_NEAR(centroids[0][1], 5.0, 1.0);
+  ASSERT_EQ(result.value().clusters.size(), 1u);
+  const std::vector<double> centroid = result.value().clusters[0].Centroid();
+  EXPECT_NEAR(centroid[0], 5.0, 1.0);
+  EXPECT_NEAR(centroid[1], 5.0, 1.0);
 }
 
 /// The exact bits of every cluster CF (N, vector, scalar), in order.

@@ -169,12 +169,12 @@ TEST(PortableKernelTest, CenterBatchMatchesScalarLoop) {
     c.resize(dim);
     for (auto& v : c) v = rng.Uniform(-10.0, 10.0);
   }
-  CenterBatch batch;
-  batch.Assign(centers);
+  const CfBatch batch = center_batch_cases::CentroidBlock(
+      center_batch_cases::PointCfs(centers, CfRepresentation::kClassic));
   std::vector<double> p(dim);
   for (int trial = 0; trial < 50; ++trial) {
     for (auto& v : p) v = rng.Uniform(-12.0, 12.0);
-    ScanResult r = batch.NearestSq(p);
+    ScanResult r = batch.NearestCentroidSq(p);
     size_t best = 0;
     double best_d = std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < centers.size(); ++c) {

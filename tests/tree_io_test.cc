@@ -238,11 +238,17 @@ PageId PutRawPage(PageStore* store, const std::vector<double>& buf) {
   return id.value();
 }
 
-Status ReadCrafted(PageStore* store, PageId root) {
+/// Reads the crafted tree under `root`; the metadata defaults to none,
+/// which fails the final check unless a page fails first.
+Status ReadCrafted(PageStore* store, PageId root, size_t node_count = 0,
+                   size_t leaf_entries = 0, size_t height = 0) {
   TreeImage image;
   image.root = root;
   image.dim = 2;
   image.page_size = 512;
+  image.node_count = node_count;
+  image.leaf_entries = leaf_entries;
+  image.height = height;
   MemoryTracker mem;
   auto back = TreeIO::Read(image, store, CfTreeOptions{}, &mem);
   return back.ok() ? Status::OK() : back.status();
@@ -286,6 +292,34 @@ TEST(TreeIoTest, CyclicChildReferenceIsCorruption) {
   ASSERT_TRUE(store.Write(id.value(), page).ok());
   Status st = ReadCrafted(&store, id.value());
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
+}
+
+TEST(TreeIoTest, EmptyNonleafRootIsCorruption) {
+  // A nonleaf root with no entries has no child to descend to. With
+  // metadata that adds up (one node, no leaf entries, no leaf level)
+  // only the page itself can reject it.
+  PageStore store(512);
+  PageId root = PutRawPage(&store, {kMagic, 0.0, 0.0});
+  Status st = ReadCrafted(&store, root, /*node_count=*/1,
+                          /*leaf_entries=*/0, /*height=*/0);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+TEST(TreeIoTest, LeavesAtUnequalDepthsAreCorruption) {
+  // Root -> {leaf A, nonleaf B -> leaf C}: A sits at depth 2, C at
+  // depth 3. The metadata matches the deepest leaf, so only the
+  // uniform-depth check can reject the image.
+  PageStore store(512);
+  PageId a = PutRawPage(&store, {kMagic, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0});
+  PageId c = PutRawPage(&store, {kMagic, 1.0, 1.0, 1.0, 3.0, 4.0, 25.0});
+  PageId b = PutRawPage(&store, {kMagic, 0.0, 1.0, 1.0, 3.0, 4.0, 25.0,
+                                 static_cast<double>(c)});
+  PageId root = PutRawPage(
+      &store, {kMagic, 0.0, 2.0, 1.0, 1.0, 2.0, 5.0, static_cast<double>(a),
+               1.0, 3.0, 4.0, 25.0, static_cast<double>(b)});
+  Status st = ReadCrafted(&store, root, /*node_count=*/4,
+                          /*leaf_entries=*/2, /*height=*/3);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
 
 TEST(TreeIoTest, LeafChainMismatchIsCorruption) {

@@ -445,11 +445,11 @@ int Run(int argc, char** argv) {
   double points_seen = static_cast<double>(r.phase1.points_added);
   std::printf("%.0f points (dim %zu) -> %zu clusters in %.3fs; "
               "weighted avg diameter %.4f; %llu rebuilds; peak memory "
-              "%zu KB%s\n",
+              "%zu KB, tree heap %zu KB%s\n",
               points_seen, o.dim, r.clusters.size(), r.timings.Total(),
               WeightedAverageDiameter(r.clusters),
               static_cast<unsigned long long>(r.phase1.rebuilds),
-              r.peak_memory_bytes / 1024,
+              r.peak_memory_bytes / 1024, r.tree_heap_bytes / 1024,
               stream ? " (streamed; data never resident)" : "");
   const RobustnessStats& rb = r.robustness;
   if (o.resources.fault.enabled() || rb.degradation_events > 0 ||
