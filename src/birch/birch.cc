@@ -74,8 +74,6 @@ Phase1Options Phase1OptionsFrom(const BirchOptions& o) {
   p.expected_points = o.expected_points;
   p.fault = o.resources.fault;
   p.retry = o.resources.io_retry;
-  p.page_codec = o.resources.page_codec;
-  p.hot_tier_bytes = o.resources.hot_tier_bytes;
   return p;
 }
 
@@ -274,11 +272,6 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
   result.tree_heap_bytes = tree->heap_bytes();
   result.disk_pages_written = p1.disk.pages_written;
   result.disk_pages_read = p1.disk.pages_read;
-  result.disk_raw_bytes = p1.disk.raw_bytes_written;
-  result.disk_stored_bytes = p1.disk.stored_bytes_written;
-  result.disk_hot_hits = p1.disk.hot_hits;
-  result.disk_hot_misses = p1.disk.hot_misses;
-  result.disk_hot_demotions = p1.disk.hot_demotions;
   result.final_threshold = tree->threshold();
   // Accumulate in integers: CF point counts are integral (weights are
   // summed exactly for unit-weight streams), and a double accumulator

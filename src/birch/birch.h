@@ -77,15 +77,6 @@ struct BirchResult {
   size_t tree_heap_bytes = 0;
   uint64_t disk_pages_written = 0;
   uint64_t disk_pages_read = 0;
-  /// Outlier-disk compression/tier accounting (all zero when
-  /// resources.page_codec == kNone): raw page bytes presented vs
-  /// envelope bytes stored, and hot-tier traffic. The effective
-  /// compression ratio is disk_raw_bytes / disk_stored_bytes.
-  uint64_t disk_raw_bytes = 0;
-  uint64_t disk_stored_bytes = 0;
-  uint64_t disk_hot_hits = 0;
-  uint64_t disk_hot_misses = 0;
-  uint64_t disk_hot_demotions = 0;
   double final_threshold = 0.0;
   uint64_t outlier_points = 0;  // points in never-absorbed outlier entries
 

@@ -20,6 +20,12 @@ constexpr uint32_t kHeaderTag = 1;
 constexpr uint32_t kFreezeTag = 2;
 constexpr uint32_t kFooterTag = 3;
 
+/// True when a header's u32 codec id names a PageCodecKind.
+bool KnownPageCodec(uint32_t id) {
+  return id == static_cast<uint32_t>(PageCodecKind::kNone) ||
+         id == static_cast<uint32_t>(PageCodecKind::kDeltaRle);
+}
+
 /// Little-endian append-only encoder.
 class ByteWriter {
  public:
@@ -322,11 +328,11 @@ Status WriteCheckpointFile(const std::string& path,
   }
   std::vector<uint8_t> out(kMagic, kMagic + sizeof(kMagic));
 
-  const auto codec = static_cast<PageCodecKind>(image.page_codec);
-  if (GetPageCodec(codec) == nullptr && codec != PageCodecKind::kNone) {
+  if (!KnownPageCodec(image.page_codec)) {
     return Status::InvalidArgument("checkpoint image names unknown codec " +
                                    std::to_string(image.page_codec));
   }
+  const auto codec = static_cast<PageCodecKind>(image.page_codec);
 
   ByteWriter header;
   header.U32(image.version);
@@ -353,7 +359,7 @@ Status WriteCheckpointFile(const std::string& path,
       // Freeze sections dominate the file (tree pages + spill records,
       // exactly the data the page codec is built for): store them as
       // compressed envelopes. The section CRC then covers the
-      // compressed image, mirroring the PageStore.
+      // compressed image.
       if (payload.data().size() > UINT32_MAX) {
         return Status::InvalidArgument(
             "checkpoint section too large to compress");
@@ -484,18 +490,18 @@ StatusOr<CheckpointImage> ReadCheckpointFile(const std::string& path) {
       return Status::Corruption(
           "checkpoint header carries an impossible CF fingerprint");
     }
-    if (image.page_codec != 0 &&
-        GetPageCodec(static_cast<PageCodecKind>(image.page_codec)) ==
-            nullptr) {
+    if (!KnownPageCodec(image.page_codec)) {
       return Status::Corruption(
           "checkpoint header names unknown page codec " +
           std::to_string(image.page_codec));
     }
   }
 
+  // The shard count is not trusted to size anything: a crafted header
+  // may claim 2^32 - 1 shards, and the first missing section below
+  // ends such a file as Corruption.
   const size_t expected =
       image.shard_count == 0 ? 1 : static_cast<size_t>(image.shard_count);
-  image.freezes.reserve(expected);
   for (size_t i = 0; i < expected; ++i) {
     BIRCH_RETURN_IF_ERROR(read_section(&tag, &payload));
     if (tag != kFreezeTag) {

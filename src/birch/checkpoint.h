@@ -44,7 +44,8 @@ namespace birch {
 /// page_codec = 0 (raw sections), so old uncompressed checkpoints
 /// still load. When page_codec != 0 every freeze-section payload is a
 /// page envelope (pagestore/page_codec.h); the section CRC32C covers
-/// the compressed image.
+/// the compressed image. The codec compresses these sections only:
+/// the header, the footer and the run's outlier disk stay raw.
 inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// In-memory form of one checkpoint file: the options fingerprint that
@@ -62,11 +63,10 @@ struct CheckpointImage {
   uint32_t cf_representation = 0;
   /// Stored CF component width in bits: always 64 (doubles).
   uint32_t scalar_width = 64;
-  /// static_cast of PageCodecKind: 0 = raw freeze sections (and the
-  /// run's outlier disk was uncompressed); != 0 means the freeze
-  /// sections are stored as compressed page envelopes under this
-  /// codec. Part of the fingerprint — restoring under a different
-  /// codec configuration is rejected, since the freeze sections are
+  /// static_cast of PageCodecKind: 0 = raw freeze sections; != 0 means
+  /// the freeze sections are stored as compressed page envelopes under
+  /// this codec. Part of the fingerprint — restoring under a different
+  /// resources.page_codec is rejected, since the freeze sections are
   /// encoded under it.
   uint32_t page_codec = 0;
   /// 0 = serial image (exactly one freeze); N >= 1 = sharded image

@@ -56,17 +56,12 @@ struct BirchOptions {
     /// unrecoverably (see `fault` below).
     size_t disk_bytes = 16 * 1024;  // paper: R = 20% of M
     size_t page_size = 1024;
-    /// Transparent per-page compression for the outlier disk and
-    /// checkpoint files (pagestore/page_codec.h). Outlier pages are
-    /// still charged their full page size against disk_bytes, so a run
-    /// clusters identically with or without it; checkpoint section
-    /// payloads are stored compressed too. kNone (the default) keeps
-    /// the v1 raw format everywhere.
+    /// Compression for checkpoint files' freeze sections
+    /// (pagestore/page_codec.h); it compresses nothing else, so a run
+    /// clusters identically with or without it. kNone (the default)
+    /// writes raw sections.
     PageCodecKind page_codec = PageCodecKind::kNone;
-    /// DRAM budget for the outlier disk's hot tier of decompressed
-    /// pages (LRU-evicted; see PageStoreOptions::hot_tier_bytes).
-    /// Requires page_codec != kNone; 0 = no hot tier, every read
-    /// decodes from the compressed image.
+    /// Has no effect: the outlier disk stores raw pages.
     size_t hot_tier_bytes = 0;
     /// Deterministic fault injection for the outlier disk (chaos
     /// testing): transient IOErrors, silent page loss, bit rot. The
@@ -220,12 +215,6 @@ struct BirchOptions {
       return Status::InvalidArgument(
           "disk_bytes must be 0 (no outlier disk; in-tree fallback) or "
           "at least one page");
-    }
-    if (resources.hot_tier_bytes > 0 &&
-        resources.page_codec == PageCodecKind::kNone) {
-      return Status::InvalidArgument(
-          "hot_tier_bytes requires a page_codec (uncompressed pages "
-          "are their own hot copy; set resources.page_codec)");
     }
     BIRCH_RETURN_IF_ERROR(resources.fault.Validate());
     BIRCH_RETURN_IF_ERROR(resources.io_retry.Validate());

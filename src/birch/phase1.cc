@@ -16,11 +16,10 @@ Phase1Builder::Phase1Builder(const Phase1Options& options)
       // Budget 0 means "no outlier disk", not "unlimited" (which is
       // what PageStore's 0 would mean): the store is built one page
       // deep and never used — every spill takes the in-tree fallback.
-      disk_(PageStoreOptions{
-          options.tree.page_size,
-          options.disk_budget_bytes > 0 ? options.disk_budget_bytes
-                                        : options.tree.page_size,
-          options.fault, options.page_codec, options.hot_tier_bytes}),
+      disk_(options.tree.page_size,
+            options.disk_budget_bytes > 0 ? options.disk_budget_bytes
+                                          : options.tree.page_size,
+            options.fault),
       outlier_entries_(&disk_, CfVector::SerializedDoubles(options.tree.dim),
                        options.retry),
       delayed_points_(&disk_, CfVector::SerializedDoubles(options.tree.dim),

@@ -17,6 +17,7 @@
 #include "birch/threshold.h"
 #include "birch/tree_io.h"
 #include "pagestore/memory_tracker.h"
+#include "pagestore/page_codec.h"
 #include "pagestore/page_store.h"
 #include "pagestore/spill_file.h"
 #include "util/status.h"
@@ -47,9 +48,7 @@ struct Phase1Options {
   FaultOptions fault;
   /// Retry policy for transient outlier-disk errors.
   RetryPolicy retry;
-  /// Per-page compression for the outlier disk (transparent: pages are
-  /// charged their raw size) and DRAM budget for its decompressed hot
-  /// tier. See PageStoreOptions.
+  /// Have no effect: the outlier disk stores raw pages.
   PageCodecKind page_codec = PageCodecKind::kNone;
   size_t hot_tier_bytes = 0;
 };

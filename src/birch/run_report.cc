@@ -47,7 +47,6 @@ void WriteOptions(JsonWriter* w, const BirchOptions& o) {
   w->KV("disk_bytes", static_cast<uint64_t>(o.resources.disk_bytes));
   w->KV("page_size", static_cast<uint64_t>(o.resources.page_size));
   w->KV("page_codec", PageCodecName(o.resources.page_codec));
-  w->KV("hot_tier_bytes", static_cast<uint64_t>(o.resources.hot_tier_bytes));
   w->KV("checkpoint_every_n", o.resources.checkpoint_every_n);
   w->EndObject();
   w->Key("tree").BeginObject();
@@ -157,7 +156,6 @@ uint64_t OptionsFingerprint(const BirchOptions& o) {
   f.Mix(static_cast<uint64_t>(o.resources.disk_bytes));
   f.Mix(static_cast<uint64_t>(o.resources.page_size));
   f.Mix(static_cast<int64_t>(o.resources.page_codec));
-  f.Mix(static_cast<uint64_t>(o.resources.hot_tier_bytes));
   f.Mix(o.resources.fault.read_transient_rate);
   f.Mix(o.resources.fault.write_transient_rate);
   f.Mix(o.resources.fault.page_loss_rate);
@@ -238,16 +236,6 @@ std::string RunReportJson(const RunReportInputs& in) {
     w.KV("peak_memory_bytes", static_cast<uint64_t>(r.peak_memory_bytes));
     w.KV("disk_pages_written", r.disk_pages_written);
     w.KV("disk_pages_read", r.disk_pages_read);
-    w.KV("disk_raw_bytes", r.disk_raw_bytes);
-    w.KV("disk_stored_bytes", r.disk_stored_bytes);
-    w.KV("disk_compression_ratio",
-         r.disk_stored_bytes > 0
-             ? static_cast<double>(r.disk_raw_bytes) /
-                   static_cast<double>(r.disk_stored_bytes)
-             : 1.0);
-    w.KV("disk_hot_hits", r.disk_hot_hits);
-    w.KV("disk_hot_misses", r.disk_hot_misses);
-    w.KV("disk_hot_demotions", r.disk_hot_demotions);
     w.KV("outlier_points", r.outlier_points);
     w.KV("distance_comparisons", r.tree_stats.distance_comparisons);
     w.EndObject();
@@ -332,15 +320,9 @@ void RegisterBirchProbes(obs::StatsSampler* sampler) {
   sampler->AddGaugeProbe("phase1/threshold");
   sampler->AddGaugeProbe("mem/used_bytes");
   sampler->AddGaugeProbe("pagestore/used_bytes");
-  sampler->AddGaugeProbe("pagestore/hot_bytes");
-  sampler->AddGaugeProbe("pagestore/compression_ratio");
   sampler->AddCounterProbe("phase1/points");
   sampler->AddCounterProbe("pagestore/pages_written");
   sampler->AddCounterProbe("pagestore/pages_read");
-  sampler->AddCounterProbe("pagestore/compressed_bytes");
-  sampler->AddCounterProbe("pagestore/hot_hits");
-  sampler->AddCounterProbe("pagestore/hot_misses");
-  sampler->AddCounterProbe("pagestore/hot_demotions");
   sampler->AddCounterProbe("spill/records_appended");
   sampler->AddCounterProbe("tree/rebuilds");
 }

@@ -10,7 +10,8 @@
 // Additive changes (new keys) do not bump the version; readers must
 // ignore keys they do not know. Renaming or retyping an existing key
 // bumps the version, and ReadRunReport rejects versions it does not
-// know.
+// know. The keys of a retired feature go without a version bump, as
+// `cf_storage` went with float32 CF storage.
 #ifndef BIRCH_BIRCH_RUN_REPORT_H_
 #define BIRCH_BIRCH_RUN_REPORT_H_
 

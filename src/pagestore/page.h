@@ -13,10 +13,8 @@ using PageId = uint64_t;
 
 inline constexpr PageId kInvalidPageId = static_cast<PageId>(-1);
 
-/// A page is an owned byte buffer holding the *stored* image (raw page
-/// bytes, or the compressed envelope when the store runs a codec) plus
-/// the CRC32C of that image, recomputed on every Write and verified on
-/// every Read.
+/// A page is an owned page_size byte buffer plus the CRC32C of those
+/// bytes, recomputed on every Write and verified on every Read.
 struct Page {
   explicit Page(size_t size) : bytes(size, 0) {}
   std::vector<uint8_t> bytes;

@@ -111,33 +111,31 @@ Status ZeroRleDecode(std::span<const uint8_t> in, size_t expect,
   return Status::OK();
 }
 
-class DeltaRleCodec final : public PageCodec {
- public:
-  PageCodecKind kind() const override { return PageCodecKind::kDeltaRle; }
+// The delta-rle payload of `raw`; false when it does not beat storing
+// `raw` verbatim, which is what makes the ratio >= 1 guarantee
+// unconditional.
+bool DeltaRleEncode(std::span<const uint8_t> raw, std::vector<uint8_t>* out) {
+  std::vector<uint8_t> transformed;
+  ForwardTransform(raw, &transformed);
+  ZeroRleEncode(transformed, out);
+  return out->size() < raw.size();
+}
 
-  bool Encode(std::span<const uint8_t> raw,
-              std::vector<uint8_t>* out) const override {
-    std::vector<uint8_t> transformed;
-    ForwardTransform(raw, &transformed);
-    ZeroRleEncode(transformed, out);
-    return out->size() < raw.size();
+// Inverse of DeltaRleEncode: exactly `raw_len` bytes, or DataLoss.
+Status DeltaRleDecode(std::span<const uint8_t> payload, size_t raw_len,
+                      std::vector<uint8_t>* out) {
+  // A zero run expands one payload pair to at most 255 bytes, so any
+  // raw_len beyond 255x the payload is a lie — reject it before
+  // allocating, or a crafted 12-byte envelope could demand a 4 GB
+  // zeroed buffer just by maxing the u32 length field.
+  if (raw_len > payload.size() * 255) {
+    return Status::DataLoss("rle raw length implausible for payload");
   }
-
-  Status Decode(std::span<const uint8_t> payload, size_t raw_len,
-                std::vector<uint8_t>* out) const override {
-    // A zero run expands one payload pair to at most 255 bytes, so any
-    // raw_len beyond 255x the payload is a lie — reject it before
-    // allocating, or a crafted 12-byte envelope could demand a 4 GB
-    // zeroed buffer just by maxing the u32 length field.
-    if (raw_len > payload.size() * 255) {
-      return Status::DataLoss("rle raw length implausible for payload");
-    }
-    std::vector<uint8_t> transformed;
-    BIRCH_RETURN_IF_ERROR(ZeroRleDecode(payload, raw_len, &transformed));
-    InverseTransform(transformed, out);
-    return Status::OK();
-  }
-};
+  std::vector<uint8_t> transformed;
+  BIRCH_RETURN_IF_ERROR(ZeroRleDecode(payload, raw_len, &transformed));
+  InverseTransform(transformed, out);
+  return Status::OK();
+}
 
 constexpr uint8_t kFlagRawFallback = 0x01;
 
@@ -178,23 +176,11 @@ bool ParsePageCodecName(std::string_view name, PageCodecKind* out) {
   return false;
 }
 
-const PageCodec* GetPageCodec(PageCodecKind kind) {
-  static const DeltaRleCodec delta_rle;
-  switch (kind) {
-    case PageCodecKind::kNone:
-      return nullptr;
-    case PageCodecKind::kDeltaRle:
-      return &delta_rle;
-  }
-  return nullptr;
-}
-
 std::vector<uint8_t> EncodePageEnvelope(PageCodecKind kind,
                                         std::span<const uint8_t> raw) {
-  const PageCodec* codec = GetPageCodec(kind);
   std::vector<uint8_t> payload;
   uint8_t flags = 0;
-  if (codec == nullptr || !codec->Encode(raw, &payload)) {
+  if (kind != PageCodecKind::kDeltaRle || !DeltaRleEncode(raw, &payload)) {
     // Raw fallback: compression did not pay, store the bytes verbatim.
     payload.assign(raw.begin(), raw.end());
     flags = kFlagRawFallback;
@@ -241,18 +227,11 @@ Status DecodePageEnvelope(std::span<const uint8_t> stored,
     raw->assign(payload.begin(), payload.end());
     return Status::OK();
   }
-  const PageCodec* codec =
-      GetPageCodec(static_cast<PageCodecKind>(codec_id));
-  if (codec == nullptr) {
+  if (codec_id != static_cast<uint8_t>(PageCodecKind::kDeltaRle)) {
     return Status::DataLoss("page envelope names unknown codec " +
                             std::to_string(codec_id));
   }
-  return codec->Decode(payload, raw_len, raw);
-}
-
-bool PageEnvelopeIsRawFallback(std::span<const uint8_t> stored) {
-  return stored.size() >= kPageEnvelopeHeaderBytes &&
-         (stored[3] & kFlagRawFallback) != 0;
+  return DeltaRleDecode(payload, raw_len, raw);
 }
 
 }  // namespace birch

@@ -1,23 +1,21 @@
-// Transparent per-page compression for the PageStore (ROADMAP item 2,
-// ZipCache-style). CF pages are highly compressible — runs of sorted,
-// similar-magnitude doubles plus a zero tail — so every page can be
-// stored as a compact "envelope" instead of page_size raw bytes. The
-// store still charges each page its raw size, so compression shrinks
-// the device image without changing what fits.
+// Compression for checkpoint files' freeze sections (birch/checkpoint.h)
+// — it compresses nothing else. A freeze holds CF tree pages and spill
+// records: runs of similar-magnitude doubles plus zero tails, which the
+// delta-rle codec turns into a compact "envelope".
 //
-// Pipeline (applied inside PageStore::Write, undone in Read):
+// Pipeline (EncodePageEnvelope; DecodePageEnvelope undoes it):
 //
-//   raw page bytes
+//   raw bytes
 //     -> XOR-delta over consecutive 64-bit words   (similar doubles ->
 //        words that differ only in low mantissa bits)
 //     -> byte-plane shuffle (transpose)            (gathers the now-
 //        mostly-zero sign/exponent/high-mantissa bytes into long runs)
-//     -> entropy stage (pluggable; built-in: zero run-length coding)
+//     -> zero run-length coding
 //     -> raw fallback when the pipeline does not beat the input, so the
 //        stored size never exceeds raw + envelope header (ratio >= 1).
 //
-// Envelope layout (little-endian), CRC32C'd as stored — the checksum
-// covers the *compressed* image, so bit rot inside a compressed payload
+// Envelope layout (little-endian). The checkpoint's section CRC32C
+// covers the envelope as stored, so bit rot inside a compressed payload
 // is caught before the decoder ever sees it:
 //
 //   [u8 magic 0xC5][u8 version][u8 codec][u8 flags][u32 raw_len]
@@ -39,11 +37,11 @@
 
 namespace birch {
 
-/// Which codec a store (or checkpoint file) runs its pages through.
-/// Values are persisted in page envelopes and checkpoint headers —
-/// never renumber.
+/// Which codec a checkpoint file runs its freeze sections through.
+/// Values are persisted in envelopes and checkpoint headers — never
+/// renumber.
 enum class PageCodecKind : uint8_t {
-  kNone = 0,      // pages stored raw, envelope-free (the v1 format)
+  kNone = 0,      // sections stored raw, envelope-free
   kDeltaRle = 1,  // XOR-delta + byte-shuffle + zero-RLE entropy stage
 };
 
@@ -52,32 +50,6 @@ const char* PageCodecName(PageCodecKind kind);
 
 /// Parses a PageCodecName back; false on unknown names.
 bool ParsePageCodecName(std::string_view name, PageCodecKind* out);
-
-/// A page compressor: the delta + byte-shuffle transform is shared, the
-/// entropy stage behind Encode/Decode is what implementations plug in.
-class PageCodec {
- public:
-  virtual ~PageCodec() = default;
-
-  virtual PageCodecKind kind() const = 0;
-
-  /// Compresses `raw` into `*out` (payload only, no envelope). Returns
-  /// false when the codec cannot beat storing `raw` verbatim — the
-  /// caller then writes a raw-fallback envelope, which is what makes
-  /// the ratio >= 1 guarantee unconditional.
-  virtual bool Encode(std::span<const uint8_t> raw,
-                      std::vector<uint8_t>* out) const = 0;
-
-  /// Inverse of Encode: reconstructs exactly `raw_len` bytes into
-  /// `*out`. Must be safe on arbitrary payload bytes: any mismatch
-  /// (truncation, trailing garbage, wrong output size) is an error
-  /// status, never UB.
-  virtual Status Decode(std::span<const uint8_t> payload, size_t raw_len,
-                        std::vector<uint8_t>* out) const = 0;
-};
-
-/// Static registry lookup; nullptr for kNone (no codec to run).
-const PageCodec* GetPageCodec(PageCodecKind kind);
 
 /// Fixed envelope header size in bytes.
 inline constexpr size_t kPageEnvelopeHeaderBytes = 12;
@@ -96,12 +68,9 @@ std::vector<uint8_t> EncodePageEnvelope(PageCodecKind kind,
 /// payloads that do not reconstruct exactly raw_len bytes with
 /// kDataLoss — by the time this runs the CRC already passed, so any
 /// inconsistency means the image is damaged (or was never an envelope).
+/// Safe on arbitrary bytes: never UB.
 Status DecodePageEnvelope(std::span<const uint8_t> stored,
                           std::vector<uint8_t>* raw);
-
-/// True when the envelope payload was stored verbatim (codec declined).
-/// Only meaningful on a buffer DecodePageEnvelope accepts.
-bool PageEnvelopeIsRawFallback(std::span<const uint8_t> stored);
 
 }  // namespace birch
 

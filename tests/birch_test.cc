@@ -214,66 +214,7 @@ TEST(BirchTest, OptionValidation) {
   EXPECT_EQ(BirchClusterer::Create(o).status().code(),
             StatusCode::kInvalidArgument);
   o.resources.page_size = 1024;
-  // A hot tier without a codec is meaningless (uncompressed pages are
-  // their own hot copy) — the message must name the remedy.
-  o.resources.hot_tier_bytes = 64 * 1024;
-  auto no_codec = BirchClusterer::Create(o);
-  ASSERT_FALSE(no_codec.ok());
-  EXPECT_EQ(no_codec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(no_codec.status().message().find("page_codec"),
-            std::string::npos);
-  o.resources.page_codec = PageCodecKind::kDeltaRle;
   EXPECT_TRUE(BirchClusterer::Create(o).ok());
-}
-
-TEST(BirchTest, CompressedOutlierDiskIsTransparent) {
-  // The codec sits entirely below the outlier disk, and every page is
-  // charged its raw size either way: the same stream with compression
-  // on and off must spill the same pages and produce the identical
-  // clustering (labels, clusters, threshold).
-  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 25, 200);
-  ASSERT_TRUE(gen.ok());
-  BirchOptions plain = SmallOptions(25);
-  BirchOptions packed = plain;
-  packed.resources.page_codec = PageCodecKind::kDeltaRle;
-  packed.resources.hot_tier_bytes = 2 * 1024;
-  auto rp = ClusterDataset(gen.value().data, plain);
-  auto rc = ClusterDataset(gen.value().data, packed);
-  ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-  ASSERT_TRUE(rc.ok()) << rc.status().ToString();
-  EXPECT_EQ(rp.value().labels, rc.value().labels);
-  ASSERT_EQ(rp.value().clusters.size(), rc.value().clusters.size());
-  for (size_t c = 0; c < rp.value().clusters.size(); ++c) {
-    EXPECT_EQ(rp.value().clusters[c], rc.value().clusters[c]);
-  }
-  EXPECT_EQ(rp.value().final_threshold, rc.value().final_threshold);
-  EXPECT_EQ(rp.value().phase1.points_delay_spilled,
-            rc.value().phase1.points_delay_spilled);
-  ASSERT_GT(rc.value().disk_pages_written, 0u);
-  EXPECT_EQ(rp.value().disk_pages_written, rc.value().disk_pages_written);
-  // Only the packed run reports compression traffic. It presents every
-  // page at full size, and an envelope never grows a page by more than
-  // its header (incompressible pages fall back to a verbatim payload).
-  EXPECT_EQ(rp.value().disk_raw_bytes, 0u);
-  EXPECT_EQ(rp.value().disk_stored_bytes, 0u);
-  const uint64_t pages = rc.value().disk_pages_written;
-  EXPECT_EQ(rc.value().disk_raw_bytes, pages * plain.resources.page_size);
-  EXPECT_LE(rc.value().disk_stored_bytes,
-            rc.value().disk_raw_bytes + pages * kPageEnvelopeHeaderBytes);
-}
-
-TEST(BirchTest, HotTierRequiresPageCodec) {
-  // Field-level: Validate() alone rejects a hot tier without a codec
-  // (uncompressed pages are their own hot copy), naming the remedy.
-  BirchOptions o;
-  o.dim = 2;
-  o.k = 4;
-  o.resources.hot_tier_bytes = 8 * 1024;
-  const Status no_codec = o.Validate();
-  EXPECT_EQ(no_codec.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(no_codec.message().find("page_codec"), std::string::npos);
-  o.resources.page_codec = PageCodecKind::kDeltaRle;
-  EXPECT_TRUE(o.Validate().ok());
 }
 
 // The result carries the final tree's heap with obs off: the sum over

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -814,13 +815,11 @@ TEST(CheckpointTest, MissingFileIsNotCorruption) {
 
 TEST(CheckpointTest, CompressedKillAndResumeIsBitwiseIdentical) {
   // The compressed checkpoint must capture exactly the same state as
-  // the raw one: kill/resume with delta-rle freeze sections (and a
-  // compressed, hot-tiered outlier disk) reproduces the uninterrupted
-  // run bitwise.
+  // the raw one: kill/resume with delta-rle freeze sections reproduces
+  // the uninterrupted run bitwise.
   Dataset data = MakeData(9, 300, 701);
   BirchOptions o = SmallOpts(data.dim(), 9);
   o.resources.page_codec = PageCodecKind::kDeltaRle;
-  o.resources.hot_tier_bytes = 4 * 1024;
   auto want = RunUninterrupted(data, o);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
@@ -929,27 +928,24 @@ TEST(CheckpointTest, LegacyHeaderWithoutCodecFieldStillLoads) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, Float32WidthHeaderIsInvalidArgument) {
-  // Float32 CF storage is retired; a header whose width field says 32
-  // was written under it. Surgically set a written header's width to 32
-  // (fixing the CRC) and require InvalidArgument naming float32
-  // storage: the file is intact, this build just does not read it.
-  std::string path = WriteSampleCheckpoint("ckpt_f32.birch");
+// Sets the u32 at `field_off` in the header payload of the checkpoint
+// at `path` from `was` to `value` and re-CRCs the header section, so
+// the file is intact and only that field says something new. Layout:
+// magic(8) | tag(4) size(8) payload(52) crc(4) | ...
+void PatchHeaderU32(const std::string& path, size_t field_off, uint32_t was,
+                    uint32_t value) {
   std::vector<char> bytes = ReadAll(path);
-  // Layout: magic(8) | tag(4) size(8) payload(52) crc(4) | ...; the
-  // width is the u32 at payload offset 32, after version, dim,
-  // page_size, metric, threshold kind and CF representation.
   const size_t kHdrOff = 8;
   const size_t payload_off = kHdrOff + 4 + 8;
-  const size_t width_off = payload_off + 32;
+  const size_t off = payload_off + field_off;
   uint64_t size = 0;
   std::memcpy(&size, bytes.data() + kHdrOff + 4, 8);
   ASSERT_EQ(size, 52u);
-  uint32_t width = 0;
-  std::memcpy(&width, bytes.data() + width_off, 4);
-  ASSERT_EQ(width, 64u);
+  uint32_t old = 0;
+  std::memcpy(&old, bytes.data() + off, 4);
+  ASSERT_EQ(old, was);
   for (int i = 0; i < 4; ++i) {
-    bytes[width_off + i] = static_cast<char>(32u >> (8 * i));
+    bytes[off + i] = static_cast<char>(value >> (8 * i));
   }
   uint32_t crc = Crc32c(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(bytes.data()) + payload_off, 52));
@@ -957,11 +953,38 @@ TEST(CheckpointTest, Float32WidthHeaderIsInvalidArgument) {
     bytes[payload_off + 52 + i] = static_cast<char>(crc >> (8 * i));
   }
   WriteAll(path, bytes);
+}
+
+TEST(CheckpointTest, Float32WidthHeaderIsInvalidArgument) {
+  // Float32 CF storage is retired; a header whose width field says 32
+  // was written under it. Surgically set a written header's width to 32
+  // (fixing the CRC) and require InvalidArgument naming float32
+  // storage: the file is intact, this build just does not read it.
+  std::string path = WriteSampleCheckpoint("ckpt_f32.birch");
+  // The width is the u32 at payload offset 32, after version, dim,
+  // page_size, metric, threshold kind and CF representation.
+  ASSERT_NO_FATAL_FAILURE(PatchHeaderU32(path, 32, 64, 32));
 
   auto img = ReadCheckpointFile(path);
   ASSERT_FALSE(img.ok());
   EXPECT_EQ(img.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(img.status().message().find("float32"), std::string::npos)
+      << img.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, ImpossibleShardCountIsCorruption) {
+  // A header that claims 2^32 - 1 shards in front of one freeze
+  // section: the count sizes nothing, and the first missing shard
+  // section makes the file Corruption (no allocation failure).
+  std::string path = WriteSampleCheckpoint("ckpt_shards.birch");
+  // shard_count is the u32 at payload offset 36, after the width; a
+  // serial checkpoint writes 0.
+  ASSERT_NO_FATAL_FAILURE(PatchHeaderU32(path, 36, 0, UINT32_MAX));
+
+  auto img = ReadCheckpointFile(path);
+  ASSERT_FALSE(img.ok());
+  EXPECT_EQ(img.status().code(), StatusCode::kCorruption)
       << img.status().ToString();
   std::remove(path.c_str());
 }

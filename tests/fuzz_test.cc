@@ -3,6 +3,7 @@
 // and subcluster CFs under every insert mode, interleaved with
 // rebuilds at growing thresholds — checked after every phase against a
 // flat reference accumulator and the full structural invariant suite.
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,10 +21,15 @@ struct FuzzParam {
   size_t dim;
   size_t page_size;
   DistanceMetric metric;
-  /// Fills what would be padding: gtest names each entry by a dump of
-  /// the param's bytes, so all of them must be defined.
-  uint32_t unused = 0;
 };
+
+/// Prints a parameter as e.g. "seed1_d2_p256_D2": seed, dimension, page
+/// size and metric. gtest_discover_tests puts this value in the ctest
+/// name in place of the parameter index.
+void PrintTo(const FuzzParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_d" << p.dim << "_p" << p.page_size << "_"
+      << MetricName(p.metric);
+}
 
 class CfTreeFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 

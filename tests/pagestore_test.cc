@@ -1,7 +1,6 @@
 // Tests for the simulated disk substrate: page store capacity/IO
 // accounting, per-page checksum verification, fault injection, spill
 // file round trips with retry/loss handling, and the memory tracker.
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -408,26 +407,6 @@ TEST(PageStoreTest, ShortWriteZeroesTheTail) {
   }
 }
 
-TEST(PageStoreTest, ShortWriteZeroesTheTailUnderCodec) {
-  PageStoreOptions opt;
-  opt.page_size = 64;
-  opt.codec = PageCodecKind::kDeltaRle;
-  PageStore store(opt);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> full(64, 0xff);
-  ASSERT_TRUE(store.Write(id.value(), full).ok());
-  std::vector<uint8_t> shorter(10, 0xaa);
-  ASSERT_TRUE(store.Write(id.value(), shorter).ok());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  ASSERT_EQ(out.size(), 64u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(out[i], 0xaa) << "byte " << i;
-  for (size_t i = 10; i < 64; ++i) {
-    EXPECT_EQ(out[i], 0x00) << "stale tail byte " << i;
-  }
-}
-
 // Regression (DrainAll early return left stale state): a page that
 // vanished from the store mid-drain used to early-return NotFound
 // without trimming pages_/count_, so a retried drain re-read freed
@@ -533,243 +512,6 @@ TEST(SpillFileTest, PeekSkipsLostPagesWithoutTouchingLossAccounting) {
   EXPECT_EQ(spill.stats().records_lost, 0u);
   // The lost page is still allocated — the drain owns the Free.
   EXPECT_EQ(store.num_pages(), 1u);
-}
-
-// --- Compressed, tiered store (ROADMAP item 2) ---
-
-TEST(CompressedPageStoreTest, RoundTripIsTransparent) {
-  PageStoreOptions opt;
-  opt.page_size = 256;
-  opt.codec = PageCodecKind::kDeltaRle;
-  PageStore store(opt);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  // CF-like content: similar doubles + implicit zero tail.
-  std::vector<double> vals(16);
-  for (size_t i = 0; i < vals.size(); ++i) {
-    vals[i] = 500.0 + static_cast<double>(i) * 0.125;
-  }
-  std::vector<uint8_t> data(vals.size() * sizeof(double));
-  std::memcpy(data.data(), vals.data(), data.size());
-  ASSERT_TRUE(store.Write(id.value(), data).ok());
-  EXPECT_LT(store.stored_bytes(id.value()), opt.page_size);
-  EXPECT_EQ(store.io_stats().compressed_writes, 1u);
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  ASSERT_EQ(out.size(), opt.page_size);
-  EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
-  for (size_t i = data.size(); i < out.size(); ++i) EXPECT_EQ(out[i], 0);
-  EXPECT_GT(store.io_stats().raw_bytes_written,
-            store.io_stats().stored_bytes_written);
-}
-
-TEST(CompressedPageStoreTest, CapacityChargesRawPageSize) {
-  // Zeroed pages compress to a few bytes each, yet a 2-page budget
-  // still holds exactly 2 of them: the codec never changes what fits.
-  PageStoreOptions opt;
-  opt.page_size = 256;
-  opt.capacity_bytes = 512;
-  opt.codec = PageCodecKind::kDeltaRle;
-  PageStore store(opt);
-  for (int i = 0; i < 2; ++i) {
-    auto id = store.Allocate();
-    ASSERT_TRUE(id.ok()) << "allocation " << i;
-    EXPECT_LT(store.stored_bytes(id.value()), opt.page_size);
-  }
-  EXPECT_EQ(store.used_bytes(), 2 * opt.page_size);
-  EXPECT_EQ(store.Allocate().status().code(), StatusCode::kOutOfDisk);
-}
-
-TEST(CompressedPageStoreTest, ExactCapacityBoundaryUnderCompression) {
-  // Pin the boundary arithmetic with a codec on: a capacity of exactly
-  // two raw pages admits two pages and refuses a third; one byte less
-  // refuses the second, however small its envelope.
-  PageStoreOptions opt;
-  opt.page_size = 256;
-  opt.codec = PageCodecKind::kDeltaRle;
-  opt.capacity_bytes = 2 * opt.page_size;
-  PageStore store(opt);
-  ASSERT_TRUE(store.Allocate().ok());
-  ASSERT_TRUE(store.Allocate().ok());  // lands exactly on capacity
-  EXPECT_EQ(store.used_bytes(), opt.capacity_bytes);
-  auto third = store.Allocate();
-  EXPECT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kOutOfDisk);
-
-  PageStoreOptions tight = opt;
-  tight.capacity_bytes = 2 * opt.page_size - 1;
-  PageStore small(tight);
-  ASSERT_TRUE(small.Allocate().ok());
-  EXPECT_EQ(small.Allocate().status().code(), StatusCode::kOutOfDisk);
-}
-
-TEST(CompressedPageStoreTest, RewriteThatStopsCompressingKeepsItsCharge) {
-  // A store filled to capacity with well-compressing pages accepts a
-  // rewrite with incompressible noise: the page was charged its raw
-  // size from the start, so nothing is re-charged.
-  PageStoreOptions opt;
-  opt.page_size = 256;
-  opt.codec = PageCodecKind::kDeltaRle;
-  opt.capacity_bytes = opt.page_size;
-  PageStore store(opt);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  const size_t zeroed = store.stored_bytes(id.value());
-  Rng rng(41);
-  std::vector<uint8_t> noise(opt.page_size);
-  for (auto& b : noise) b = static_cast<uint8_t>(rng.Next() & 0xffu);
-  ASSERT_TRUE(store.Write(id.value(), noise).ok());
-  EXPECT_GT(store.stored_bytes(id.value()), zeroed);
-  EXPECT_EQ(store.used_bytes(), opt.capacity_bytes);
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  EXPECT_EQ(out, noise);
-}
-
-TEST(CompressedPageStoreTest, ChecksumCatchesEveryBitOfTheEnvelope) {
-  // The CRC covers the compressed image: flip every stored bit in turn
-  // and require DataLoss — bit rot never reaches the decoder silently.
-  PageStoreOptions opt;
-  opt.page_size = 128;
-  opt.codec = PageCodecKind::kDeltaRle;
-  PageStore store(opt);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::vector<double> vals = {1.0, 1.5, 2.0, 2.5};
-  std::vector<uint8_t> data(vals.size() * sizeof(double));
-  std::memcpy(data.data(), vals.data(), data.size());
-  ASSERT_TRUE(store.Write(id.value(), data).ok());
-  const size_t stored_bits = store.stored_bytes(id.value()) * 8;
-  ASSERT_GT(stored_bits, 0u);
-  std::vector<uint8_t> out;
-  for (size_t bit = 0; bit < stored_bits; ++bit) {
-    ASSERT_TRUE(store.CorruptBitForTesting(id.value(), bit).ok());
-    EXPECT_EQ(store.Read(id.value(), &out).code(), StatusCode::kDataLoss)
-        << "bit " << bit << " slipped through";
-    ASSERT_TRUE(store.CorruptBitForTesting(id.value(), bit).ok());
-    EXPECT_TRUE(store.Read(id.value(), &out).ok());
-  }
-  EXPECT_EQ(store.io_stats().checksum_failures, stored_bits);
-  EXPECT_EQ(store.io_stats().envelope_decode_failures, 0u);
-}
-
-TEST(CompressedPageStoreTest, InjectedBitRotOnEnvelopeIsDataLoss) {
-  FaultOptions f;
-  f.bit_flip_rate = 1.0;
-  f.seed = 3;
-  PageStoreOptions opt;
-  opt.page_size = 128;
-  opt.faults = f;
-  opt.codec = PageCodecKind::kDeltaRle;
-  PageStore store(opt);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> data(64, 0x3c);
-  ASSERT_TRUE(store.Write(id.value(), data).ok());
-  std::vector<uint8_t> out;
-  EXPECT_EQ(store.Read(id.value(), &out).code(), StatusCode::kDataLoss);
-  EXPECT_EQ(store.io_stats().checksum_failures, 1u);
-}
-
-TEST(CompressedPageStoreTest, HotTierServesRepeatReadsAndEvictsLru) {
-  PageStoreOptions opt;
-  opt.page_size = 256;
-  opt.codec = PageCodecKind::kDeltaRle;
-  opt.hot_tier_bytes = 512;  // room for exactly two decompressed pages
-  PageStore store(opt);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 3; ++i) {
-    auto id = store.Allocate();
-    ASSERT_TRUE(id.ok());
-    std::vector<uint8_t> data(32, static_cast<uint8_t>(0x10 + i));
-    ASSERT_TRUE(store.Write(id.value(), data).ok());
-    ids.push_back(id.value());
-  }
-  std::vector<uint8_t> out;
-  // First read of each page: a miss that fills the tier.
-  ASSERT_TRUE(store.Read(ids[0], &out).ok());
-  ASSERT_TRUE(store.Read(ids[1], &out).ok());
-  EXPECT_EQ(store.io_stats().hot_misses, 2u);
-  EXPECT_EQ(store.io_stats().hot_hits, 0u);
-  EXPECT_EQ(store.hot_bytes(), 512u);
-  // Repeat reads are hits.
-  ASSERT_TRUE(store.Read(ids[0], &out).ok());
-  ASSERT_TRUE(store.Read(ids[1], &out).ok());
-  EXPECT_EQ(store.io_stats().hot_hits, 2u);
-  // Third page forces an LRU demotion (page 0 is the colder of the
-  // two after the reads above... page 0 was read second-to-last, so
-  // the victim is ids[0]).
-  ASSERT_TRUE(store.Read(ids[2], &out).ok());
-  EXPECT_EQ(store.io_stats().hot_demotions, 1u);
-  EXPECT_EQ(store.hot_bytes(), 512u);
-  // The demoted page re-reads fine from the cold envelope (a miss).
-  const uint64_t misses = store.io_stats().hot_misses;
-  ASSERT_TRUE(store.Read(ids[0], &out).ok());
-  EXPECT_EQ(store.io_stats().hot_misses, misses + 1);
-  ASSERT_EQ(out.size(), opt.page_size);
-  EXPECT_EQ(out[0], 0x10);
-}
-
-TEST(CompressedPageStoreTest, WriteInvalidatesHotCopy) {
-  PageStoreOptions opt;
-  opt.page_size = 128;
-  opt.codec = PageCodecKind::kDeltaRle;
-  opt.hot_tier_bytes = 1024;
-  PageStore store(opt);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> v1(16, 0x01);
-  ASSERT_TRUE(store.Write(id.value(), v1).ok());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());  // fills hot tier
-  EXPECT_EQ(out[0], 0x01);
-  std::vector<uint8_t> v2(16, 0x02);
-  ASSERT_TRUE(store.Write(id.value(), v2).ok());
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  EXPECT_EQ(out[0], 0x02) << "stale hot copy served after rewrite";
-  ASSERT_TRUE(store.Free(id.value()).ok());
-  EXPECT_EQ(store.hot_bytes(), 0u);
-}
-
-TEST(CompressedPageStoreTest, HotTierIgnoredWithoutCodec) {
-  PageStoreOptions opt;
-  opt.page_size = 64;
-  opt.hot_tier_bytes = 4096;  // meaningless without a codec
-  PageStore store(opt);
-  EXPECT_EQ(store.hot_tier_bytes(), 0u);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> data(64, 0x11);
-  ASSERT_TRUE(store.Write(id.value(), data).ok());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  ASSERT_TRUE(store.Read(id.value(), &out).ok());
-  EXPECT_EQ(store.io_stats().hot_hits, 0u);
-  EXPECT_EQ(store.hot_bytes(), 0u);
-}
-
-TEST(CompressedPageStoreTest, SpillFileWorksUnchangedOverCodecStore) {
-  // The spill layer never sees envelopes: a compressed store behind it
-  // is fully transparent, losses included.
-  PageStoreOptions opt;
-  opt.page_size = 1024;
-  opt.codec = PageCodecKind::kDeltaRle;
-  opt.hot_tier_bytes = 2048;
-  PageStore store(opt);
-  SpillFile spill(&store, 4);
-  Rng rng(13);
-  std::vector<double> expect;
-  for (int i = 0; i < 500; ++i) {
-    std::vector<double> rec = {rng.NextDouble(), rng.NextDouble(),
-                               rng.NextDouble(), rng.NextDouble()};
-    ASSERT_TRUE(spill.Append(rec).ok());
-    expect.insert(expect.end(), rec.begin(), rec.end());
-  }
-  std::vector<double> got;
-  ASSERT_TRUE(spill.DrainAll(&got).ok());
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(store.num_pages(), 0u);
-  EXPECT_GT(store.io_stats().compressed_writes, 0u);
 }
 
 }  // namespace

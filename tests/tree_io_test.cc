@@ -97,40 +97,6 @@ TEST(TreeIoTest, BetulaRoundTripPreservesEverything) {
   EXPECT_TRUE(back_or.value()->CheckInvariants(&why)) << why;
 }
 
-TEST(TreeIoTest, RoundTripOverCompressedTieredStore) {
-  // TreeIO never sees envelopes: a codec + hot-tier store underneath is
-  // fully transparent. Capacity still charges raw pages; the CF-page
-  // content should compress well, which the write stats report.
-  MemoryTracker mem;
-  auto tree = BuildTree(&mem, 3000, 201);
-  std::vector<CfVector> entries_before;
-  tree->CollectLeafEntries(&entries_before);
-
-  PageStoreOptions opt;
-  opt.page_size = 512;
-  opt.codec = PageCodecKind::kDeltaRle;
-  opt.hot_tier_bytes = 8 * 512;
-  PageStore store(opt);
-  auto image_or = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
-  EXPECT_EQ(store.used_bytes(), store.num_pages() * opt.page_size);
-  EXPECT_LT(store.io_stats().stored_bytes_written,
-            store.io_stats().raw_bytes_written)
-      << "CF pages failed to compress at all";
-
-  MemoryTracker mem2;
-  CfTreeOptions opts;
-  auto back_or = TreeIO::Read(image_or.value(), &store, opts, &mem2);
-  ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
-  std::vector<CfVector> entries_after;
-  back_or.value()->CollectLeafEntries(&entries_after);
-  EXPECT_EQ(entries_after, entries_before);
-  EXPECT_EQ(back_or.value()->TreeSummary(), tree->TreeSummary());
-  std::string why;
-  EXPECT_TRUE(back_or.value()->CheckInvariants(&why)) << why;
-  EXPECT_GT(store.io_stats().compressed_writes, 0u);
-}
-
 TEST(TreeIoTest, CfPolicyMismatchOnReadIsInvalidArgument) {
   // An image written under one CF representation must refuse to open
   // under the other: the pages would be silently misread as the wrong

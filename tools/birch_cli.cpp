@@ -75,8 +75,8 @@ int Run(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   Status known = flags.CheckKnown(
       {"input", "output", "k", "distance-limit", "memory-kb", "disk-kb",
-       "page", "page-codec", "hot-tier-kb", "metric", "cf", "threshold",
-       "algorithm", "refine-passes",
+       "page", "page-codec", "metric", "cf", "threshold", "algorithm",
+       "refine-passes",
        "discard-distance", "no-outliers", "no-delay-split", "stream",
        "seed", "threads", "splitter-seed",
        "fault-read", "fault-write", "fault-lose",
@@ -98,9 +98,8 @@ int Run(int argc, char** argv) {
                  "[--seed S] [--threads N] "
                  "[--splitter-seed S]\n"
                  "       [--disk-kb R] [--page-codec none|delta-rle] "
-                 "[--hot-tier-kb N] [--fault-read P] [--fault-write P] "
-                 "[--fault-lose P] [--fault-flip P] [--fault-seed S] "
-                 "[--io-attempts N]\n"
+                 "[--fault-read P] [--fault-write P] [--fault-lose P] "
+                 "[--fault-flip P] [--fault-seed S] [--io-attempts N]\n"
                  "  --stream clusters the file without loading it into "
                  "memory (no per-row labels); a bad\n  row fails the "
                  "run naming its line, as without --stream. A pipe "
@@ -129,14 +128,9 @@ int Run(int argc, char** argv) {
                  "  too); rows are still dealt to shards and folded into "
                  "the clusters in file\n  order.\n"
                  "  --disk-kb 0 disables the outlier disk (in-tree "
-                 "fallback); --page-codec delta-rle\n"
-                 "  compresses outlier pages transparently (each page is "
-                 "still charged its full\n"
-                 "  size against disk-kb) with an optional --hot-tier-kb "
-                 "DRAM cache of\n"
-                 "  decompressed pages; --fault-* inject seeded disk "
-                 "faults (probabilities in\n"
-                 "  [0,1]) retried up to --io-attempts times.\n"
+                 "fallback); --fault-* inject seeded\n"
+                 "  disk faults (probabilities in [0,1]) retried up to "
+                 "--io-attempts times.\n"
                  "  --metrics prints the instrumentation summary; "
                  "--metrics-csv FILE writes it as CSV;\n"
                  "  --trace-out FILE records a Chrome trace_event JSON "
@@ -156,7 +150,11 @@ int Run(int argc, char** argv) {
                  "(options must match the\n"
                  "  checkpointed run's dim/page/metric/threshold kind); "
                  "with --stream the resumed\n"
-                 "  run refines (Phase 4) like an uninterrupted one.\n"
+                 "  run refines (Phase 4) like an uninterrupted one. "
+                 "--page-codec delta-rle compresses\n"
+                 "  the checkpoint's freeze sections only; --restore "
+                 "needs the codec the file was\n"
+                 "  written with.\n"
                  "  --publish-every N publishes a serving snapshot epoch "
                  "every N points (the\n"
                  "  queryable point->cluster serving tier; see "
@@ -217,7 +215,6 @@ int Run(int argc, char** argv) {
       int_flag("io-attempts", o.resources.io_retry.max_attempts));
   o.resources.page_size =
       static_cast<size_t>(int_flag("page", 1024, 0, INT64_MAX));
-  o.resources.hot_tier_bytes = kb_flag("hot-tier-kb", 0);
   o.tree.initial_threshold = double_flag("threshold", 0.0);
   o.refine.passes = static_cast<int>(int_flag("refine-passes", 1));
   o.refine.outlier_distance = double_flag("discard-distance", 0.0);
