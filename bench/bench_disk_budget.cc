@@ -2,7 +2,10 @@
 // R. The paper fixes R = 20% of M and describes the control flow when
 // the disk fills (re-absorb cycles, Fig. 2's "out of disk space"
 // branch). This bench sweeps R on a noisy workload and reports the
-// spill/re-absorb/forced-insert counters and the resulting quality.
+// spill/re-absorb/forced-insert counters, the in-tree fallback's
+// absorbed and dropped entries, and the resulting quality. R = 0 is no
+// outlier disk at all (the in-tree fallback), and R = 1 KB is one page
+// at P = 1 KB, the forced-insert regime.
 // The committed --json output feeds the tools/bench_diff perf gates.
 #include <cstdio>
 #include <vector>
@@ -19,7 +22,7 @@ int Run(int argc, char** argv) {
   bench::JsonRows json("bench_disk_budget");
   CsvWriter csv({"r_kb", "seconds", "phase1_seconds", "d", "spilled",
                  "reabsorbed", "cycles", "forced", "delay_spilled",
-                 "matched"});
+                 "fallback_absorbed", "fallback_dropped", "matched"});
 
   GeneratorOptions go =
       smoke ? PaperDatasetOptions(PaperDataset::kDS1, 25, 5000, 0.05)
@@ -36,19 +39,14 @@ int Run(int argc, char** argv) {
       "default R = 20%% of M)\n\n");
   TablePrinter table({"R(KB)", "time(s)", "p1(s)", "D", "spilled",
                       "reabsorbed", "cycles", "forced", "delay-spilled",
-                      "matched"});
+                      "fb-absorbed", "fb-dropped", "matched"});
 
   std::vector<size_t> r_kbs = smoke ? std::vector<size_t>{4, 16}
-                                    : std::vector<size_t>{0, 2, 4, 8, 16,
-                                                          32, 64};
+                                    : std::vector<size_t>{0, 1, 2, 4, 8,
+                                                          16, 32, 64};
   for (size_t r_kb : r_kbs) {
     BirchOptions o = bench::PaperDefaults(smoke ? 25 : 100, g.data.size());
     o.resources.disk_bytes = r_kb * 1024;
-    if (o.resources.disk_bytes == 0) {
-      // No disk at all: the outlier/delay options have nowhere to
-      // spill; exercise the forced-insert fallbacks.
-      o.resources.disk_bytes = o.resources.page_size;  // minimum one page
-    }
     auto row_or = bench::RunBirch(g, o);
     if (!row_or.ok()) {
       std::fprintf(stderr, "R=%zuKB failed: %s\n", r_kb,
@@ -58,6 +56,7 @@ int Run(int argc, char** argv) {
     const bench::RunRow& row = row_or.value();
     const BirchResult& res = row.result;
     const Phase1Stats& s = res.phase1;
+    const RobustnessStats& rb = res.robustness;
     table.Row()
         .Add(r_kb)
         .Add(row.seconds_total, 2)
@@ -68,6 +67,8 @@ int Run(int argc, char** argv) {
         .Add(static_cast<int64_t>(s.reabsorb_cycles))
         .Add(static_cast<int64_t>(s.forced_inserts))
         .Add(static_cast<int64_t>(s.points_delay_spilled))
+        .Add(static_cast<int64_t>(rb.fallback_absorbed))
+        .Add(static_cast<int64_t>(rb.fallback_dropped))
         .Add(row.match.matched);
     csv.Row()
         .Add(static_cast<int64_t>(r_kb))
@@ -79,6 +80,8 @@ int Run(int argc, char** argv) {
         .Add(static_cast<int64_t>(s.reabsorb_cycles))
         .Add(static_cast<int64_t>(s.forced_inserts))
         .Add(static_cast<int64_t>(s.points_delay_spilled))
+        .Add(static_cast<int64_t>(rb.fallback_absorbed))
+        .Add(static_cast<int64_t>(rb.fallback_dropped))
         .Add(static_cast<int64_t>(row.match.matched));
     json.Row()
         .Add("scenario", "r-sweep")
@@ -88,6 +91,8 @@ int Run(int argc, char** argv) {
         .Add("d", row.weighted_diameter)
         .Add("spilled", s.outlier_entries_spilled)
         .Add("reabsorbed", s.outlier_entries_reabsorbed)
+        .Add("fallback_absorbed", rb.fallback_absorbed)
+        .Add("fallback_dropped", rb.fallback_dropped)
         .Add("matched", static_cast<int64_t>(row.match.matched));
   }
   table.Print();

@@ -1,21 +1,23 @@
 #include "baselines/hierarchical.h"
 
-#include <vector>
-
 namespace birch {
+
+std::vector<CfVector> OnePointCfs(const Dataset& data) {
+  std::vector<CfVector> cfs;
+  cfs.reserve(data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    cfs.push_back(CfVector::FromPoint(data.Row(i), data.Weight(i)));
+  }
+  return cfs;
+}
 
 StatusOr<GlobalClustering> HierarchicalCluster(const Dataset& data, int k,
                                                DistanceMetric metric) {
-  std::vector<CfVector> singletons;
-  singletons.reserve(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    singletons.push_back(CfVector::FromPoint(data.Row(i), data.Weight(i)));
-  }
   GlobalClusterOptions o;
   o.k = k;
   o.metric = metric;
   o.algorithm = GlobalAlgorithm::kHierarchical;
-  return GlobalCluster(singletons, o);
+  return GlobalCluster(OnePointCfs(data), o);
 }
 
 }  // namespace birch

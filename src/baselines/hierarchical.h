@@ -5,11 +5,18 @@
 #ifndef BIRCH_BASELINES_HIERARCHICAL_H_
 #define BIRCH_BASELINES_HIERARCHICAL_H_
 
+#include <vector>
+
+#include "birch/cf_vector.h"
 #include "birch/dataset.h"
 #include "birch/global_cluster.h"
 #include "util/status.h"
 
 namespace birch {
+
+/// Each row of `data` as a one-point CF carrying its weight: the input
+/// the raw-point baselines (this one and KMeans) hand to GlobalCluster.
+std::vector<CfVector> OnePointCfs(const Dataset& data);
 
 /// Agglomerates `data` into k clusters under `metric`.
 StatusOr<GlobalClustering> HierarchicalCluster(

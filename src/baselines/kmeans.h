@@ -1,6 +1,7 @@
-// Lloyd k-means over raw points with k-means++ seeding. Used as a
-// sanity baseline next to BIRCH and CLARANS; BIRCH's Phase 3 has its
-// own CF-weighted variant in birch/global_cluster.
+// Lloyd k-means over raw points with k-means++ seeding: BIRCH's Phase-3
+// k-means (birch/global_cluster) run over each point lifted to a
+// one-point CF, the way the hierarchical baseline runs Phase 3's
+// agglomeration. Used as a sanity baseline next to BIRCH and CLARANS.
 #ifndef BIRCH_BASELINES_KMEANS_H_
 #define BIRCH_BASELINES_KMEANS_H_
 
@@ -13,24 +14,16 @@
 
 namespace birch {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 struct KMeansOptions {
   int k = 0;
   uint64_t seed = 42;
-  /// Optional worker pool for the assignment / centroid sweeps.
-  /// nullptr runs them inline (exact serial arithmetic); with a pool,
-  /// per-chunk partials fold in chunk order, deterministic for a fixed
-  /// (seed, pool size).
-  exec::ThreadPool* pool = nullptr;
 };
 
 struct KMeansResult {
+  /// Per point, the index into `clusters` of its cluster.
   std::vector<int> labels;
+  /// Exact CFs of the non-empty clusters, with the points' weights.
   std::vector<CfVector> clusters;
-  int iterations = 0;
   double sse = 0.0;
 };
 

@@ -51,16 +51,25 @@ CfTreeOptions TreeOptionsFrom(const BirchOptions& o) {
   return t;
 }
 
-serving::SnapshotBuildOptions SnapshotOptionsFrom(const BirchOptions& o,
-                                                 uint64_t points_ingested) {
-  serving::SnapshotBuildOptions s;
-  s.k = o.k;
-  s.distance_limit = o.global_phase.distance_limit;
-  s.algorithm = o.global_phase.algorithm;
-  s.metric = o.global_phase.metric;
-  s.seed = o.seed;
-  s.points_ingested = points_ingested;
-  return s;
+/// Phase 3's setup, one rule for Finish, Snapshot(k) and publishes:
+/// `k` comes from the caller and the rest from the run's options, except
+/// that a k > 0 run over more than max_hierarchical_inputs `entries`
+/// uses k-means, which is linear in them where the others are
+/// quadratic. `pool` is Finish's (the result is the serial one bit for
+/// bit at every pool size); snapshots and publishes pass nullptr.
+GlobalClusterOptions GlobalPhaseOptions(const BirchOptions& o, int k,
+                                        size_t entries,
+                                        exec::ThreadPool* pool) {
+  GlobalClusterOptions g;
+  g.k = k;
+  g.distance_limit = o.global_phase.distance_limit;
+  g.algorithm = k > 0 && entries > g.max_hierarchical_inputs
+                    ? GlobalAlgorithm::kKMeans
+                    : o.global_phase.algorithm;
+  g.metric = o.global_phase.metric;
+  g.seed = o.seed;
+  g.pool = pool;
+  return g;
 }
 
 Phase1Options Phase1OptionsFrom(const BirchOptions& o) {
@@ -211,14 +220,8 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
         "no data was added: ingest at least one point (AddBatch/Add/"
         "AddSource) before running the pipeline");
   }
-  GlobalClusterOptions g;
-  g.k = options.k;
-  g.distance_limit = options.global_phase.distance_limit;
-  g.algorithm = options.global_phase.algorithm;
-  g.metric = options.global_phase.metric;
-  g.seed = options.seed;
-  g.pool = pool;
-  auto clustering_or = GlobalCluster(entries, g);
+  auto clustering_or = GlobalCluster(
+      entries, GlobalPhaseOptions(options, options.k, entries.size(), pool));
   if (!clustering_or.ok()) return clustering_or.status();
   GlobalClustering& clustering = clustering_or.value();
   result.timings.phase3 = timer.Seconds();
@@ -372,8 +375,11 @@ Status BirchClusterer::RunBoundary(
     merged.emplace(merged_opts, &mem);
     for (const auto& b : shards) merged->AbsorbTree(b->tree());
   }
+  const CfTree& snapped = merged ? *merged : tree();
   auto snap_or = serving::ServingSnapshot::Build(
-      merged ? *merged : tree(), SnapshotOptionsFrom(options_, position));
+      snapped, position,
+      GlobalPhaseOptions(options_, options_.k, snapped.leaf_entry_count(),
+                         /*pool=*/nullptr));
   if (!snap_or.ok()) return snap_or.status();
   return server_->Publish(std::move(snap_or).ValueOrDie());
 }
@@ -549,15 +555,9 @@ StatusOr<BirchResult> BirchClusterer::Snapshot(int k) const {
         "AddSource) before calling Snapshot(k)");
   }
   Timer timer;
-  GlobalClusterOptions g;
-  g.k = k;
-  g.metric = options_.global_phase.metric;
-  g.seed = options_.seed;
-  // Large live trees fall back to k-means (no Phase 2 available here).
-  g.algorithm = entries.size() > g.max_hierarchical_inputs
-                    ? GlobalAlgorithm::kKMeans
-                    : options_.global_phase.algorithm;
-  auto clustering_or = GlobalCluster(entries, g);
+  auto clustering_or = GlobalCluster(
+      entries, GlobalPhaseOptions(options_, k, entries.size(),
+                                  /*pool=*/nullptr));
   if (!clustering_or.ok()) return clustering_or.status();
   GlobalClustering& clustering = clustering_or.value();
 

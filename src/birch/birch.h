@@ -153,9 +153,15 @@ class BirchClusterer {
                                 const Dataset* for_refinement = nullptr);
 
   /// Clusters the current leaf entries into `k` clusters without
-  /// modifying the tree. Cheap relative to the stream. The result has
-  /// no labels (no raw data is revisited); clusters, centroids,
-  /// Phase-1/tree stats and the metrics delta are filled in.
+  /// modifying the tree. Cheap relative to the stream. It is Phase 3
+  /// without Phase 2, under the one setup Finish() and every publish
+  /// use: the run's global_phase algorithm, metric and distance_limit
+  /// and its seed, except that k > 0 over more than
+  /// GlobalClusterOptions::max_hierarchical_inputs entries runs
+  /// k-means; k == 0 merges hierarchically up to distance_limit (and
+  /// fails without one). The result has no labels (no raw data is
+  /// revisited); clusters, centroids, Phase-1/tree stats and the
+  /// metrics delta are filled in.
   /// With options.exec.num_threads > 0 the per-shard trees merge only
   /// at Cluster()'s end, so until then a snapshot re-clusters the last
   /// published serving epoch (phase1.points_added is that epoch's

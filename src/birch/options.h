@@ -198,10 +198,16 @@ struct BirchOptions {
             "global algorithm");
       }
     }
-    const CfLayout layout{resources.page_size, dim};
-    if (resources.page_size < layout.CfBytes() + 64) {
+    // A node page holds its header and at least two entries, so a split
+    // has two halves; a nonleaf entry (CF + child) is the larger one.
+    const size_t min_page =
+        CfLayout::kNodeHeaderBytes +
+        2 * CfLayout{resources.page_size, dim}.NonleafEntryBytes();
+    if (resources.page_size < min_page) {
       return Status::InvalidArgument(
-          "page_size too small for this dimensionality");
+          "page_size " + std::to_string(resources.page_size) +
+          " cannot hold two nonleaf entries at dim " + std::to_string(dim) +
+          "; use page_size >= " + std::to_string(min_page));
     }
     if (resources.memory_bytes != 0 &&
         resources.memory_bytes < 4 * resources.page_size) {

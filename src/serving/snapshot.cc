@@ -51,7 +51,8 @@ size_t ServingSnapshot::Flatten(const CfNode& node, CfVector* row) {
 }
 
 StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
-    const CfTree& tree, const SnapshotBuildOptions& options) {
+    const CfTree& tree, uint64_t points_ingested,
+    const GlobalClusterOptions& global) {
   if (tree.leaf_entry_count() == 0) {
     return Status::FailedPrecondition(
         "no data to snapshot: the CF tree holds no leaf entries; ingest "
@@ -62,29 +63,14 @@ StatusOr<std::shared_ptr<ServingSnapshot>> ServingSnapshot::Build(
   snap->dim_ = tree.options().dim;
   snap->threshold_ = tree.threshold();
   snap->cf_rep_ = tree.options().cf;
-  snap->points_ingested_ = options.points_ingested;
+  snap->points_ingested_ = points_ingested;
   CfVector row(snap->dim_, snap->cf_rep_);
   snap->Flatten(*tree.root(), &row);
 
   // Publish-time cluster table over the leaf entries (descent order —
   // the order Flatten visited them, so entry_cluster_ lines up with
   // AssignResult::leaf_entry).
-  std::vector<CfVector> entries = snap->LeafEntries();
-  GlobalClusterOptions g;
-  g.k = options.k > 0
-            ? static_cast<int>(std::min<size_t>(
-                  static_cast<size_t>(options.k), entries.size()))
-            : 0;
-  g.distance_limit = g.k > 0 ? 0.0 : options.distance_limit;
-  g.metric = options.metric;
-  g.seed = options.seed;
-  // Large trees fall back to k-means (hierarchical cost is quadratic),
-  // exactly like BirchClusterer::Snapshot(). With k == 0 (distance-
-  // limited) there is no k-means form; the size guard then propagates.
-  g.algorithm = (g.k > 0 && entries.size() > g.max_hierarchical_inputs)
-                    ? GlobalAlgorithm::kKMeans
-                    : options.algorithm;
-  auto clustering_or = GlobalCluster(entries, g);
+  auto clustering_or = GlobalCluster(snap->LeafEntries(), global);
   if (!clustering_or.ok()) return clustering_or.status();
   GlobalClustering& clustering = clustering_or.value();
   snap->entry_cluster_ = std::move(clustering.assignment);

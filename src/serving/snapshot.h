@@ -11,6 +11,11 @@
 // re-cluster the published state at any k without touching the live
 // tree.
 //
+// The publish-time cluster table is Phase 3 over those leaf entries
+// under the GlobalClusterOptions the publisher hands to Build(): the
+// serving tier sets no clustering policy of its own. BirchClusterer
+// builds them with the same setup as Finish() and Snapshot(k).
+//
 // Sharing model: snapshots travel as std::shared_ptr<const
 // ServingSnapshot> "epochs". Readers pin an epoch with one refcount
 // bump and query it lock-free for as long as they like; ingest keeps
@@ -55,33 +60,20 @@ struct CentroidNeighbor {
   double distance = 0.0;
 };
 
-/// What ServingSnapshot::Build needs beyond the tree itself: the
-/// global-clustering configuration for the publish-time cluster table
-/// (the same knobs BirchClusterer::Snapshot(k) uses).
-struct SnapshotBuildOptions {
-  /// Cluster count for the publish-time table (clamped to the leaf
-  /// entry count). 0 with distance_limit > 0 merges hierarchically to
-  /// the limit instead.
-  int k = 0;
-  double distance_limit = 0.0;
-  GlobalAlgorithm algorithm = GlobalAlgorithm::kHierarchical;
-  DistanceMetric metric = DistanceMetric::kD2;
-  uint64_t seed = 42;
-  /// Stream position at capture time (metadata only).
-  uint64_t points_ingested = 0;
-};
-
 /// The immutable snapshot. Thread-safe for concurrent const queries:
 /// all state is written once in Build() and only read afterwards.
 class ServingSnapshot {
  public:
-  /// Flattens `tree` and runs the publish-time global clustering.
+  /// Flattens `tree`, captured at stream position `points_ingested`
+  /// (metadata only), and runs GlobalCluster over its leaf entries
+  /// under `global` for the publish-time cluster table.
   /// FailedPrecondition when the tree holds no leaf entries; any
   /// global-clustering failure propagates. The returned snapshot is
   /// mutable only in the hands of the publisher (BirchServer stamps
   /// the epoch); readers always see it through a const pointer.
   static StatusOr<std::shared_ptr<ServingSnapshot>> Build(
-      const CfTree& tree, const SnapshotBuildOptions& options);
+      const CfTree& tree, uint64_t points_ingested,
+      const GlobalClusterOptions& global);
 
   ~ServingSnapshot();
 

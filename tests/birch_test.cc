@@ -213,6 +213,20 @@ TEST(BirchTest, OptionValidation) {
   o.resources.page_size = 16;  // too small for dim
   EXPECT_EQ(BirchClusterer::Create(o).status().code(),
             StatusCode::kInvalidArgument);
+  // A page must hold the node header and two nonleaf entries (CF plus
+  // child pointer): 32 + 2 * (8 * (64 + 2) + 8) = 1104 bytes at d = 64.
+  o.dim = 64;
+  o.resources.page_size = 1024;
+  const Status refused = BirchClusterer::Create(o).status();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("page_size 1024 cannot hold two nonleaf "
+                                   "entries at dim 64; use page_size >= "
+                                   "1104"),
+            std::string::npos)
+      << refused.message();
+  o.resources.page_size = 1104;
+  EXPECT_TRUE(BirchClusterer::Create(o).ok());
+  o.dim = 2;
   o.resources.page_size = 1024;
   EXPECT_TRUE(BirchClusterer::Create(o).ok());
 }
@@ -284,6 +298,73 @@ TEST(BirchTest, SnapshotBeforeIngestNamesTheRemedy) {
   EXPECT_NE(snap.status().message().find("ingest at least one point"),
             std::string::npos)
       << snap.status().message();
+}
+
+// Snapshot(k), Finish() and publishes share one Phase-3 setup. With no
+// Phase 2 (fewer leaf entries than phase2_target_entries) and no Phase
+// 4, Finish() returns Phase 3's clusters, and Snapshot(k) of the tree
+// Finish() left, at the run's k, returns the same clusters bit for bit:
+// under each algorithm, and for k == 0 merging up to a distance limit.
+TEST(BirchTest, SnapshotMatchesFinishPhase3) {
+  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 9, 100);
+  ASSERT_TRUE(gen.ok());
+  struct Case {
+    GlobalAlgorithm algorithm;
+    int k;
+    double distance_limit;
+  };
+  const Case cases[] = {{GlobalAlgorithm::kHierarchical, 9, 0.0},
+                        {GlobalAlgorithm::kKMeans, 9, 0.0},
+                        {GlobalAlgorithm::kMedoids, 9, 0.0},
+                        {GlobalAlgorithm::kHierarchical, 0, 3.0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "algorithm "
+                                    << static_cast<int>(c.algorithm)
+                                    << ", k " << c.k);
+    BirchOptions o = SmallOptions(c.k);
+    o.global_phase.algorithm = c.algorithm;
+    o.global_phase.distance_limit = c.distance_limit;
+    o.refine.passes = 0;
+    auto clusterer_or = BirchClusterer::Create(o);
+    ASSERT_TRUE(clusterer_or.ok()) << clusterer_or.status().ToString();
+    auto& clusterer = clusterer_or.value();
+    ASSERT_TRUE(clusterer->AddDataset(gen.value().data).ok());
+    auto finished = clusterer->Finish();
+    ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+    ASSERT_LT(finished.value().leaf_entries_after_phase1,
+              o.global_phase.phase2_target_entries);
+    auto snap = clusterer->Snapshot(c.k);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_GT(snap.value().clusters.size(), 1u);
+    EXPECT_EQ(snap.value().clusters, finished.value().clusters);
+  }
+}
+
+// A Phase 3 over more than max_hierarchical_inputs entries with k > 0
+// runs k-means, in Finish() as in Snapshot(k) and publishes: here
+// 20,500 distinct grid points at T = 0 with no Phase 2 and no memory
+// limit reach Phase 3 as 20,500 entries.
+TEST(BirchTest, FinishAboveHierarchicalCapUsesKMeans) {
+  BirchOptions o;
+  o.dim = 2;
+  o.k = 5;
+  o.resources.memory_bytes = 0;
+  o.global_phase.use_phase2 = false;
+  std::vector<double> xs;
+  for (int i = 0; i < 205; ++i) {
+    for (int j = 0; j < 100; ++j) {
+      xs.push_back(i);
+      xs.push_back(j);
+    }
+  }
+  auto clusterer_or = BirchClusterer::Create(o);
+  ASSERT_TRUE(clusterer_or.ok()) << clusterer_or.status().ToString();
+  auto& clusterer = clusterer_or.value();
+  ASSERT_TRUE(clusterer->AddBatch(xs, xs.size() / 2).ok());
+  auto result = clusterer->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().leaf_entries_after_phase2, 20500u);
+  EXPECT_EQ(result.value().clusters.size(), 5u);
 }
 
 // AddBatch is the primary ingest surface and Add/AddDataset are sugar

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,23 @@
 #include "util/random.h"
 
 namespace birch {
+
+// Names each GlobalClusterAlgorithms instance by its algorithm (found
+// by argument-dependent lookup, so it lives in the enum's namespace).
+void PrintTo(GlobalAlgorithm algorithm, std::ostream* os) {
+  switch (algorithm) {
+    case GlobalAlgorithm::kHierarchical:
+      *os << "hierarchical";
+      return;
+    case GlobalAlgorithm::kKMeans:
+      *os << "kmeans";
+      return;
+    case GlobalAlgorithm::kMedoids:
+      *os << "medoids";
+      return;
+  }
+}
+
 namespace {
 
 /// Builds `per_group` subcluster CFs around each of `centers`.

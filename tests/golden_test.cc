@@ -156,10 +156,11 @@ void HashTree(const CfTree& tree, const BirchOptions& o, const Dataset& data,
   }
   g->tree_pages = pages.value();
 
-  serving::SnapshotBuildOptions s;
-  s.k = o.k;
-  s.seed = o.seed;
-  auto snap_or = serving::ServingSnapshot::Build(tree, s);
+  GlobalClusterOptions global;
+  global.k = o.k;
+  global.seed = o.seed;
+  auto snap_or = serving::ServingSnapshot::Build(
+      tree, /*points_ingested=*/0, global);
   ASSERT_TRUE(snap_or.ok()) << snap_or.status().ToString();
   const serving::ServingSnapshot& snap = *snap_or.value();
   Fingerprint assign;

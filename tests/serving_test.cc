@@ -1,16 +1,16 @@
 // Serving-tier properties (DESIGN.md §13): a pinned epoch is immutable
 // and bitwise-repeatable while ingest keeps publishing newer epochs
-// underneath; Assign's greedy descent agrees bitwise between the
-// scalar and batch kernels and lands where the live tree's own
-// insertion walk would; KNearestCentroids matches a brute-force oracle
-// over the publish-time centroid table; and retired epochs actually
-// free — the "serving/snapshots_live" gauge returns to its baseline
-// when the last reference drains.
+// underneath; an epoch's cluster table is Phase 3 over its leaf
+// entries under the run's options; KNearestCentroids matches a
+// brute-force oracle over the publish-time centroid table; and retired
+// epochs actually free — the "serving/snapshots_live" gauge returns to
+// its baseline when the last reference drains.
 #include "serving/server.h"
 
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +231,42 @@ TEST(ServingTest, EpochLeafEntriesRecluster) {
   double total = 0.0;
   for (const auto& e : entries) total += e.n();
   EXPECT_DOUBLE_EQ(total, 200.0);
+}
+
+// A publish clusters the epoch's leaf entries with Phase 3 under the
+// run's k, algorithm, metric and seed: the last epoch's cluster table
+// equals GlobalCluster over its LeafEntries() with those options.
+TEST(ServingTest, EpochClusterTableIsPhase3UnderTheRunsOptions) {
+  Dataset data = MakeData(5, 40, 39);  // 200 points
+  const std::pair<GlobalAlgorithm, DistanceMetric> configs[] = {
+      {GlobalAlgorithm::kHierarchical, DistanceMetric::kD4},
+      {GlobalAlgorithm::kKMeans, DistanceMetric::kD3},
+      {GlobalAlgorithm::kMedoids, DistanceMetric::kD0}};
+  for (const auto& [algorithm, metric] : configs) {
+    SCOPED_TRACE(testing::Message() << "algorithm "
+                                    << static_cast<int>(algorithm));
+    BirchOptions o = ServingOpts(data.dim(), 5, 70);
+    o.global_phase.algorithm = algorithm;
+    o.global_phase.metric = metric;
+    o.seed = 7;
+    auto c = BirchClusterer::Create(o);
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(c.value()->AddDataset(data).ok());
+    auto epoch = c.value()->server()->Acquire();
+    ASSERT_NE(epoch, nullptr);
+    EXPECT_EQ(epoch->points_ingested(), 140u);
+    GlobalClusterOptions g;
+    g.k = o.k;
+    g.algorithm = algorithm;
+    g.metric = metric;
+    g.seed = o.seed;
+    auto want = GlobalCluster(epoch->LeafEntries(), g);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(epoch->clusters(), want.value().clusters);
+    for (size_t i = 0; i < epoch->leaf_entry_count(); ++i) {
+      ASSERT_EQ(epoch->cluster_of(i), want.value().assignment[i]) << i;
+    }
+  }
 }
 
 // Gauge-balance acceptance criterion: every published epoch retires
