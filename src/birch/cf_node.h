@@ -34,22 +34,22 @@ struct CfLayout {
   /// Leaf entry: CF only.
   size_t LeafEntryBytes() const { return CfBytes(); }
 
-  /// Branching factor B for nonleaf nodes (>= 2 so splits are possible).
-  size_t B() const {
-    size_t usable = page_size > kNodeHeaderBytes
-                        ? page_size - kNodeHeaderBytes
-                        : 0;
-    size_t b = usable / NonleafEntryBytes();
-    return b < 2 ? 2 : b;
+  /// Smallest page that holds the header and two nonleaf entries (the
+  /// larger kind), so a split of any node has two halves.
+  size_t MinPageSize() const {
+    return kNodeHeaderBytes + 2 * NonleafEntryBytes();
   }
 
-  /// Max entries L for leaf nodes.
-  size_t L() const {
-    size_t usable = page_size > kNodeHeaderBytes
-                        ? page_size - kNodeHeaderBytes
-                        : 0;
-    size_t l = usable / LeafEntryBytes();
-    return l < 2 ? 2 : l;
+  /// Branching factor B for nonleaf nodes (>= 2 once page_size >=
+  /// MinPageSize()).
+  size_t B() const { return UsableBytes() / NonleafEntryBytes(); }
+
+  /// Max entries L for leaf nodes (>= B).
+  size_t L() const { return UsableBytes() / LeafEntryBytes(); }
+
+ private:
+  size_t UsableBytes() const {
+    return page_size > kNodeHeaderBytes ? page_size - kNodeHeaderBytes : 0;
   }
 };
 

@@ -27,6 +27,9 @@ CfTree::CfTree(const CfTreeOptions& options, MemoryTracker* mem)
       point_cf_(EmptyCf()),
       row_(EmptyCf()) {
   assert(mem_ != nullptr);
+  // Every node holds two entries, so a split has two halves and a
+  // node's TreeIO record fits its page.
+  assert(layout_.page_size >= layout_.MinPageSize());
   root_ = AllocNode(/*leaf=*/true);
   first_leaf_ = root_;
 }

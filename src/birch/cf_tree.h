@@ -88,6 +88,9 @@ enum class InsertMode {
 /// rebuilds, mirroring the paper's Phase 1 control flow).
 class CfTree {
  public:
+  /// `options.page_size` must be at least CfLayout::MinPageSize() at
+  /// `options.dim` (asserted; BirchOptions::Validate refuses a smaller
+  /// page).
   CfTree(const CfTreeOptions& options, MemoryTracker* mem);
   ~CfTree();
 

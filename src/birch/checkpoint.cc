@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pagestore/crc32c.h"
-#include "pagestore/page_codec.h"
 #include "util/timer.h"
 
 namespace birch {
@@ -20,11 +19,9 @@ constexpr uint32_t kHeaderTag = 1;
 constexpr uint32_t kFreezeTag = 2;
 constexpr uint32_t kFooterTag = 3;
 
-/// True when a header's u32 codec id names a PageCodecKind.
-bool KnownPageCodec(uint32_t id) {
-  return id == static_cast<uint32_t>(PageCodecKind::kNone) ||
-         id == static_cast<uint32_t>(PageCodecKind::kDeltaRle);
-}
+/// The header's trailing codec field in files written with the retired
+/// delta-rle checkpoint codec (compressed freeze sections).
+constexpr uint32_t kRetiredDeltaRleCodec = 1;
 
 /// Little-endian append-only encoder.
 class ByteWriter {
@@ -105,7 +102,7 @@ class ByteReader {
 };
 
 void EncodeFreeze(const Phase1Freeze& f, ByteWriter* w) {
-  // Tree image + pages.
+  // Tree image + node records.
   w->U64(f.image.root);
   w->U64(f.image.dim);
   w->U64(f.image.page_size);
@@ -117,10 +114,10 @@ void EncodeFreeze(const Phase1Freeze& f, ByteWriter* w) {
   w->U32(64);  // CF component width in bits
   w->U64(f.image.leaf_chain.size());
   for (PageId id : f.image.leaf_chain) w->U64(id);
-  w->U64(f.tree_pages.size());
-  for (const auto& page : f.tree_pages) {
-    w->U64(page.size());
-    w->Bytes(page.data(), page.size());
+  w->U64(f.image.records.size());
+  for (const auto& record : f.image.records) {
+    w->U64(record.size());
+    w->Bytes(record.data(), record.size());
   }
   // Pending spill records.
   w->U64(f.outlier_records.size());
@@ -198,13 +195,13 @@ bool DecodeFreeze(ByteReader* r, Phase1Freeze* f) {
     if (!r->U64(&id)) return false;
   }
   if (!r->U64(&count)) return false;
-  // A page costs at least its 8-byte length field; anything claiming
-  // more pages than the payload could frame is corrupt.
+  // A record costs at least its 8-byte length field; anything claiming
+  // more records than the payload could frame is corrupt.
   if (r->remaining() / 8 < count) return false;
-  f->tree_pages.resize(static_cast<size_t>(count));
-  for (auto& page : f->tree_pages) {
+  f->image.records.resize(static_cast<size_t>(count));
+  for (auto& record : f->image.records) {
     uint64_t bytes = 0;
-    if (!r->U64(&bytes) || !r->Bytes(bytes, &page)) return false;
+    if (!r->U64(&bytes) || !r->Bytes(bytes, &record)) return false;
   }
   if (!r->U64(&count) || !r->Doubles(count, &f->outlier_records)) return false;
   if (!r->U64(&count) || !r->Doubles(count, &f->delayed_records)) return false;
@@ -282,7 +279,6 @@ CheckpointImage CheckpointImage::For(const BirchOptions& options) {
   img.metric = static_cast<uint32_t>(options.tree.metric);
   img.threshold_kind = static_cast<uint32_t>(options.tree.threshold_kind);
   img.cf_representation = static_cast<uint32_t>(options.tree.cf);
-  img.page_codec = static_cast<uint32_t>(options.resources.page_codec);
   return img;
 }
 
@@ -307,13 +303,6 @@ Status CheckpointImage::MatchesOptions(const BirchOptions& options) const {
           std::to_string(f.configured));
     }
   }
-  if (page_codec != want.page_codec) {
-    return Status::InvalidArgument(
-        std::string("checkpoint was written with page_codec ") +
-        PageCodecName(static_cast<PageCodecKind>(page_codec)) +
-        ", options say " + PageCodecName(options.resources.page_codec) +
-        " (set resources.page_codec to match the checkpointed run)");
-  }
   return Status::OK();
 }
 
@@ -328,12 +317,6 @@ Status WriteCheckpointFile(const std::string& path,
   }
   std::vector<uint8_t> out(kMagic, kMagic + sizeof(kMagic));
 
-  if (!KnownPageCodec(image.page_codec)) {
-    return Status::InvalidArgument("checkpoint image names unknown codec " +
-                                   std::to_string(image.page_codec));
-  }
-  const auto codec = static_cast<PageCodecKind>(image.page_codec);
-
   ByteWriter header;
   header.U32(image.version);
   header.U64(image.dim);
@@ -344,32 +327,15 @@ Status WriteCheckpointFile(const std::string& path,
   header.U32(image.scalar_width);
   header.U32(image.shard_count);
   header.U64(image.points_ingested);
-  // Trailing optional field: absent in pre-compression v2 files, whose
-  // readers decode it as 0 (raw sections). The header itself stays raw
-  // so the codec is known before any compressed section is met.
-  header.U32(image.page_codec);
+  // Trailing codec field, always 0 (raw freeze sections): builds that
+  // could compress the sections read it, and reject a nonzero one.
+  header.U32(0);
   AppendSection(kHeaderTag, header, &out);
 
   for (const Phase1Freeze& f : image.freezes) {
     ByteWriter payload;
     EncodeFreeze(f, &payload);
-    if (codec == PageCodecKind::kNone) {
-      AppendSection(kFreezeTag, payload, &out);
-    } else {
-      // Freeze sections dominate the file (tree pages + spill records,
-      // exactly the data the page codec is built for): store them as
-      // compressed envelopes. The section CRC then covers the
-      // compressed image.
-      if (payload.data().size() > UINT32_MAX) {
-        return Status::InvalidArgument(
-            "checkpoint section too large to compress");
-      }
-      ByteWriter enveloped;
-      std::vector<uint8_t> stored = EncodePageEnvelope(
-          codec, std::span<const uint8_t>(payload.data()));
-      enveloped.Bytes(stored.data(), stored.size());
-      AppendSection(kFreezeTag, enveloped, &out);
-    }
+    AppendSection(kFreezeTag, payload, &out);
   }
 
   ByteWriter footer;
@@ -474,11 +440,11 @@ StatusOr<CheckpointImage> ReadCheckpointFile(const std::string& path) {
         !h.U32(&image.shard_count) || !h.U64(&image.points_ingested)) {
       return Status::Corruption("checkpoint header payload malformed");
     }
-    // Optional trailing codec field: files written before page
-    // compression end exactly here and decode as codec 0 (raw
-    // sections) — old uncompressed checkpoints still load.
-    image.page_codec = 0;
-    if (!h.done() && (!h.U32(&image.page_codec) || !h.done())) {
+    // Optional trailing codec field: files written before checkpoint
+    // compression end exactly here; every other file carries 0 (raw
+    // freeze sections) unless the retired delta-rle codec wrote it.
+    uint32_t codec = 0;
+    if (!h.done() && (!h.U32(&codec) || !h.done())) {
       return Status::Corruption("checkpoint header payload malformed");
     }
     if (image.scalar_width == 32) {
@@ -490,10 +456,15 @@ StatusOr<CheckpointImage> ReadCheckpointFile(const std::string& path) {
       return Status::Corruption(
           "checkpoint header carries an impossible CF fingerprint");
     }
-    if (!KnownPageCodec(image.page_codec)) {
-      return Status::Corruption(
-          "checkpoint header names unknown page codec " +
-          std::to_string(image.page_codec));
+    if (codec == kRetiredDeltaRleCodec) {
+      return Status::InvalidArgument(
+          "checkpoint was written with the delta-rle checkpoint codec, "
+          "which this build no longer reads; restore it with an earlier "
+          "build and save it again uncompressed");
+    }
+    if (codec != 0) {
+      return Status::Corruption("checkpoint header names unknown codec " +
+                                std::to_string(codec));
     }
   }
 
@@ -508,20 +479,7 @@ StatusOr<CheckpointImage> ReadCheckpointFile(const std::string& path) {
       return Status::Corruption("checkpoint is missing a shard section");
     }
     Phase1Freeze f;
-    std::vector<uint8_t> raw;
-    if (image.page_codec != 0) {
-      // The CRC above covered the compressed image; a payload that
-      // passed it but fails to decode is still a damaged file.
-      Status st =
-          DecodePageEnvelope(std::span<const uint8_t>(payload), &raw);
-      if (!st.ok()) {
-        return Status::Corruption("checkpoint shard section undecodable: " +
-                                  st.message());
-      }
-    } else {
-      raw = std::move(payload);
-    }
-    ByteReader body(raw.data(), raw.size());
+    ByteReader body(payload.data(), payload.size());
     if (!DecodeFreeze(&body, &f)) {
       return Status::Corruption("checkpoint shard payload malformed");
     }

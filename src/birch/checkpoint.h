@@ -38,14 +38,17 @@ namespace birch {
 /// width 32 was written under the retired float32 CF storage and is
 /// rejected the same way (InvalidArgument naming float32 storage).
 ///
-/// Still v2: a trailing `page_codec` header field and compressed
-/// freeze sections. The field is optional on read — v2 files written
-/// before compression existed have no codec field and decode with
-/// page_codec = 0 (raw sections), so old uncompressed checkpoints
-/// still load. When page_codec != 0 every freeze-section payload is a
-/// page envelope (pagestore/page_codec.h); the section CRC32C covers
-/// the compressed image. The codec compresses these sections only:
-/// the header, the footer and the run's outlier disk stay raw.
+/// Still v2: the header ends with a u32 codec field, written as 0. It
+/// is optional on read (v2 files written before it existed end the
+/// header without it). Codec 1 marks a file whose freeze sections were
+/// compressed by the retired delta-rle codec: it is refused with
+/// InvalidArgument naming delta-rle. Any other nonzero codec is
+/// Corruption.
+///
+/// A freeze section stores the CF tree as TreeIO node records, each
+/// length-prefixed (birch/tree_io.h). Earlier builds stored each
+/// record zero-padded to the page size; both forms read the same, so
+/// checkpoints restore across the change in either direction.
 inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// In-memory form of one checkpoint file: the options fingerprint that
@@ -63,12 +66,6 @@ struct CheckpointImage {
   uint32_t cf_representation = 0;
   /// Stored CF component width in bits: always 64 (doubles).
   uint32_t scalar_width = 64;
-  /// static_cast of PageCodecKind: 0 = raw freeze sections; != 0 means
-  /// the freeze sections are stored as compressed page envelopes under
-  /// this codec. Part of the fingerprint — restoring under a different
-  /// resources.page_codec is rejected, since the freeze sections are
-  /// encoded under it.
-  uint32_t page_codec = 0;
   /// 0 = serial image (exactly one freeze); N >= 1 = sharded image
   /// written by an N-shard run (exactly N freezes, shard order).
   uint32_t shard_count = 0;
@@ -94,8 +91,10 @@ Status WriteCheckpointFile(const std::string& path,
 
 /// Parses a checkpoint file. Corruption on bad magic, bad framing,
 /// checksum mismatch, truncation, or a payload that does not decode;
-/// InvalidArgument on an unknown format version; IOError when the file
-/// cannot be read at all.
+/// InvalidArgument on an unknown format version, float32 CF storage or
+/// delta-rle freeze sections; IOError when the file cannot be read at
+/// all. The tree records are checked when BirchClusterer::Restore
+/// rebuilds the tree (TreeIO::Read): a damaged one is Corruption too.
 StatusOr<CheckpointImage> ReadCheckpointFile(const std::string& path);
 
 }  // namespace birch

@@ -20,7 +20,7 @@
 #include "birch/global_cluster.h"
 #include "birch/kernel/kernel.h"
 #include "pagestore/fault_injector.h"
-#include "pagestore/page_codec.h"
+#include "pagestore/page.h"
 #include "util/status.h"
 
 namespace birch {
@@ -56,12 +56,9 @@ struct BirchOptions {
     /// unrecoverably (see `fault` below).
     size_t disk_bytes = 16 * 1024;  // paper: R = 20% of M
     size_t page_size = 1024;
-    /// Compression for checkpoint files' freeze sections
-    /// (pagestore/page_codec.h); it compresses nothing else, so a run
-    /// clusters identically with or without it. kNone (the default)
-    /// writes raw sections.
+    /// Have no effect: the outlier disk and checkpoint files store raw
+    /// bytes.
     PageCodecKind page_codec = PageCodecKind::kNone;
-    /// Has no effect: the outlier disk stores raw pages.
     size_t hot_tier_bytes = 0;
     /// Deterministic fault injection for the outlier disk (chaos
     /// testing): transient IOErrors, silent page loss, bit rot. The
@@ -199,10 +196,8 @@ struct BirchOptions {
       }
     }
     // A node page holds its header and at least two entries, so a split
-    // has two halves; a nonleaf entry (CF + child) is the larger one.
-    const size_t min_page =
-        CfLayout::kNodeHeaderBytes +
-        2 * CfLayout{resources.page_size, dim}.NonleafEntryBytes();
+    // has two halves (CfTree requires it).
+    const size_t min_page = CfLayout{resources.page_size, dim}.MinPageSize();
     if (resources.page_size < min_page) {
       return Status::InvalidArgument(
           "page_size " + std::to_string(resources.page_size) +

@@ -129,17 +129,7 @@ StatusOr<Phase1Freeze> Phase1Builder::Freeze() {
   f.fault_stats = disk_.fault_stats();
   f.robustness = robustness();
 
-  // Serialize the tree into a private fault-free staging store; its
-  // ids are sequential from 0, so page i of the store is tree_pages[i].
-  PageStore staging(options_.tree.page_size);
-  auto img_or = TreeIO::Write(*tree_, &staging);
-  if (!img_or.ok()) return img_or.status();
-  f.image = std::move(img_or.value());
-  f.tree_pages.resize(staging.num_pages());
-  for (size_t i = 0; i < f.tree_pages.size(); ++i) {
-    BIRCH_RETURN_IF_ERROR(
-        staging.Read(static_cast<PageId>(i), &f.tree_pages[i]));
-  }
+  f.image = TreeIO::Write(*tree_);
 
   // Copy pending spill state without consuming it. Records a faulty
   // device loses during the peek are absent from the checkpoint; the
@@ -170,16 +160,8 @@ StatusOr<std::unique_ptr<Phase1Builder>> Phase1Builder::Thaw(
   }
   std::unique_ptr<Phase1Builder> b(new Phase1Builder(options));
 
-  // Rebuild the CF tree from the frozen pages via TreeIO (ids are
-  // sequential, matching the freeze's staging store).
-  PageStore staging(freeze.image.page_size);
-  for (const auto& page : freeze.tree_pages) {
-    auto id_or = staging.Allocate();
-    if (!id_or.ok()) return id_or.status();
-    BIRCH_RETURN_IF_ERROR(staging.Write(id_or.value(), page));
-  }
   b->tree_.reset();  // release the fresh root's budget charge first
-  auto tree_or = TreeIO::Read(freeze.image, &staging, options.tree, &b->mem_);
+  auto tree_or = TreeIO::Read(freeze.image, options.tree, &b->mem_);
   if (!tree_or.ok()) return tree_or.status();
   b->tree_ = std::move(tree_or.value());
 

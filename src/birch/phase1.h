@@ -17,7 +17,6 @@
 #include "birch/threshold.h"
 #include "birch/tree_io.h"
 #include "pagestore/memory_tracker.h"
-#include "pagestore/page_codec.h"
 #include "pagestore/page_store.h"
 #include "pagestore/spill_file.h"
 #include "util/status.h"
@@ -101,16 +100,15 @@ struct RobustnessStats {
 };
 
 /// Complete mid-stream state of a Phase1Builder, in plain values: the
-/// serialized CF tree (TreeIO page images), pending spill records,
+/// serialized CF tree (TreeIO node records), pending spill records,
 /// threshold history, counters, and the fault injector's RNG. Freeze()
 /// produces one without disturbing the live builder; Thaw() turns one
 /// back into a builder that continues exactly where the original was.
 /// The checkpoint file format is a framed, checksummed encoding of this
 /// struct (see birch/checkpoint.h).
 struct Phase1Freeze {
+  /// The CF tree, its node records included.
   TreeImage image;
-  /// Node pages in TreeIO id order (page i of the staging store).
-  std::vector<std::vector<uint8_t>> tree_pages;
   /// Pending spill records (flattened CF serializations, append order).
   std::vector<double> outlier_records;
   std::vector<double> delayed_records;
@@ -214,8 +212,8 @@ class Phase1Builder {
   }
 
   /// Captures the builder's complete mid-stream state without changing
-  /// it (the tree is serialized into a private staging store; spill
-  /// files are peeked, not drained). FailedPrecondition after Finish().
+  /// it (the tree is serialized into node records; spill files are
+  /// peeked, not drained). FailedPrecondition after Finish().
   StatusOr<Phase1Freeze> Freeze();
 
   /// Reconstructs a builder from a freeze. `options` supplies the

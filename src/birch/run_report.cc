@@ -46,7 +46,6 @@ void WriteOptions(JsonWriter* w, const BirchOptions& o) {
   w->KV("memory_bytes", static_cast<uint64_t>(o.resources.memory_bytes));
   w->KV("disk_bytes", static_cast<uint64_t>(o.resources.disk_bytes));
   w->KV("page_size", static_cast<uint64_t>(o.resources.page_size));
-  w->KV("page_codec", PageCodecName(o.resources.page_codec));
   w->KV("checkpoint_every_n", o.resources.checkpoint_every_n);
   w->EndObject();
   w->Key("tree").BeginObject();
@@ -155,7 +154,6 @@ uint64_t OptionsFingerprint(const BirchOptions& o) {
   f.Mix(static_cast<uint64_t>(o.resources.memory_bytes));
   f.Mix(static_cast<uint64_t>(o.resources.disk_bytes));
   f.Mix(static_cast<uint64_t>(o.resources.page_size));
-  f.Mix(static_cast<int64_t>(o.resources.page_codec));
   f.Mix(o.resources.fault.read_transient_rate);
   f.Mix(o.resources.fault.write_transient_rate);
   f.Mix(o.resources.fault.page_loss_rate);

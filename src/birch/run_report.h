@@ -11,7 +11,8 @@
 // ignore keys they do not know. Renaming or retyping an existing key
 // bumps the version, and ReadRunReport rejects versions it does not
 // know. The keys of a retired feature go without a version bump, as
-// `cf_storage` went with float32 CF storage.
+// `cf_storage` went with float32 CF storage and `page_codec` with the
+// checkpoint codec.
 #ifndef BIRCH_BIRCH_RUN_REPORT_H_
 #define BIRCH_BIRCH_RUN_REPORT_H_
 

@@ -1,9 +1,11 @@
 #include "birch/tree_io.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,50 +15,30 @@ namespace birch {
 
 namespace {
 
-void PutDoubles(std::vector<uint8_t>* page, const std::vector<double>& v) {
-  page->resize(v.size() * sizeof(double));
-  std::memcpy(page->data(), v.data(), page->size());
-}
-
-std::vector<double> GetDoubles(const std::vector<uint8_t>& page) {
-  std::vector<double> v(page.size() / sizeof(double));
-  std::memcpy(v.data(), page.data(), v.size() * sizeof(double));
+std::vector<double> GetDoubles(const std::vector<uint8_t>& record) {
+  std::vector<double> v(record.size() / sizeof(double));
+  std::memcpy(v.data(), record.data(), v.size() * sizeof(double));
   return v;
 }
 
-/// Largest PageId a double can carry exactly. Ids above this would
-/// round-trip corrupted through the all-doubles page format, so Write
-/// rejects them and Read treats them as corruption.
-constexpr uint64_t kMaxExactPageId = 1ULL << 53;
-
-/// True if `v` is a non-negative integer a double stores exactly and a
-/// PageId can hold. The value is returned through `*id`.
-bool DecodePageId(double v, PageId* id) {
-  if (!std::isfinite(v) || v < 0.0 ||
-      v > static_cast<double>(kMaxExactPageId)) {
+/// True if `v` is an integer naming one of `count` records. The id is
+/// returned through `*id`.
+bool DecodeRecordId(double v, size_t count, PageId* id) {
+  if (!(v >= 0.0 && v < static_cast<double>(count)) || v != std::floor(v)) {
     return false;
   }
-  if (v != std::floor(v)) return false;
   *id = static_cast<PageId>(v);
   return true;
 }
 
 }  // namespace
 
-StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
-  if (store->page_size() < tree.options().page_size) {
-    return Status::InvalidArgument(
-        "store page smaller than the tree's node page");
-  }
-  const size_t dim = tree.options().dim;
-
-  Status failure = Status::OK();
-  std::vector<PageId> allocated;  // every page we own, for error cleanup
-  std::unordered_map<const CfNode*, PageId> page_of;  // leaf-chain lookup
-  CfVector row(dim, tree.options().cf);
+TreeImage TreeIO::Write(const CfTree& tree) {
+  TreeImage image;
+  std::unordered_map<const CfNode*, PageId> leaf_id;  // leaf-chain lookup
+  CfVector row(tree.options().dim, tree.options().cf);
   std::function<PageId(const CfNode*)> write_node =
       [&](const CfNode* node) -> PageId {
-    if (!failure.ok()) return kInvalidPageId;
     std::vector<double> buf;
     buf.push_back(kNodeMagic);
     buf.push_back(node->is_leaf ? 1.0 : 0.0);
@@ -65,61 +47,25 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
       node->rows.Load(i, &row);
       row.SerializeTo(&buf);
       if (!node->is_leaf) {
-        PageId child = write_node(node->children[i]);
-        if (!failure.ok()) return kInvalidPageId;
-        if (child > kMaxExactPageId) {
-          // A double cannot carry this id exactly; refuse to write a
-          // page that would decode to a different child.
-          failure = Status::InvalidArgument(
-              "page id " + std::to_string(child) +
-              " exceeds the exact-double range of the node page format");
-          return kInvalidPageId;
-        }
-        buf.push_back(static_cast<double>(child));
+        buf.push_back(static_cast<double>(write_node(node->children[i])));
       }
     }
-    if (buf.size() * sizeof(double) > store->page_size()) {
-      failure = Status::Internal("serialized node exceeds page size");
-      return kInvalidPageId;
-    }
-    auto id_or = store->Allocate();
-    if (!id_or.ok()) {
-      failure = id_or.status();
-      return kInvalidPageId;
-    }
-    allocated.push_back(id_or.value());
-    std::vector<uint8_t> page;
-    PutDoubles(&page, buf);
-    Status st = store->Write(id_or.value(), page);
-    if (!st.ok()) {
-      failure = st;
-      return kInvalidPageId;
-    }
-    page_of[node] = id_or.value();
-    return id_or.value();
+    std::vector<uint8_t>& record = image.records.emplace_back(
+        buf.size() * sizeof(double));
+    assert(record.size() <= tree.options().page_size);
+    std::memcpy(record.data(), buf.data(), record.size());
+    const PageId id = image.records.size() - 1;
+    if (node->is_leaf) leaf_id[node] = id;
+    return id;
   };
 
-  TreeImage image;
   image.root = write_node(tree.root());
-  if (failure.ok()) {
-    // Record the leaf chain so Read can restore iteration order.
-    for (const CfNode* leaf = tree.first_leaf(); leaf != nullptr;
-         leaf = leaf->next) {
-      auto it = page_of.find(leaf);
-      if (it == page_of.end()) {
-        failure = Status::Internal("leaf chain references an unwritten node");
-        break;
-      }
-      image.leaf_chain.push_back(it->second);
-    }
+  // Record the leaf chain so Read can restore iteration order.
+  for (const CfNode* leaf = tree.first_leaf(); leaf != nullptr;
+       leaf = leaf->next) {
+    image.leaf_chain.push_back(leaf_id.at(leaf));
   }
-  if (!failure.ok()) {
-    // A partial image is useless and unreachable (children of the
-    // failed node were never linked): return every page taken so far.
-    for (PageId id : allocated) store->Free(id);
-    return failure;
-  }
-  image.dim = dim;
+  image.dim = tree.options().dim;
   image.page_size = tree.options().page_size;
   image.cf = tree.options().cf;
   image.threshold = tree.threshold();
@@ -130,17 +76,24 @@ StatusOr<TreeImage> TreeIO::Write(const CfTree& tree, PageStore* store) {
 }
 
 StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
-                                               PageStore* store,
                                                const CfTreeOptions& options,
                                                MemoryTracker* mem) {
-  if (image.root == kInvalidPageId) {
-    return Status::InvalidArgument("invalid tree image");
-  }
   if (options.cf != image.cf) {
     return Status::InvalidArgument(
         std::string("tree image was written with cf=") +
         CfRepresentationName(image.cf) + " but the caller configured cf=" +
         CfRepresentationName(options.cf));
+  }
+  const CfLayout layout{image.page_size, image.dim};
+  if (image.page_size < layout.MinPageSize()) {
+    return Status::Corruption(
+        "tree image page size " + std::to_string(image.page_size) +
+        " cannot hold two nonleaf entries at dim " +
+        std::to_string(image.dim));
+  }
+  if (image.root >= image.records.size()) {
+    return Status::Corruption("tree image root " + std::to_string(image.root) +
+                              " names no stored record");
   }
   CfTreeOptions opts = options;
   opts.dim = image.dim;
@@ -148,7 +101,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
   opts.threshold = image.threshold;
 
   auto tree = std::make_unique<CfTree>(opts, mem);
-  // Drop the fresh root; we rebuild the node set from pages.
+  // Drop the fresh root; we rebuild the node set from the records.
   tree->FreeNode(tree->root_);
   tree->root_ = nullptr;
   tree->first_leaf_ = nullptr;
@@ -160,26 +113,26 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
   size_t leaf_depth = 0;  // depth of the first leaf read; 0 before it
   std::vector<CfNode*> allocated;  // for cleanup on failure
   std::unordered_set<PageId> visited;  // cycle / duplicate-reference guard
-  std::unordered_map<PageId, CfNode*> leaf_by_page;
+  std::unordered_map<PageId, CfNode*> leaf_by_id;
 
   std::function<CfNode*(PageId, size_t)> read_node =
       [&](PageId id, size_t depth) -> CfNode* {
     if (!failure.ok()) return nullptr;
     if (!visited.insert(id).second) {
-      failure = Status::Corruption("page " + std::to_string(id) +
+      failure = Status::Corruption("record " + std::to_string(id) +
                                    " referenced twice (cycle or shared "
                                    "child in tree image)");
       return nullptr;
     }
-    std::vector<uint8_t> page;
-    Status st = store->Read(id, &page);
-    if (!st.ok()) {
-      failure = st;
+    const std::vector<uint8_t>& record = image.records[id];
+    if (record.size() > image.page_size) {
+      failure = Status::Corruption("record " + std::to_string(id) +
+                                   " is longer than the image's page size");
       return nullptr;
     }
-    std::vector<double> buf = GetDoubles(page);
+    std::vector<double> buf = GetDoubles(record);
     if (buf.size() < 3 || buf[0] != kNodeMagic) {
-      failure = Status::Corruption("page " + std::to_string(id) +
+      failure = Status::Corruption("record " + std::to_string(id) +
                                    " is not a CF tree node");
       return nullptr;
     }
@@ -195,7 +148,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
         buf[2] != std::floor(buf[2]) ||
         buf[2] > static_cast<double>(max_count)) {
       failure = Status::Corruption(
-          "page " + std::to_string(id) +
+          "record " + std::to_string(id) +
           " carries an impossible CF node entry count");
       return nullptr;
     }
@@ -203,12 +156,12 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
     // A nonleaf node always has a child to descend to, and every leaf
     // sits at one depth (the tree is height-balanced).
     if (!is_leaf && count == 0) {
-      failure = Status::Corruption("page " + std::to_string(id) +
+      failure = Status::Corruption("record " + std::to_string(id) +
                                    " is a nonleaf CF node with no entries");
       return nullptr;
     }
     if (is_leaf && leaf_depth != 0 && depth != leaf_depth) {
-      failure = Status::Corruption("page " + std::to_string(id) +
+      failure = Status::Corruption("record " + std::to_string(id) +
                                    " is a leaf at depth " +
                                    std::to_string(depth) + ", not " +
                                    std::to_string(leaf_depth) +
@@ -226,10 +179,10 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
       off += cf_doubles;
       if (!is_leaf) {
         PageId child;
-        if (!DecodePageId(buf[off++], &child)) {
-          failure = Status::Corruption("page " + std::to_string(id) +
-                                       " stores an out-of-range child "
-                                       "page id");
+        if (!DecodeRecordId(buf[off++], image.records.size(), &child)) {
+          failure = Status::Corruption("record " + std::to_string(id) +
+                                       " names a child that is not a "
+                                       "stored record");
           return nullptr;
         }
         CfNode* child_node = read_node(child, depth + 1);
@@ -241,7 +194,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
       tree->leaf_entries_ += count;
       OBS_GAUGE_ADD("tree/leaf_entries", count);
       leaf_depth = depth;
-      leaf_by_page[id] = node;
+      leaf_by_id[id] = node;
       // Leaves are visited left-to-right: append to the chain. (When
       // the image carries an explicit leaf_chain this order is
       // provisional and gets relinked below.)
@@ -263,7 +216,7 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
   if (failure.ok() && !image.leaf_chain.empty()) {
     // Relink the chain in the recorded order (the live tree's chain
     // order, which traversal order does not preserve).
-    if (image.leaf_chain.size() != leaf_by_page.size()) {
+    if (image.leaf_chain.size() != leaf_by_id.size()) {
       failure = Status::Corruption(
           "tree image leaf chain does not match the leaf set");
     } else {
@@ -271,10 +224,10 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
       CfNode* prev = nullptr;
       tree->first_leaf_ = nullptr;
       for (PageId id : image.leaf_chain) {
-        auto it = leaf_by_page.find(id);
-        if (it == leaf_by_page.end() || !seen.insert(id).second) {
+        auto it = leaf_by_id.find(id);
+        if (it == leaf_by_id.end() || !seen.insert(id).second) {
           failure = Status::Corruption(
-              "tree image leaf chain references a page that is not a "
+              "tree image leaf chain references a record that is not a "
               "distinct leaf");
           break;
         }
@@ -306,57 +259,6 @@ StatusOr<std::unique_ptr<CfTree>> TreeIO::Read(const TreeImage& image,
     return failure;
   }
   return tree;
-}
-
-Status TreeIO::Release(const TreeImage& image, PageStore* store) {
-  if (image.root == kInvalidPageId) return Status::OK();
-  Status failure = Status::OK();
-  std::unordered_set<PageId> visited;
-  std::function<void(PageId)> release = [&](PageId id) {
-    if (!failure.ok()) return;
-    if (!visited.insert(id).second) {
-      failure = Status::Corruption("page referenced twice in tree image");
-      return;
-    }
-    std::vector<uint8_t> page;
-    Status st = store->Read(id, &page);
-    if (!st.ok()) {
-      failure = st;
-      return;
-    }
-    std::vector<double> buf = GetDoubles(page);
-    if (buf.size() < 3 || buf[0] != kNodeMagic) {
-      failure = Status::Corruption("page is not a CF tree node");
-      return;
-    }
-    const bool is_leaf = buf[1] != 0.0;
-    const size_t cf_doubles = CfVector::SerializedDoubles(image.dim);
-    const size_t per_entry = cf_doubles + (is_leaf ? 0 : 1);
-    const size_t max_count = (buf.size() - 3) / per_entry;
-    if (!std::isfinite(buf[2]) || buf[2] < 0.0 ||
-        buf[2] != std::floor(buf[2]) ||
-        buf[2] > static_cast<double>(max_count)) {
-      failure = Status::Corruption("impossible CF node entry count");
-      return;
-    }
-    const size_t count = static_cast<size_t>(buf[2]);
-    if (!is_leaf) {
-      size_t off = 3;
-      for (size_t i = 0; i < count; ++i) {
-        off += cf_doubles;
-        PageId child;
-        if (!DecodePageId(buf[off++], &child)) {
-          failure = Status::Corruption("out-of-range child page id");
-          return;
-        }
-        release(child);
-        if (!failure.ok()) return;
-      }
-    }
-    failure = store->Free(id);
-  };
-  release(image.root);
-  return failure;
 }
 
 }  // namespace birch

@@ -13,6 +13,11 @@ using PageId = uint64_t;
 
 inline constexpr PageId kInvalidPageId = static_cast<PageId>(-1);
 
+/// Has no effect: the outlier disk and checkpoint files store raw
+/// bytes. Kept, with its one value, only as the type of the option
+/// fields the end-to-end benchmark still assigns.
+enum class PageCodecKind : uint8_t { kNone = 0 };
+
 /// A page is an owned page_size byte buffer plus the CRC32C of those
 /// bytes, recomputed on every Write and verified on every Read.
 struct Page {

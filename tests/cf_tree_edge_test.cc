@@ -110,14 +110,16 @@ TEST(CfTreeEdgeTest, OneDimensionalData) {
 }
 
 TEST(CfTreeEdgeTest, HighDimensionalTinyFanout) {
-  // dim 32 with a 512-byte page: L/B pinned at the floor of 2.
+  // dim 32 with the smallest page that holds two nonleaf entries:
+  // L and B are both 2.
   MemoryTracker mem;
   CfTreeOptions o;
   o.dim = 32;
-  o.page_size = 512;
+  o.page_size = CfLayout{0, 32}.MinPageSize();
   o.threshold = 1.0;
   CfTree tree(o, &mem);
   EXPECT_EQ(tree.layout().L(), 2u);
+  EXPECT_EQ(tree.layout().B(), 2u);
   Rng rng(604);
   std::vector<double> p(32);
   for (int i = 0; i < 500; ++i) {

@@ -41,15 +41,21 @@ TEST(CfLayoutTest, CapacitiesDeriveFromPageSize) {
   EXPECT_EQ(l.L(), usable / 32);
 }
 
+TEST(CfLayoutTest, MinPageSizeHoldsTwoEntriesOfEachKind) {
+  for (size_t dim : {size_t{1}, size_t{2}, size_t{16}, size_t{64}}) {
+    const size_t min_page = CfLayout{0, dim}.MinPageSize();
+    EXPECT_EQ(min_page, 16 * dim + 80) << "dim=" << dim;
+    EXPECT_EQ(CfLayout({min_page, dim}).B(), 2u) << "dim=" << dim;
+    EXPECT_GE(CfLayout({min_page, dim}).L(), 2u) << "dim=" << dim;
+    EXPECT_EQ(CfLayout({min_page - 1, dim}).B(), 1u) << "dim=" << dim;
+  }
+}
+
 TEST(CfLayoutTest, CapacityGrowsWithPageAndShrinksWithDim) {
   CfLayout small{256, 2}, big{4096, 2};
   EXPECT_GT(big.B(), small.B());
   CfLayout lowd{1024, 2}, highd{1024, 32};
   EXPECT_GT(lowd.L(), highd.L());
-  // Always at least 2 so splits are possible.
-  CfLayout tiny{64, 64};
-  EXPECT_GE(tiny.B(), 2u);
-  EXPECT_GE(tiny.L(), 2u);
 }
 
 TEST(CfTreeTest, FirstInsertCreatesEntry) {
@@ -275,7 +281,8 @@ TEST(CfTreeHeapGaugeTest, GaugeEqualsTheNodesBytesThroughSplitsAndRebuilds) {
       MemoryTracker mem;
       CfTreeOptions o;
       o.dim = dim;
-      o.page_size = 1024;
+      // A 1 KB page cannot hold two nonleaf entries at d = 64.
+      o.page_size = dim == 64 ? 2048 : 1024;
       o.threshold = 0.5;
       CfTree tree(o, &mem);
       Rng rng(900 + dim);

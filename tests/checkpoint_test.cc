@@ -811,88 +811,11 @@ TEST(CheckpointTest, MissingFileIsNotCorruption) {
   EXPECT_EQ(img.status().code(), StatusCode::kIOError);
 }
 
-// --- Compressed checkpoints (resources.page_codec != none) ---
-
-TEST(CheckpointTest, CompressedKillAndResumeIsBitwiseIdentical) {
-  // The compressed checkpoint must capture exactly the same state as
-  // the raw one: kill/resume with delta-rle freeze sections reproduces
-  // the uninterrupted run bitwise.
-  Dataset data = MakeData(9, 300, 701);
-  BirchOptions o = SmallOpts(data.dim(), 9);
-  o.resources.page_codec = PageCodecKind::kDeltaRle;
-  auto want = RunUninterrupted(data, o);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-  std::string path = TempPath("ckpt_codec.birch");
-  auto got = RunInterrupted(data, o, data.size() / 2, path);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectBitwiseEqual(want.value(), got.value());
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, CompressedCheckpointIsSmallerOnCfState) {
-  // Freeze sections hold tree pages and spill records — CF-shaped
-  // data — so the enveloped file should beat the raw one.
-  Dataset data = MakeData(6, 200, 715);
-  BirchOptions raw_opts = SmallOpts(data.dim(), 6);
-  BirchOptions codec_opts = raw_opts;
-  codec_opts.resources.page_codec = PageCodecKind::kDeltaRle;
-  std::string raw_path = TempPath("ckpt_raw_size.birch");
-  std::string codec_path = TempPath("ckpt_codec_size.birch");
-  auto save = [&data](const BirchOptions& o, const std::string& path) {
-    auto c = BirchClusterer::Create(o);
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(c.value()->AddDataset(data).ok());
-    ASSERT_TRUE(c.value()->SaveCheckpoint(path).ok());
-  };
-  save(raw_opts, raw_path);
-  save(codec_opts, codec_path);
-  EXPECT_LT(ReadAll(codec_path).size(), ReadAll(raw_path).size());
-  std::remove(raw_path.c_str());
-  std::remove(codec_path.c_str());
-}
-
-TEST(CheckpointTest, CrossCodecRestoreIsInvalidArgument) {
-  // A checkpoint's codec is part of the options fingerprint: restoring
-  // under a different resources.page_codec must be refused with a
-  // remedy, in both directions.
-  Dataset data = MakeData(4, 150, 716);
-  BirchOptions raw_opts = SmallOpts(data.dim(), 4);
-  BirchOptions codec_opts = raw_opts;
-  codec_opts.resources.page_codec = PageCodecKind::kDeltaRle;
-  std::string path = TempPath("ckpt_cross_codec.birch");
-
-  {
-    auto c = BirchClusterer::Create(codec_opts);
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(c.value()->AddDataset(data).ok());
-    ASSERT_TRUE(c.value()->SaveCheckpoint(path).ok());
-  }
-  auto mismatch = BirchClusterer::Restore(path, raw_opts);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(mismatch.status().message().find("page_codec"),
-            std::string::npos);
-  EXPECT_TRUE(BirchClusterer::Restore(path, codec_opts).ok());
-
-  {
-    auto c = BirchClusterer::Create(raw_opts);
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(c.value()->AddDataset(data).ok());
-    ASSERT_TRUE(c.value()->SaveCheckpoint(path).ok());
-  }
-  auto mismatch2 = BirchClusterer::Restore(path, codec_opts);
-  ASSERT_FALSE(mismatch2.ok());
-  EXPECT_EQ(mismatch2.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(BirchClusterer::Restore(path, raw_opts).ok());
-  std::remove(path.c_str());
-}
-
 TEST(CheckpointTest, LegacyHeaderWithoutCodecFieldStillLoads) {
-  // Files written before page compression end their header right after
-  // points_ingested — no trailing codec u32. Surgically rebuild such a
-  // header (shorten the payload, fix the frame length and CRC) and
-  // require the reader to decode it as codec 0 and load normally.
+  // Files written before checkpoint compression end their header right
+  // after points_ingested — no trailing codec u32. Surgically rebuild
+  // such a header (shorten the payload, fix the frame length and CRC)
+  // and require the reader to load it normally.
   std::string path = WriteSampleCheckpoint("ckpt_legacy.birch");
   std::vector<char> bytes = ReadAll(path);
   // Layout: magic(8) | tag(4) size(8) payload(size) crc(4) | ...
@@ -920,8 +843,7 @@ TEST(CheckpointTest, LegacyHeaderWithoutCodecFieldStillLoads) {
 
   auto img = ReadCheckpointFile(path);
   ASSERT_TRUE(img.ok()) << img.status().ToString();
-  EXPECT_EQ(img.value().page_codec, 0u);
-  // And the full Restore path accepts it under codec-none options.
+  // And the full Restore path accepts it.
   Dataset data = MakeData(6, 200, 711);
   BirchOptions o = SmallOpts(data.dim(), 6);
   EXPECT_TRUE(BirchClusterer::Restore(path, o).ok());
@@ -989,33 +911,68 @@ TEST(CheckpointTest, ImpossibleShardCountIsCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, CompressedSectionBitFlipIsDetected) {
-  // Bit rot inside a compressed freeze section: the section CRC covers
-  // the compressed image, so the flip is Corruption before the
-  // envelope decoder ever runs.
-  Dataset data = MakeData(6, 200, 717);
-  BirchOptions o = SmallOpts(data.dim(), 6);
-  o.resources.page_codec = PageCodecKind::kDeltaRle;
-  std::string path = TempPath("ckpt_codec_flip.birch");
-  {
-    auto c = BirchClusterer::Create(o);
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(c.value()->AddDataset(data).ok());
-    ASSERT_TRUE(c.value()->SaveCheckpoint(path).ok());
-  }
+TEST(CheckpointTest, DeltaRleHeaderIsInvalidArgument) {
+  // The delta-rle checkpoint codec is retired; a header whose codec
+  // field says 1 was written with it, and its freeze sections are
+  // compressed. Require InvalidArgument naming delta-rle with the
+  // remedy: the file is intact, this build just does not read it.
+  std::string path = WriteSampleCheckpoint("ckpt_delta_rle.birch");
+  // The codec field is the u32 at payload offset 48, after
+  // points_ingested; this build writes 0.
+  ASSERT_NO_FATAL_FAILURE(PatchHeaderU32(path, 48, 0, 1));
+
+  auto img = ReadCheckpointFile(path);
+  ASSERT_FALSE(img.ok());
+  EXPECT_EQ(img.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(img.status().message().find("delta-rle"), std::string::npos)
+      << img.status().ToString();
+  EXPECT_NE(img.status().message().find("earlier build"), std::string::npos)
+      << img.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, UnknownCodecHeaderIsCorruption) {
+  // No build ever wrote a codec other than 0 or 1.
+  std::string path = WriteSampleCheckpoint("ckpt_codec2.birch");
+  ASSERT_NO_FATAL_FAILURE(PatchHeaderU32(path, 48, 0, 2));
+
+  auto img = ReadCheckpointFile(path);
+  ASSERT_FALSE(img.ok());
+  EXPECT_EQ(img.status().code(), StatusCode::kCorruption)
+      << img.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, DamagedTreeRecordRestoresAsCorruption) {
+  // A CRC-valid file whose tree image names a root past the stored
+  // node records (the first u64 of the freeze payload) decodes, but
+  // Restore must refuse to rebuild a tree from it: Corruption, as for
+  // any payload that does not decode. Patch the root and re-CRC the
+  // freeze section, so only the root says something new.
+  std::string path = WriteSampleCheckpoint("ckpt_bad_root.birch");
   std::vector<char> bytes = ReadAll(path);
-  ASSERT_GT(bytes.size(), 256u);
-  for (size_t off : {size_t{100}, bytes.size() / 2, bytes.size() - 32}) {
-    std::vector<char> mutated = bytes;
-    mutated[off] = static_cast<char>(mutated[off] ^ 0x04);
-    WriteAll(path, mutated);
-    auto img = ReadCheckpointFile(path);
-    ASSERT_FALSE(img.ok()) << "flip at byte " << off << " undetected";
-    EXPECT_EQ(img.status().code(), StatusCode::kCorruption)
-        << "offset=" << off;
+  // magic(8) | header tag(4) size(8) payload(52) crc(4) | freeze tag(4)
+  // size(8) payload | ...
+  const size_t freeze_off = 8 + 4 + 8 + 52 + 4;
+  uint64_t size = 0;
+  std::memcpy(&size, bytes.data() + freeze_off + 4, 8);
+  const size_t payload_off = freeze_off + 4 + 8;
+  ASSERT_GE(bytes.size(), payload_off + size + 4);
+  const uint64_t bad_root = uint64_t{1} << 40;
+  std::memcpy(bytes.data() + payload_off, &bad_root, 8);
+  uint32_t crc = Crc32c(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(bytes.data()) + payload_off, size));
+  for (int i = 0; i < 4; ++i) {
+    bytes[payload_off + size + i] = static_cast<char>(crc >> (8 * i));
   }
   WriteAll(path, bytes);
-  EXPECT_TRUE(ReadCheckpointFile(path).ok());
+
+  ASSERT_TRUE(ReadCheckpointFile(path).ok());
+  Dataset data = MakeData(6, 200, 711);
+  auto restored = BirchClusterer::Restore(path, SmallOpts(data.dim(), 6));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+      << restored.status().ToString();
   std::remove(path.c_str());
 }
 

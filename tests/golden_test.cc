@@ -1,7 +1,8 @@
 // Golden outputs: bit-for-bit fingerprints of every artifact the CF
 // tree feeds, compared with recorded values. Each case hashes
 //   - the Phase-1 leaf CFs in chain order,
-//   - the TreeIO page bytes of the Phase-1 tree,
+//   - the TreeIO node records of the Phase-1 tree, each zero-padded to
+//     the page size,
 //   - ClusterDataset labels and cluster CFs,
 //   - ServingSnapshot::Assign answers for a fixed probe set,
 // on an input where leaf splits, merging-refinement resplits, rebuilds
@@ -30,7 +31,6 @@
 #include "datagen/generator.h"
 #include "datagen/paper_datasets.h"
 #include "exec/thread_pool.h"
-#include "pagestore/page_store.h"
 #include "serving/snapshot.h"
 #include "util/random.h"
 
@@ -142,16 +142,14 @@ void HashTree(const CfTree& tree, const BirchOptions& o, const Dataset& data,
   for (const CfVector& e : entries) leaves.Cf(e);
   g->leaf_cfs = leaves.value();
 
+  // Each node record, zero-padded to the page size: the bytes of the
+  // page-per-node layout the hashes were recorded over.
   Fingerprint pages;
-  PageStore store(tree.options().page_size);
-  auto image_or = TreeIO::Write(tree, &store);
-  ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
-  const TreeImage& image = image_or.value();
+  const TreeImage image = TreeIO::Write(tree);
   pages.U64(image.root);
   for (PageId id : image.leaf_chain) pages.U64(id);
-  std::vector<uint8_t> page;
-  for (PageId id = 0; id < store.num_pages(); ++id) {
-    ASSERT_TRUE(store.Read(id, &page).ok());
+  for (std::vector<uint8_t> page : image.records) {
+    page.resize(image.page_size, 0);
     pages.Bytes(page.data(), page.size());
   }
   g->tree_pages = pages.value();

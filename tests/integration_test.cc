@@ -42,14 +42,12 @@ TEST(IntegrationTest, CheckpointResumeAcrossTreeIo) {
   size_t half = g.data.size() / 2;
   for (size_t i = 0; i < half; ++i) tree.InsertPoint(g.data.Row(i));
 
-  // Checkpoint to the simulated disk...
-  PageStore store(512);
-  auto image = TreeIO::Write(tree, &store);
-  ASSERT_TRUE(image.ok());
+  // Checkpoint the tree as node records...
+  const TreeImage image = TreeIO::Write(tree);
 
   // ...reopen elsewhere, stream the second half.
   MemoryTracker mem2;
-  auto reopened = TreeIO::Read(image.value(), &store, topt, &mem2);
+  auto reopened = TreeIO::Read(image, topt, &mem2);
   ASSERT_TRUE(reopened.ok());
   CfTree& resumed = *reopened.value();
   for (size_t i = half; i < g.data.size(); ++i) {
@@ -76,6 +74,24 @@ struct SweepParam {
   DistanceMetric metric;
   GlobalAlgorithm algorithm;
 };
+
+/// Prints a parameter as e.g. "d2_D0_hierarchical": dimension, metric
+/// and Phase-3 algorithm. gtest_discover_tests puts this value in the
+/// ctest name in place of the parameter index.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "d" << p.dim << "_" << MetricName(p.metric) << "_";
+  switch (p.algorithm) {
+    case GlobalAlgorithm::kHierarchical:
+      *os << "hierarchical";
+      return;
+    case GlobalAlgorithm::kKMeans:
+      *os << "kmeans";
+      return;
+    case GlobalAlgorithm::kMedoids:
+      *os << "medoids";
+      return;
+  }
+}
 
 class PipelineSweepTest : public ::testing::TestWithParam<SweepParam> {};
 

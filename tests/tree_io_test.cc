@@ -1,7 +1,7 @@
 // CF-tree persistence tests: write/read round trips must reproduce the
-// exact tree (summaries, leaf entries, structure), charge memory
-// correctly, surface store failures, and Release must return every
-// page.
+// exact tree (summaries, leaf entries, structure) and charge memory
+// correctly; every node record fits its page, one zero-padded to the
+// page reads the same, and every damaged image is Corruption.
 #include "birch/tree_io.h"
 
 #include <algorithm>
@@ -38,16 +38,17 @@ TEST(TreeIoTest, RoundTripPreservesEverything) {
   std::vector<CfVector> entries_before;
   tree->CollectLeafEntries(&entries_before);
 
-  PageStore store(512);
-  auto image_or = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
-  const TreeImage& image = image_or.value();
+  const TreeImage image = TreeIO::Write(*tree);
   EXPECT_EQ(image.node_count, tree->node_count());
-  EXPECT_EQ(store.num_pages(), tree->node_count());
+  EXPECT_EQ(image.records.size(), tree->node_count());
+  EXPECT_EQ(image.root, image.records.size() - 1);  // post-order: root last
+  for (const auto& record : image.records) {
+    EXPECT_LE(record.size(), image.page_size);
+  }
 
   MemoryTracker mem2;
   CfTreeOptions opts;  // runtime knobs; geometry comes from the image
-  auto back_or = TreeIO::Read(image, &store, opts, &mem2);
+  auto back_or = TreeIO::Read(image, opts, &mem2);
   ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
   auto& back = back_or.value();
 
@@ -79,15 +80,13 @@ TEST(TreeIoTest, BetulaRoundTripPreservesEverything) {
   std::vector<CfVector> entries_before;
   tree->CollectLeafEntries(&entries_before);
 
-  PageStore store(512);
-  auto image_or = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image_or.ok()) << image_or.status().ToString();
-  EXPECT_EQ(image_or.value().cf, CfRepresentation::kBetula);
+  const TreeImage image = TreeIO::Write(*tree);
+  EXPECT_EQ(image.cf, CfRepresentation::kBetula);
 
   MemoryTracker mem2;
   CfTreeOptions opts;
   opts.cf = CfRepresentation::kBetula;
-  auto back_or = TreeIO::Read(image_or.value(), &store, opts, &mem2);
+  auto back_or = TreeIO::Read(image, opts, &mem2);
   ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
   std::vector<CfVector> entries_after;
   back_or.value()->CollectLeafEntries(&entries_after);
@@ -103,31 +102,27 @@ TEST(TreeIoTest, CfPolicyMismatchOnReadIsInvalidArgument) {
   // statistics (classic SS vs BETULA S).
   MemoryTracker mem;
   auto tree = BuildTree(&mem, 500, 207, 512, CfRepresentation::kBetula);
-  PageStore store(512);
-  auto image = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image.ok());
+  const TreeImage image = TreeIO::Write(*tree);
 
   MemoryTracker mem2;
   CfTreeOptions wrong_rep;
   wrong_rep.cf = CfRepresentation::kClassic;
-  auto r1 = TreeIO::Read(image.value(), &store, wrong_rep, &mem2);
+  auto r1 = TreeIO::Read(image, wrong_rep, &mem2);
   EXPECT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
 
   CfTreeOptions right;
   right.cf = CfRepresentation::kBetula;
-  EXPECT_TRUE(TreeIO::Read(image.value(), &store, right, &mem2).ok());
+  EXPECT_TRUE(TreeIO::Read(image, right, &mem2).ok());
 }
 
 TEST(TreeIoTest, ReopenedTreeAcceptsInserts) {
   MemoryTracker mem;
   auto tree = BuildTree(&mem, 1000, 202);
-  PageStore store(512);
-  auto image = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image.ok());
+  const TreeImage image = TreeIO::Write(*tree);
 
   MemoryTracker mem2;
-  auto back = TreeIO::Read(image.value(), &store, CfTreeOptions{}, &mem2);
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem2);
   ASSERT_TRUE(back.ok());
   double n0 = back.value()->TreeSummary().n();
   Rng rng(203);
@@ -140,75 +135,57 @@ TEST(TreeIoTest, ReopenedTreeAcceptsInserts) {
   EXPECT_TRUE(back.value()->CheckInvariants(&why)) << why;
 }
 
-TEST(TreeIoTest, ReleaseFreesAllPages) {
+TEST(TreeIoTest, PaddedRecordsReadLikeUnpadded) {
+  // Earlier checkpoints stored each record zero-padded to the page
+  // size; such an image must rebuild exactly the same tree.
   MemoryTracker mem;
   auto tree = BuildTree(&mem, 2000, 204);
-  PageStore store(512);
-  auto image = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image.ok());
-  EXPECT_GT(store.num_pages(), 0u);
-  ASSERT_TRUE(TreeIO::Release(image.value(), &store).ok());
-  EXPECT_EQ(store.num_pages(), 0u);
-}
+  TreeImage image = TreeIO::Write(*tree);
+  for (auto& record : image.records) record.resize(image.page_size, 0);
 
-TEST(TreeIoTest, StoreCapacitySurfacesAsError) {
-  MemoryTracker mem;
-  auto tree = BuildTree(&mem, 2000, 205);
-  ASSERT_GT(tree->node_count(), 4u);
-  PageStore tiny(512, 4 * 512);  // fewer pages than nodes
-  auto image = TreeIO::Write(*tree, &tiny);
-  EXPECT_FALSE(image.ok());
-  EXPECT_EQ(image.status().code(), StatusCode::kOutOfDisk);
-  // A failed Write must return every page it allocated: the partial
-  // image is unreachable, so leaked pages would be lost capacity for
-  // the life of the store.
-  EXPECT_EQ(tiny.num_pages(), 0u);
-}
-
-TEST(TreeIoTest, SmallerStorePageRejected) {
-  MemoryTracker mem;
-  auto tree = BuildTree(&mem, 100, 206, /*page=*/1024);
-  PageStore store(512);  // smaller than the tree's page
-  auto image = TreeIO::Write(*tree, &store);
-  EXPECT_FALSE(image.ok());
-  EXPECT_EQ(image.status().code(), StatusCode::kInvalidArgument);
+  MemoryTracker mem2;
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem2);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  std::vector<CfVector> want, got;
+  tree->CollectLeafEntries(&want);
+  back.value()->CollectLeafEntries(&got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(back.value()->node_count(), tree->node_count());
 }
 
 TEST(TreeIoTest, CorruptRootRejected) {
-  PageStore store(512);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> junk(512, 0x5a);
-  ASSERT_TRUE(store.Write(id.value(), junk).ok());
   TreeImage image;
-  image.root = id.value();
+  image.records.push_back(std::vector<uint8_t>(512, 0x5a));
+  image.root = 0;
   image.dim = 2;
   image.page_size = 512;
   MemoryTracker mem;
-  auto back = TreeIO::Read(image, &store, CfTreeOptions{}, &mem);
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem);
   EXPECT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
-// --- Crafted-page hardening: every structurally invalid page must
+// --- Crafted-record hardening: every structurally invalid record must
 // surface as kCorruption, never as undefined behavior. ---
 
 constexpr double kMagic = 5214.1996;  // TreeIO::kNodeMagic
 
-PageId PutRawPage(PageStore* store, const std::vector<double>& buf) {
-  auto id = store->Allocate();
-  EXPECT_TRUE(id.ok());
-  std::vector<uint8_t> page(buf.size() * sizeof(double));
-  std::memcpy(page.data(), buf.data(), page.size());
-  EXPECT_TRUE(store->Write(id.value(), page).ok());
-  return id.value();
+/// Appends a record holding `buf` to `records`; returns its id.
+PageId PutRecord(std::vector<std::vector<uint8_t>>* records,
+                 const std::vector<double>& buf) {
+  std::vector<uint8_t>& record =
+      records->emplace_back(buf.size() * sizeof(double));
+  std::memcpy(record.data(), buf.data(), record.size());
+  return records->size() - 1;
 }
 
 /// Reads the crafted tree under `root`; the metadata defaults to none,
-/// which fails the final check unless a page fails first.
-Status ReadCrafted(PageStore* store, PageId root, size_t node_count = 0,
-                   size_t leaf_entries = 0, size_t height = 0) {
+/// which fails the final check unless a record fails first.
+Status ReadCrafted(std::vector<std::vector<uint8_t>> records, PageId root,
+                   size_t node_count = 0, size_t leaf_entries = 0,
+                   size_t height = 0) {
   TreeImage image;
+  image.records = std::move(records);
   image.root = root;
   image.dim = 2;
   image.page_size = 512;
@@ -216,7 +193,7 @@ Status ReadCrafted(PageStore* store, PageId root, size_t node_count = 0,
   image.leaf_entries = leaf_entries;
   image.height = height;
   MemoryTracker mem;
-  auto back = TreeIO::Read(image, store, CfTreeOptions{}, &mem);
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem);
   return back.ok() ? Status::OK() : back.status();
 }
 
@@ -226,9 +203,9 @@ TEST(TreeIoTest, ImpossibleEntryCountIsCorruption) {
   for (double count : {1e18, -3.0, 1.5,
                        std::numeric_limits<double>::quiet_NaN(),
                        std::numeric_limits<double>::infinity()}) {
-    PageStore store(512);
-    PageId root = PutRawPage(&store, {kMagic, 1.0, count, 1.0, 1.0, 2.0, 5.0});
-    Status st = ReadCrafted(&store, root);
+    std::vector<std::vector<uint8_t>> records;
+    PageId root = PutRecord(&records, {kMagic, 1.0, count, 1.0, 1.0, 2.0, 5.0});
+    Status st = ReadCrafted(records, root);
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << "count=" << count;
   }
 }
@@ -236,37 +213,86 @@ TEST(TreeIoTest, ImpossibleEntryCountIsCorruption) {
 TEST(TreeIoTest, OutOfRangeChildPageIdIsCorruption) {
   // Nonleaf entry layout: N, LS[0..2), SS, child. A child id outside
   // the exact-double range (2^53), negative, or fractional cannot name
-  // a real page.
+  // a real record.
   for (double child : {9007199254740994.0 /* 2^53 + 2 */, -1.0, 0.5}) {
-    PageStore store(512);
+    std::vector<std::vector<uint8_t>> records;
     PageId root =
-        PutRawPage(&store, {kMagic, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, child});
-    Status st = ReadCrafted(&store, root);
+        PutRecord(&records, {kMagic, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, child});
+    Status st = ReadCrafted(records, root);
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << "child=" << child;
   }
 }
 
 TEST(TreeIoTest, CyclicChildReferenceIsCorruption) {
-  PageStore store(512);
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  // Nonleaf root whose only child is itself.
-  std::vector<double> buf = {kMagic, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0,
-                             static_cast<double>(id.value())};
-  std::vector<uint8_t> page(buf.size() * sizeof(double));
-  std::memcpy(page.data(), buf.data(), page.size());
-  ASSERT_TRUE(store.Write(id.value(), page).ok());
-  Status st = ReadCrafted(&store, id.value());
+  // Nonleaf root (record 0) whose only child is itself.
+  std::vector<std::vector<uint8_t>> records;
+  PageId root =
+      PutRecord(&records, {kMagic, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, 0.0});
+  Status st = ReadCrafted(records, root);
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
+}
+
+TEST(TreeIoTest, RootOrChildIdPastTheRecordsIsCorruption) {
+  // Ids are record indexes: one at or past the record count names
+  // nothing, whether it is the image's root or a nonleaf entry's child.
+  std::vector<std::vector<uint8_t>> records;
+  PageId leaf = PutRecord(&records, {kMagic, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0});
+  Status st = ReadCrafted(records, /*root=*/records.size(), 1, 1, 1);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  st = ReadCrafted(records, kInvalidPageId, 1, 1, 1);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_TRUE(ReadCrafted(records, leaf, 1, 1, 1).ok());
+
+  // A nonleaf root (record 1) whose child id, 2, is past both records.
+  PageId root =
+      PutRecord(&records, {kMagic, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, 2.0});
+  ASSERT_EQ(records.size(), 2u);
+  st = ReadCrafted(records, root, 2, 1, 2);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+TEST(TreeIoTest, RecordLongerThanThePageIsCorruption) {
+  // A record never exceeds the page it was written from; a longer one
+  // (even a valid node with a nonzero tail) is damage.
+  MemoryTracker mem;
+  auto tree = BuildTree(&mem, 500, 208);
+  TreeImage image = TreeIO::Write(*tree);
+  image.records[image.root].resize(image.page_size + sizeof(double), 0);
+  MemoryTracker mem2;
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem2);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
+      << back.status().ToString();
+}
+
+TEST(TreeIoTest, PageTooSmallForTwoEntriesIsCorruption) {
+  // No writer produces an image whose page cannot hold two nonleaf
+  // entries (CfTree requires it), so one that claims such a page is
+  // damage, refused before a tree is built on it.
+  std::vector<std::vector<uint8_t>> records;
+  PageId root = PutRecord(&records, {kMagic, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0});
+  TreeImage image;
+  image.records = records;
+  image.root = root;
+  image.dim = 2;
+  image.page_size = CfLayout{512, 2}.MinPageSize() - 1;
+  image.node_count = image.leaf_entries = image.height = 1;
+  MemoryTracker mem;
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
+      << back.status().ToString();
+  image.page_size = CfLayout{512, 2}.MinPageSize();
+  EXPECT_TRUE(TreeIO::Read(image, CfTreeOptions{}, &mem).ok());
 }
 
 TEST(TreeIoTest, EmptyNonleafRootIsCorruption) {
   // A nonleaf root with no entries has no child to descend to. With
   // metadata that adds up (one node, no leaf entries, no leaf level)
   // only the page itself can reject it.
-  PageStore store(512);
-  PageId root = PutRawPage(&store, {kMagic, 0.0, 0.0});
-  Status st = ReadCrafted(&store, root, /*node_count=*/1,
+  std::vector<std::vector<uint8_t>> records;
+  PageId root = PutRecord(&records, {kMagic, 0.0, 0.0});
+  Status st = ReadCrafted(records, root, /*node_count=*/1,
                           /*leaf_entries=*/0, /*height=*/0);
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
@@ -275,15 +301,15 @@ TEST(TreeIoTest, LeavesAtUnequalDepthsAreCorruption) {
   // Root -> {leaf A, nonleaf B -> leaf C}: A sits at depth 2, C at
   // depth 3. The metadata matches the deepest leaf, so only the
   // uniform-depth check can reject the image.
-  PageStore store(512);
-  PageId a = PutRawPage(&store, {kMagic, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0});
-  PageId c = PutRawPage(&store, {kMagic, 1.0, 1.0, 1.0, 3.0, 4.0, 25.0});
-  PageId b = PutRawPage(&store, {kMagic, 0.0, 1.0, 1.0, 3.0, 4.0, 25.0,
-                                 static_cast<double>(c)});
-  PageId root = PutRawPage(
-      &store, {kMagic, 0.0, 2.0, 1.0, 1.0, 2.0, 5.0, static_cast<double>(a),
-               1.0, 3.0, 4.0, 25.0, static_cast<double>(b)});
-  Status st = ReadCrafted(&store, root, /*node_count=*/4,
+  std::vector<std::vector<uint8_t>> records;
+  PageId a = PutRecord(&records, {kMagic, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0});
+  PageId c = PutRecord(&records, {kMagic, 1.0, 1.0, 1.0, 3.0, 4.0, 25.0});
+  PageId b = PutRecord(&records, {kMagic, 0.0, 1.0, 1.0, 3.0, 4.0, 25.0,
+                                  static_cast<double>(c)});
+  PageId root = PutRecord(
+      &records, {kMagic, 0.0, 2.0, 1.0, 1.0, 2.0, 5.0, static_cast<double>(a),
+                 1.0, 3.0, 4.0, 25.0, static_cast<double>(b)});
+  Status st = ReadCrafted(records, root, /*node_count=*/4,
                           /*leaf_entries=*/2, /*height=*/3);
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
@@ -291,16 +317,13 @@ TEST(TreeIoTest, LeavesAtUnequalDepthsAreCorruption) {
 TEST(TreeIoTest, LeafChainMismatchIsCorruption) {
   MemoryTracker mem;
   auto tree = BuildTree(&mem, 500, 207);
-  PageStore store(512);
-  auto image_or = TreeIO::Write(*tree, &store);
-  ASSERT_TRUE(image_or.ok());
-  TreeImage image = image_or.value();
+  TreeImage image = TreeIO::Write(*tree);
   ASSERT_GE(image.leaf_chain.size(), 2u);
   // A chain that names the same leaf twice (dropping another) cannot
   // be the original iteration order.
   image.leaf_chain[1] = image.leaf_chain[0];
   MemoryTracker mem2;
-  auto back = TreeIO::Read(image, &store, CfTreeOptions{}, &mem2);
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem2);
   EXPECT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
@@ -314,11 +337,9 @@ TEST(TreeIoTest, SingleLeafTree) {
   CfTree tree(o, &mem);
   std::vector<double> p = {1, 2, 3};
   tree.InsertPoint(p);
-  PageStore store(512);
-  auto image = TreeIO::Write(tree, &store);
-  ASSERT_TRUE(image.ok());
+  const TreeImage image = TreeIO::Write(tree);
   MemoryTracker mem2;
-  auto back = TreeIO::Read(image.value(), &store, CfTreeOptions{}, &mem2);
+  auto back = TreeIO::Read(image, CfTreeOptions{}, &mem2);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value()->leaf_entry_count(), 1u);
   EXPECT_EQ(back.value()->TreeSummary(), tree.TreeSummary());

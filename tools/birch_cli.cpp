@@ -56,13 +56,6 @@ StatusOr<CfRepresentation> ParseCfRep(const std::string& name) {
                                  "' (want classic|betula)");
 }
 
-StatusOr<PageCodecKind> ParsePageCodec(const std::string& name) {
-  PageCodecKind kind;
-  if (ParsePageCodecName(name, &kind)) return kind;
-  return Status::InvalidArgument("unknown page codec '" + name +
-                                 "' (want none|delta-rle)");
-}
-
 StatusOr<GlobalAlgorithm> ParseAlgorithm(const std::string& name) {
   if (name == "hc") return GlobalAlgorithm::kHierarchical;
   if (name == "kmeans") return GlobalAlgorithm::kKMeans;
@@ -75,7 +68,7 @@ int Run(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   Status known = flags.CheckKnown(
       {"input", "output", "k", "distance-limit", "memory-kb", "disk-kb",
-       "page", "page-codec", "metric", "cf", "threshold", "algorithm",
+       "page", "metric", "cf", "threshold", "algorithm",
        "refine-passes",
        "discard-distance", "no-outliers", "no-delay-split", "stream",
        "seed", "threads", "splitter-seed",
@@ -97,7 +90,7 @@ int Run(int argc, char** argv) {
                  "[--no-outliers] [--no-delay-split] [--stream] "
                  "[--seed S] [--threads N] "
                  "[--splitter-seed S]\n"
-                 "       [--disk-kb R] [--page-codec none|delta-rle] "
+                 "       [--disk-kb R] "
                  "[--fault-read P] [--fault-write P] [--fault-lose P] "
                  "[--fault-flip P] [--fault-seed S] [--io-attempts N]\n"
                  "  --stream clusters the file without loading it into "
@@ -150,11 +143,7 @@ int Run(int argc, char** argv) {
                  "(options must match the\n"
                  "  checkpointed run's dim/page/metric/threshold kind); "
                  "with --stream the resumed\n"
-                 "  run refines (Phase 4) like an uninterrupted one. "
-                 "--page-codec delta-rle compresses\n"
-                 "  the checkpoint's freeze sections only; --restore "
-                 "needs the codec the file was\n"
-                 "  written with.\n"
+                 "  run refines (Phase 4) like an uninterrupted one.\n"
                  "  --publish-every N publishes a serving snapshot epoch "
                  "every N points (the\n"
                  "  queryable point->cluster serving tier; see "
@@ -257,12 +246,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  auto codec_or = ParsePageCodec(flags.GetString("page-codec", "none"));
-  if (!codec_or.ok()) {
-    std::fprintf(stderr, "%s\n", codec_or.status().ToString().c_str());
-    return 2;
-  }
-  o.resources.page_codec = codec_or.value();
   auto metric_or = ParseMetric(flags.GetString("metric", "D2"));
   if (!metric_or.ok()) {
     std::fprintf(stderr, "%s\n", metric_or.status().ToString().c_str());
